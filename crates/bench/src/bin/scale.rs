@@ -15,7 +15,7 @@
 //!     [--head-index incremental,rebuild] [--q-rows sparse,dense] \
 //!     [--lambda 5] [--seed 42] \
 //!     [--events-sink sync,async] [--out BENCH_scale.json] [--append] \
-//!     [--validate] [--compare BASE.json] [--gate-thread-scaling 1.6]`
+//!     [--validate] [--compare BASE.json] [--gate-thread-scaling 0.8]`
 //!
 //! `--events-sink` re-runs each point once per named pipeline with a
 //! full-mode events stream (into the bit bucket) and records what that
@@ -77,11 +77,17 @@ use std::time::Instant;
 /// `residue_fraction` (a number on sharded-merge runs, `null` on
 /// sequential runs, which never classify). `--compare` gates
 /// `residue_fraction` as a regression: a matched point whose fresh
-/// fraction grows more than [`RESIDUE_TOLERANCE`] (absolute) past the
+/// fraction grows more than 0.05 (absolute) past the
 /// baseline's fails, and `--gate-thread-scaling` now applies its floor
 /// only to rows with `n ≥` [`SCALING_GATE_MIN_N`] (smaller rows warn —
 /// see the gate's docs for why small-N inversion is expected).
-const SCALE_SCHEMA: &str = "qlec-bench-scale/v7";
+/// v8: the reservation pre-pass is gone (one ordered merge walk at
+/// every thread count), and with it `merge_shards`, `merge_shard_max`,
+/// `merge_clean_commits`, `merge_residue`, `residue_fraction` and the
+/// `--compare` residue gate. Every run gains `merge_share`: merge wall
+/// over run wall, the serial fraction that bounds thread scaling
+/// (Amdahl: speedup ≤ 1 / merge_share).
+const SCALE_SCHEMA: &str = "qlec-bench-scale/v8";
 
 /// `--compare` fails on a `packets_per_sec` drop of more than this
 /// fraction below the baseline at any matching point.
@@ -99,15 +105,6 @@ const RSS_TOLERANCE: f64 = 0.25;
 /// high-water mark is dominated by allocator noise and (within one
 /// sweep) by whatever larger size ran first, not by per-node state.
 const RSS_GATE_MIN_N: usize = 100_000;
-
-/// `--compare` fails when a matched point's `residue_fraction` grows
-/// more than this (absolute) past the baseline's. The fraction is a
-/// property of the workload (at saturated λ most refusals genuinely
-/// need the sequential walk), so the gate is a regression bound on the
-/// *classifier* — proven-clean packets silently falling back into the
-/// residue — not an absolute target. Skipped when either side's
-/// fraction is null (sequential runs never classify).
-const RESIDUE_TOLERANCE: f64 = 0.05;
 
 /// Smallest `n` the `--gate-thread-scaling` floor applies to. Below
 /// this the per-round fan-out is too small to amortize worker wakeups:
@@ -168,17 +165,10 @@ struct ScaleRun {
     merge_conflicts: u64,
     /// Live-continuation retargets applied during the merge.
     merge_retargets: u64,
-    /// Disjoint-head commit groups the sharded merge processed (0 when
-    /// the run took the sequential merge path, i.e. one worker).
-    merge_shards: u64,
-    /// Packets in the largest single commit group — shard imbalance.
-    merge_shard_max: u64,
-    /// Packets the reservation pre-pass proved clean (committed with
-    /// asserts, no uncertainty). 0 on the sequential merge path.
-    merge_clean_commits: u64,
-    /// Packets the pre-pass could not prove clean — the sequential
-    /// residue walk's workload. 0 on the sequential merge path.
-    merge_residue: u64,
+    /// Merge wall over run wall: the share of the run spent in the
+    /// sequential commit walk, which bounds thread scaling at
+    /// `1 / merge_share`.
+    merge_share: f64,
     /// Round-latency quantiles (ns) over the run's rounds.
     round_p50_ns: f64,
     round_p90_ns: f64,
@@ -229,15 +219,6 @@ impl Serialize for EventsPipelineRow {
     }
 }
 
-impl ScaleRun {
-    /// Residue share of the classified packets, `None` when the run
-    /// never ran the reservation pre-pass (sequential merge path).
-    fn residue_fraction(&self) -> Option<f64> {
-        let total = self.merge_clean_commits + self.merge_residue;
-        (total > 0).then(|| self.merge_residue as f64 / total as f64)
-    }
-}
-
 // Hand-rolled so `peak_rss_bytes: None` drops the field entirely
 // instead of writing `null` (the derive cannot skip fields).
 impl Serialize for ScaleRun {
@@ -277,26 +258,7 @@ impl Serialize for ScaleRun {
             "merge_retargets".to_string(),
             self.merge_retargets.to_value(),
         ));
-        fields.push(("merge_shards".to_string(), self.merge_shards.to_value()));
-        fields.push((
-            "merge_shard_max".to_string(),
-            self.merge_shard_max.to_value(),
-        ));
-        fields.push((
-            "merge_clean_commits".to_string(),
-            self.merge_clean_commits.to_value(),
-        ));
-        fields.push(("merge_residue".to_string(), self.merge_residue.to_value()));
-        // Sequential runs never classify: an explicit null, so every v7
-        // row carries the key and `--compare` can tell "not measured"
-        // from "measured zero".
-        fields.push((
-            "residue_fraction".to_string(),
-            match self.residue_fraction() {
-                Some(f) => f.to_value(),
-                None => serde_json::Value::Null,
-            },
-        ));
+        fields.push(("merge_share".to_string(), self.merge_share.to_value()));
         fields.push(("round_p50_ns".to_string(), self.round_p50_ns.to_value()));
         fields.push(("round_p90_ns".to_string(), self.round_p90_ns.to_value()));
         fields.push(("round_p99_ns".to_string(), self.round_p99_ns.to_value()));
@@ -549,13 +511,12 @@ fn run_size(
             })
         })
         .collect();
-    let counter = |name: &str| -> u64 {
-        profile
-            .counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    };
+    let counter = |name: &str| profile.counter(name).unwrap_or(0);
+    let merge_wall_ns = profile
+        .phases
+        .iter()
+        .find(|row| row.path == "transmission/merge")
+        .map_or(0, |row| row.wall_ns);
     ScaleRun {
         n,
         k,
@@ -576,10 +537,7 @@ fn run_size(
         phase_threads,
         merge_conflicts: counter("merge.conflicts"),
         merge_retargets: counter("merge.retargets"),
-        merge_shards: counter("merge.shards"),
-        merge_shard_max: counter("merge.shard_max"),
-        merge_clean_commits: counter("merge.clean_commits"),
-        merge_residue: counter("merge.residue"),
+        merge_share: merge_wall_ns as f64 / (wall_s * 1e9).max(1.0),
         round_p50_ns: profile.round_latency.p50_ns,
         round_p90_ns: profile.round_latency.p90_ns,
         round_p99_ns: profile.round_latency.p99_ns,
@@ -741,10 +699,7 @@ fn validate_scale_json(text: &str) -> Result<(), String> {
             "alive_end",
             "merge_conflicts",
             "merge_retargets",
-            "merge_shards",
-            "merge_shard_max",
-            "merge_clean_commits",
-            "merge_residue",
+            "merge_share",
             "round_p50_ns",
             "round_p90_ns",
             "round_p99_ns",
@@ -753,15 +708,8 @@ fn validate_scale_json(text: &str) -> Result<(), String> {
                 return Err(format!("runs[{i}] missing numeric field {key:?}"));
             }
         }
-        // v7: the key must be present — a number on sharded-merge runs,
-        // an explicit null on sequential ones (which never classify).
-        match run.get("residue_fraction") {
-            Some(rf) if rf.is_null() || rf.as_f64().is_some() => {}
-            _ => {
-                return Err(format!(
-                    "runs[{i}].residue_fraction must be a number or null"
-                ))
-            }
+        if !(0.0..=1.0).contains(&run["merge_share"].as_f64().unwrap_or(-1.0)) {
+            return Err(format!("runs[{i}].merge_share must lie in [0, 1]"));
         }
         // "auto" resolves to a concrete worker count before the first
         // round, so a recorded 0 means the run never resolved it.
@@ -871,16 +819,16 @@ fn validate_scale_json(text: &str) -> Result<(), String> {
 
 /// The fields every appended-onto row must carry so the 7-tuple
 /// compare/baseline key `(n, threads, candidates, head_index, q_rows,
-/// lambda, rounds)` and the residue gate stay meaningful. A pre-v7 row
-/// is missing some of these: its `lambda` (or residue counters) would
-/// never match — or silently zero-fill — downstream comparisons.
-const APPEND_KEY_FIELDS: [&str; 7] = [
+/// lambda, rounds)` stays meaningful and every row reports its serial
+/// fraction. A pre-v8 row is missing some of these: its `lambda` would
+/// never match downstream comparisons, and its `merge_share` would
+/// silently zero-fill.
+const APPEND_KEY_FIELDS: [&str; 6] = [
     "n",
     "threads",
     "rounds",
     "lambda",
-    "merge_clean_commits",
-    "merge_residue",
+    "merge_share",
     "packets_per_sec",
 ];
 
@@ -889,15 +837,12 @@ const APPEND_KEY_FIELDS: [&str; 7] = [
 type AppendKey = (u64, u64, String, String, String, u64, u64);
 
 /// The dedup/compare key of one run row, or `Err` naming the first
-/// v7 field the row is missing.
+/// v8 field the row is missing.
 fn append_key(row: &serde_json::Value) -> Result<AppendKey, String> {
     for key in APPEND_KEY_FIELDS {
         if row[key].as_f64().is_none() {
             return Err(format!("missing numeric field {key:?}"));
         }
-    }
-    if !matches!(row.get("residue_fraction"), Some(rf) if rf.is_null() || rf.as_f64().is_some()) {
-        return Err("missing field \"residue_fraction\"".into());
     }
     let text = |key: &str| -> Result<String, String> {
         row[key]
@@ -930,11 +875,10 @@ fn append_key(row: &serde_json::Value) -> Result<AppendKey, String> {
 /// (`--append`). Two failure modes are rejected up front instead of
 /// corrupting the merged artifact silently:
 ///
-/// - a prior row that predates [`SCALE_SCHEMA`] (missing `lambda`, the
-///   merge residue counters, or `residue_fraction`) would slip past the
-///   7-tuple compare key forever — matched by nothing, gated by
-///   nothing — so it is a structured error naming the schema, not a
-///   carry-through;
+/// - a prior row that predates [`SCALE_SCHEMA`] (missing `lambda` or
+///   `merge_share`) would slip past the 7-tuple compare key forever —
+///   matched by nothing, gated by nothing — so it is a structured error
+///   naming the schema, not a carry-through;
 /// - a fresh row whose 7-tuple coordinate already exists in the prior
 ///   set would make every later baseline lookup pick one of the two at
 ///   random (`find` order), so duplicates are an error naming the
@@ -984,10 +928,8 @@ fn append_runs(
 /// Points are matched on `(n, threads, candidates, head_index, q_rows,
 /// lambda, rounds)`; `Ok` carries one message per matched point whose
 /// `packets_per_sec` fell more than [`REGRESSION_TOLERANCE`] below the
-/// baseline, whose `residue_fraction` grew more than
-/// [`RESIDUE_TOLERANCE`] (absolute) past it (both sides must carry a
-/// measured fraction — sequential runs' `null` skips the gate), or —
-/// at `n ≥` [`RSS_GATE_MIN_N`], when both sides carry the counter —
+/// baseline, or — at `n ≥` [`RSS_GATE_MIN_N`], when both sides carry
+/// the counter —
 /// whose `peak_rss_bytes` grew more than [`RSS_TOLERANCE`] past it
 /// (empty = gate passes). `Err` means the comparison itself is
 /// impossible — unreadable or schema-stale baseline, or no point in
@@ -1033,35 +975,6 @@ fn compare_against_baseline(
                 (1.0 - REGRESSION_TOLERANCE) * 100.0,
                 floor,
             ));
-        }
-        // The residue gate needs a measured fraction on BOTH sides.
-        // `None`/`null` means the reservation pre-pass classified
-        // nothing (sequential merge, or a round set that generated no
-        // packets — e.g. a full-blackout cell), which is not the same
-        // measurement as a fraction of 0.0: zero-filling it would flag
-        // any later measured fraction > RESIDUE_TOLERANCE as a
-        // regression against a run that never measured one. Null-vs-
-        // number pairs skip the gate explicitly, mirroring the
-        // `latency_mean_slots: null` treatment.
-        match (run.residue_fraction(), b["residue_fraction"].as_f64()) {
-            (None, _) | (_, None) => {}
-            (Some(fresh_rf), Some(base_rf)) if fresh_rf > base_rf + RESIDUE_TOLERANCE => {
-                regressions.push(format!(
-                    "N={} threads={} candidates={} head-index={} q-rows={} lambda={}: residue \
-                     fraction {:.3} vs baseline {:.3} (above the +{:.2} absolute ceiling — \
-                     proven-clean packets are falling back into the residue)",
-                    run.n,
-                    run.threads,
-                    run.candidates,
-                    run.head_index,
-                    run.q_rows,
-                    run.lambda,
-                    fresh_rf,
-                    base_rf,
-                    RESIDUE_TOLERANCE,
-                ));
-            }
-            (Some(_), Some(_)) => {}
         }
         if run.n >= RSS_GATE_MIN_N {
             if let (Some(rss), Some(base_rss)) = (run.peak_rss_bytes, b["peak_rss_bytes"].as_u64())
@@ -1675,7 +1588,7 @@ mod tests {
             };
             serde_json::to_string(&report).unwrap()
         };
-        for missing in ["threads_resolved", "merge_shards", "merge_shard_max"] {
+        for missing in ["threads_resolved", "merge_conflicts", "merge_retargets"] {
             let text = render(&|fields| fields.retain(|(k, _)| k != missing));
             let err = validate_scale_json(&text).unwrap_err();
             assert!(err.contains(missing), "{missing}: {err}");
@@ -1744,7 +1657,7 @@ mod tests {
     }
 
     #[test]
-    fn validator_enforces_v7_fields() {
+    fn validator_enforces_v8_fields() {
         let base = tiny_run(1, HeadIndexMode::Incremental);
         let render = |mutate: &dyn Fn(&mut Fields)| {
             let mut fields = match base.to_value() {
@@ -1761,74 +1674,25 @@ mod tests {
             };
             serde_json::to_string(&report).unwrap()
         };
-        // Every v7 row carries its own λ and the reservation counters.
-        for missing in ["lambda", "merge_clean_commits", "merge_residue"] {
+        // Every v8 row carries its own λ and its serial fraction.
+        for missing in ["lambda", "merge_share"] {
             let text = render(&|fields| fields.retain(|(k, _)| k != missing));
             let err = validate_scale_json(&text).unwrap_err();
             assert!(err.contains(missing), "{missing}: {err}");
         }
-        // residue_fraction must be present — number or explicit null,
-        // never a missing key or a string.
-        let absent = render(&|fields| fields.retain(|(k, _)| k != "residue_fraction"));
-        let err = validate_scale_json(&absent).unwrap_err();
-        assert!(err.contains("residue_fraction"), "{err}");
-        let stringy = render(&|fields| {
-            fields.retain(|(k, _)| k != "residue_fraction");
-            fields.push(("residue_fraction".into(), "0.7".to_value()));
+        // merge_share is a fraction of the run's wall.
+        let out_of_range = render(&|fields| {
+            fields.retain(|(k, _)| k != "merge_share");
+            fields.push(("merge_share".into(), 1.5f64.to_value()));
         });
-        let err = validate_scale_json(&stringy).unwrap_err();
-        assert!(err.contains("residue_fraction"), "{err}");
-        // A sequential run's null fraction validates.
-        validate_scale_json(&render(&|_| {})).expect("null residue_fraction validates");
-    }
-
-    /// The v7 residue gate: a matched point whose residue fraction
-    /// grows more than the absolute tolerance past the baseline fails;
-    /// growth within it passes, and a null on either side (sequential
-    /// runs never classify) skips the gate.
-    #[test]
-    fn compare_gates_residue_fraction_growth() {
-        let mut run = tiny_run(1, HeadIndexMode::Incremental);
-        run.merge_clean_commits = 25;
-        run.merge_residue = 75;
-        assert_eq!(run.residue_fraction(), Some(0.75));
-        let baseline = |clean: u64, residue: u64| {
-            let mut base_run = tiny_run(1, HeadIndexMode::Incremental);
-            base_run.merge_clean_commits = clean;
-            base_run.merge_residue = residue;
-            serde_json::to_string(&ScaleReport {
-                schema: SCALE_SCHEMA.to_string(),
-                lambda: 8.0,
-                seed: 7,
-                thread_scaling: Vec::new(),
-                runs: vec![base_run],
-            })
-            .unwrap()
-        };
-        let fresh = std::slice::from_ref(&run);
-        // Identical fraction: passes.
-        assert!(compare_against_baseline(fresh, &baseline(25, 75))
-            .unwrap()
-            .is_empty());
-        // +3 points of residue (0.72 -> 0.75): inside the 0.05 ceiling.
-        assert!(compare_against_baseline(fresh, &baseline(28, 72))
-            .unwrap()
-            .is_empty());
-        // Baseline 0.60: fresh 0.75 is 15 points worse — gate fires.
-        let msgs = compare_against_baseline(fresh, &baseline(40, 60)).unwrap();
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("residue fraction"), "{}", msgs[0]);
-        // A sequential baseline (null fraction) cannot gate — skip.
-        assert!(compare_against_baseline(fresh, &baseline(0, 0))
-            .unwrap()
-            .is_empty());
-        // And a sequential fresh run is never gated either.
-        let seq = tiny_run(1, HeadIndexMode::Incremental);
-        assert_eq!(seq.residue_fraction(), None);
+        let err = validate_scale_json(&out_of_range).unwrap_err();
+        assert!(err.contains("merge_share"), "{err}");
+        validate_scale_json(&render(&|_| {})).expect("untouched row validates");
+        // The walk is part of every run, so its share is measured.
         assert!(
-            compare_against_baseline(std::slice::from_ref(&seq), &baseline(40, 60))
-                .unwrap()
-                .is_empty()
+            base.merge_share > 0.0 && base.merge_share < 1.0,
+            "{}",
+            base.merge_share
         );
     }
 
@@ -1985,11 +1849,11 @@ mod tests {
     }
 
     /// The `--append` merge on a mixed-schema artifact: rows that
-    /// predate v7 (no `lambda`, no residue counters) must be a
-    /// structured error naming the schema, not a silent carry-through
-    /// that no later 7-tuple lookup would ever match.
+    /// predate v8 (no `lambda`, no `merge_share`) must be a structured
+    /// error naming the schema, not a silent carry-through that no
+    /// later 7-tuple lookup would ever match.
     #[test]
-    fn append_rejects_pre_v7_rows_with_the_schema_named() {
+    fn append_rejects_pre_v8_rows_with_the_schema_named() {
         let fresh = vec![tiny_run(1, HeadIndexMode::Incremental).to_value()];
         let strip = |key: &str| {
             let mut fields = match tiny_run(1, HeadIndexMode::Rebuild).to_value() {
@@ -1999,12 +1863,7 @@ mod tests {
             fields.retain(|(k, _)| k != key);
             serde_json::Value::Object(fields)
         };
-        for key in [
-            "lambda",
-            "merge_residue",
-            "merge_clean_commits",
-            "residue_fraction",
-        ] {
+        for key in ["lambda", "merge_share"] {
             let err = append_runs(&[strip(key)], fresh.clone()).unwrap_err();
             assert!(err.contains(SCALE_SCHEMA), "{key}: {err}");
             assert!(err.contains(key), "{key}: {err}");

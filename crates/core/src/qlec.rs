@@ -20,7 +20,11 @@ use qlec_net::protocol::{nearest_head, PlanScratch, RoutePlanner};
 use qlec_net::{Network, NodeId, Protocol, Target};
 use qlec_obs::{Event, ObserverSet, Phase};
 use rand::RngCore;
+use std::cell::RefCell;
 use std::collections::HashMap;
+
+/// `retarget_slot` entry of a source not ranked yet this round.
+const UNRANKED: (u32, u32) = (u32::MAX, 0);
 
 /// QLEC with its feature switchboard (all features on = the paper's
 /// algorithm; see [`crate::ablation`] for the toggled variants).
@@ -36,9 +40,11 @@ pub struct QlecProtocol {
     router: Option<QRouter>,
     /// Selection diagnostics of the most recent round.
     pub last_selection: Option<SelectionOutcome>,
-    /// Targets that NACKed the packet currently being sent, per source
-    /// (cleared by `on_packet_start`; retries avoid them).
-    failed_this_packet: std::collections::HashMap<NodeId, Vec<Target>>,
+    /// Targets that NACKed the packet in flight (cleared by
+    /// `on_packet_start`; retries avoid them). The merge resolves one
+    /// packet at a time — `on_packet_start`, its attempts, then its
+    /// retargets — so one list serves every source.
+    nacked: Vec<Target>,
     /// Fraction of a member packet that rides the head's fused BS
     /// transmission (the data-fusion compression ratio, Table 2: 0.5);
     /// scales the head-update transmission cost — see
@@ -85,27 +91,57 @@ pub struct QlecProtocol {
     /// Per-round decision-Q diagnostic store (see [`QRowStore`]); layout
     /// per [`QlecParams::q_rows`]. Write-only on the decision path.
     q_rows_store: Option<QRowStore>,
-    /// Reused scratch for the per-packet k-nearest query (tree window).
-    knn_buf: Vec<(u32, f64)>,
-    /// Reused scratch receiving the `(id, dist²)` candidate ranking.
-    knn_out: Vec<(u32, f64)>,
     /// Reused scratch holding the pruned candidate head set.
     candidate_buf: Vec<NodeId>,
-    /// Per-round cache of the k-nearest head ranking per source node,
-    /// used by merge-time retargets when `threads > 1`. The ranking
-    /// depends only on the source position and `head_index` — both
-    /// frozen between `on_round_start` calls — so the first retarget of
-    /// a node this round pays the tree walk and later ones reuse it; the
-    /// alive filter stays live either way, so the candidate set (and
-    /// every downstream byte) matches the uncached query exactly.
-    retarget_knn: HashMap<u32, Vec<(u32, f64)>>,
-    /// Reused per-action constant buffer for the cached `Send-Data`
-    /// kernel ([`QRouter::send_data_excluding_cached`], `threads > 1`).
-    action_buf: Vec<ActionConst>,
+    /// Per-round cache of the merge-time retargets' k-nearest head
+    /// ranking: node id → `(start, len)` into `retarget_ids`
+    /// ([`UNRANKED`] until the node's first retarget this round). The
+    /// ranking depends only on the source position and `head_index` —
+    /// both frozen between `on_round_start` calls — so the first
+    /// retarget of a node pays the tree walk and later ones reuse it;
+    /// the alive filter stays live, so the candidate set (and every
+    /// downstream byte) matches the uncached query exactly.
+    retarget_slot: Vec<(u32, u32)>,
+    /// Head ids of every ranking cached this round, nearest first.
+    retarget_ids: Vec<u32>,
     /// Resolved engine thread count (see [`Protocol::configure_threads`]);
-    /// sizes the batched head V refreshes and selects the cached
-    /// `Send-Data` kernel (`threads > 1`) over the reference one.
+    /// sizes the batched head V refreshes.
     threads: usize,
+}
+
+/// Per-thread query and kernel buffers, reused across every node a
+/// worker plans and every retarget (their contents never outlive one
+/// call), so the per-node [`QlecPlanScratch`] carries only what lives
+/// until `absorb_plan`.
+#[derive(Default)]
+struct ThreadBufs {
+    knn_buf: Vec<(u32, f64)>,
+    knn_out: Vec<(u32, f64)>,
+    actions: Vec<ActionConst>,
+}
+
+thread_local! {
+    static THREAD_BUFS: RefCell<ThreadBufs> = RefCell::new(ThreadBufs::default());
+}
+
+/// Fill `out` with the first `c` alive heads of `ranking` (nearest
+/// first).
+fn alive_prefix(
+    net: &Network,
+    ranking: impl Iterator<Item = u32>,
+    c: usize,
+    out: &mut Vec<NodeId>,
+) {
+    out.clear();
+    for id in ranking {
+        let h = NodeId(id);
+        if net.node(h).is_alive() {
+            out.push(h);
+            if out.len() == c {
+                break;
+            }
+        }
+    }
 }
 
 /// Fluent configuration for [`QlecProtocol`] — the one way to assemble a
@@ -260,7 +296,7 @@ impl QlecBuilder {
             grid: None,
             router: None,
             last_selection: None,
-            failed_this_packet: std::collections::HashMap::new(),
+            nacked: Vec::new(),
             aggregate_share: self.aggregate_share,
             name: self.name,
             obs: self.obs,
@@ -273,11 +309,9 @@ impl QlecBuilder {
             alive_roster: Vec::new(),
             roster_alive: Vec::new(),
             q_rows_store: None,
-            knn_buf: Vec::new(),
-            knn_out: Vec::new(),
             candidate_buf: Vec::new(),
-            retarget_knn: HashMap::new(),
-            action_buf: Vec::new(),
+            retarget_slot: Vec::new(),
+            retarget_ids: Vec::new(),
             threads: 1,
         }
     }
@@ -426,6 +460,36 @@ impl QlecProtocol {
             }
         }
     }
+
+    /// The k-nearest window behind every pruned candidate set: `c + 8`
+    /// heads, padding so a few mid-round head deaths still leave `c`
+    /// alive candidates.
+    fn knn_window(&self) -> usize {
+        (self.candidate_budget + 8).min(self.head_index.len())
+    }
+
+    /// `src`'s head ranking for merge-time retargets, as a range of
+    /// `retarget_ids`: queried on the node's first retarget of the
+    /// round, cached for the rest.
+    fn retarget_ranking(&mut self, net: &Network, src: NodeId) -> std::ops::Range<usize> {
+        let (start, len) = self.retarget_slot[src.index()];
+        if (start, len) != UNRANKED {
+            return start as usize..(start + len) as usize;
+        }
+        let (start, window) = (self.retarget_ids.len(), self.knn_window());
+        THREAD_BUFS.with_borrow_mut(|bufs| {
+            self.head_index.k_nearest_into(
+                net.node(src).pos,
+                window,
+                &mut bufs.knn_buf,
+                &mut bufs.knn_out,
+            );
+            self.retarget_ids
+                .extend(bufs.knn_out.iter().map(|&(id, _)| id));
+        });
+        self.retarget_slot[src.index()] = (start as u32, (self.retarget_ids.len() - start) as u32);
+        start..self.retarget_ids.len()
+    }
 }
 
 impl Protocol for QlecProtocol {
@@ -472,7 +536,8 @@ impl Protocol for QlecProtocol {
         // worth it (and only *valid* as a pure speedup) when the head set
         // is larger than the candidate budget.
         self.candidates_active = false;
-        self.retarget_knn.clear();
+        self.retarget_slot.clear();
+        self.retarget_ids.clear();
         if let Some(c) = self.params.candidates.budget(k) {
             if self.q_routing && heads.len() > c {
                 let head_start_ns = self.obs.now_ns();
@@ -484,6 +549,7 @@ impl Protocol for QlecProtocol {
                 }
                 self.candidate_budget = c;
                 self.candidates_active = true;
+                self.retarget_slot.resize(net.len(), UNRANKED);
                 index_ns += self.obs.now_ns().saturating_sub(head_start_ns);
             }
         }
@@ -523,10 +589,8 @@ impl Protocol for QlecProtocol {
         heads
     }
 
-    fn on_packet_start(&mut self, src: NodeId) {
-        if let Some(failed) = self.failed_this_packet.get_mut(&src) {
-            failed.clear();
-        }
+    fn on_packet_start(&mut self, _src: NodeId) {
+        self.nacked.clear();
     }
 
     fn choose_target(
@@ -536,101 +600,46 @@ impl Protocol for QlecProtocol {
         heads: &[NodeId],
         _rng: &mut dyn RngCore,
     ) -> Target {
-        if self.q_routing {
-            let excluded = self
-                .failed_this_packet
-                .get(&src)
-                .map(|v| v.as_slice())
-                .unwrap_or(&[]);
-            // Pruned candidate set: the c nearest alive heads. The query
-            // window is padded so a few mid-round head deaths still leave
-            // c alive candidates; an all-dead window falls back to the
-            // full list (the router skips dead heads itself).
-            let candidates: &[NodeId] = if self.candidates_active {
-                let c = self.candidate_budget;
-                if self.threads > 1 {
-                    // Merge-time retargets re-query the same frozen index
-                    // per source node; cache the ranking for the round
-                    // and keep only the alive filter live.
-                    if !self.retarget_knn.contains_key(&src.0) {
-                        let window = (c + 8).min(self.head_index.len());
-                        self.head_index.k_nearest_into(
-                            net.node(src).pos,
-                            window,
-                            &mut self.knn_buf,
-                            &mut self.knn_out,
-                        );
-                        self.retarget_knn.insert(src.0, self.knn_out.clone());
-                    }
-                    let knn = &self.retarget_knn[&src.0];
-                    self.candidate_buf.clear();
-                    for &(id, _) in knn {
-                        let h = NodeId(id);
-                        if net.node(h).is_alive() {
-                            self.candidate_buf.push(h);
-                            if self.candidate_buf.len() == c {
-                                break;
-                            }
-                        }
-                    }
-                } else {
-                    let window = (c + 8).min(self.head_index.len());
-                    self.head_index.k_nearest_into(
-                        net.node(src).pos,
-                        window,
-                        &mut self.knn_buf,
-                        &mut self.knn_out,
-                    );
-                    self.candidate_buf.clear();
-                    for &(id, _) in &self.knn_out {
-                        let h = NodeId(id);
-                        if net.node(h).is_alive() {
-                            self.candidate_buf.push(h);
-                            if self.candidate_buf.len() == c {
-                                break;
-                            }
-                        }
-                    }
-                }
-                if self.candidate_buf.is_empty() {
-                    heads
-                } else {
-                    &self.candidate_buf
-                }
-            } else {
-                heads
-            };
-            let start_ns = self.obs.now_ns();
-            let router = self
-                .router
-                .as_mut()
-                .expect("router initialized in on_round_start");
-            let target = if self.threads > 1 {
-                router.send_data_excluding_cached(
-                    net,
-                    src,
-                    candidates,
-                    excluded,
-                    &mut self.action_buf,
-                )
-            } else {
-                router.send_data_excluding(net, src, candidates, excluded)
-            };
-            if let Some(store) = self.q_rows_store.as_mut() {
-                store.record(src.0, overlay_key(target), router.v_of(src));
-            }
-            if self.obs.is_active() {
-                self.qrouting_ns += self.obs.now_ns().saturating_sub(start_ns);
-                self.obs.emit(Event::QUpdate {
-                    round: self.current_round,
-                    node: src.0,
-                    delta: router.last_delta(),
-                });
-            }
-            target
-        } else {
-            nearest_head(net, src, heads).map_or(Target::Bs, Target::Head)
+        if !self.q_routing {
+            return nearest_head(net, src, heads).map_or(Target::Bs, Target::Head);
         }
+        // Pruned candidate set: the c nearest alive heads of the cached
+        // ranking; an all-dead window falls back to the full list (the
+        // router skips dead heads itself).
+        let candidates: &[NodeId] = if self.candidates_active {
+            let ranking = self.retarget_ranking(net, src);
+            alive_prefix(
+                net,
+                self.retarget_ids[ranking].iter().copied(),
+                self.candidate_budget,
+                &mut self.candidate_buf,
+            );
+            if self.candidate_buf.is_empty() {
+                heads
+            } else {
+                &self.candidate_buf
+            }
+        } else {
+            heads
+        };
+        let start_ns = self.obs.now_ns();
+        let router = self
+            .router
+            .as_mut()
+            .expect("router initialized in on_round_start");
+        let target = router.send_data_excluding(net, src, candidates, &self.nacked);
+        if let Some(store) = self.q_rows_store.as_mut() {
+            store.record(src.0, overlay_key(target), router.v_of(src));
+        }
+        if self.obs.is_active() {
+            self.qrouting_ns += self.obs.now_ns().saturating_sub(start_ns);
+            self.obs.emit(Event::QUpdate {
+                round: self.current_round,
+                node: src.0,
+                delta: router.last_delta(),
+            });
+        }
+        target
     }
 
     fn on_hop_result(&mut self, src: NodeId, target: Target, success: bool) {
@@ -638,7 +647,7 @@ impl Protocol for QlecProtocol {
             router.on_hop_result(src, target, success);
         }
         if !success {
-            self.failed_this_packet.entry(src).or_default().push(target);
+            self.nacked.push(target);
         }
     }
 
@@ -735,18 +744,13 @@ struct QlecPlanScratch {
     overlay: HashMap<u32, f64>,
     /// Targets that NACKed the packet currently being planned.
     nacked: Vec<Target>,
-    knn_buf: Vec<(u32, f64)>,
-    knn_out: Vec<(u32, f64)>,
+    /// This node's pruned candidate set, computed on its first planned
+    /// attempt. Planning sees a frozen network, so the query — and the
+    /// alive filter — return the same set for every attempt of every
+    /// packet of the node.
     candidate_buf: Vec<NodeId>,
     /// Whether `candidate_buf` already holds this node's pruned set.
-    /// Planning sees a frozen network, so the query — and the alive
-    /// filter — return the same set for every attempt of every packet of
-    /// the node; with `threads > 1` the first attempt pays the tree walk
-    /// and the rest reuse it (`threads = 1` keeps the per-attempt
-    /// reference query it is differentially tested against).
     knn_ready: bool,
-    /// Per-action constant buffer for the cached `Send-Data` kernel.
-    action_buf: Vec<ActionConst>,
     /// Signed `V*(src)` change per planned packet, in packet order.
     deltas: Vec<f64>,
     /// `(target key, V*(src) after)` per planned decision, in packet
@@ -771,11 +775,8 @@ impl RoutePlanner for QlecProtocol {
             v_src: self.router.as_ref().map_or(0.0, |r| r.v_of(src)),
             overlay: HashMap::new(),
             nacked: Vec::new(),
-            knn_buf: Vec::new(),
-            knn_out: Vec::new(),
             candidate_buf: Vec::new(),
             knn_ready: false,
-            action_buf: Vec::new(),
             deltas: Vec::new(),
             decisions: Vec::new(),
             updates: 0,
@@ -812,70 +813,67 @@ impl RoutePlanner for QlecProtocol {
             v_src,
             overlay,
             nacked,
-            knn_buf,
-            knn_out,
             candidate_buf,
             knn_ready,
-            action_buf,
             deltas,
             decisions,
             updates,
             ns,
         } = s;
-        // Same pruned-candidate query as `choose_target`, on the
-        // node-private buffers (the index itself is only read — `&self`
-        // planning stays free of interior mutation). With `threads > 1`
-        // the set is computed once per node (the network is frozen while
-        // planning, so per-attempt re-queries are pure repetition).
-        let cache_set = self.threads > 1;
-        let candidates: &[NodeId] = if self.candidates_active {
-            if !(cache_set && *knn_ready) {
-                let c = self.candidate_budget;
-                let window = (c + 8).min(self.head_index.len());
-                self.head_index
-                    .k_nearest_into(net.node(src).pos, window, knn_buf, knn_out);
-                candidate_buf.clear();
-                for &(id, _) in knn_out.iter() {
-                    let h = NodeId(id);
-                    if net.node(h).is_alive() {
-                        candidate_buf.push(h);
-                        if candidate_buf.len() == c {
-                            break;
-                        }
-                    }
+        THREAD_BUFS.with_borrow_mut(|bufs| {
+            // Same pruned-candidate query as `choose_target`, computed once
+            // per node on the worker's buffers (the index itself is only
+            // read — `&self` planning stays free of interior mutation).
+            let candidates: &[NodeId] = if self.candidates_active {
+                if !*knn_ready {
+                    self.head_index.k_nearest_into(
+                        net.node(src).pos,
+                        self.knn_window(),
+                        &mut bufs.knn_buf,
+                        &mut bufs.knn_out,
+                    );
+                    alive_prefix(
+                        net,
+                        bufs.knn_out.iter().map(|&(id, _)| id),
+                        self.candidate_budget,
+                        candidate_buf,
+                    );
+                    *knn_ready = true;
                 }
-                *knn_ready = true;
-            }
-            if candidate_buf.is_empty() {
-                heads
+                if candidate_buf.is_empty() {
+                    heads
+                } else {
+                    candidate_buf
+                }
             } else {
-                candidate_buf
+                heads
+            };
+            let start_ns = self.obs.now_ns();
+            let overlay_ref: &HashMap<u32, f64> = overlay;
+            let p_base = |t: Target| -> f64 {
+                match overlay_ref.get(&overlay_key(t)) {
+                    Some(&p) => p,
+                    None => router.links().probability(src, t),
+                }
+            };
+            let v_before = *v_src;
+            let target = router.send_data_core(
+                net,
+                src,
+                candidates,
+                nacked,
+                v_src,
+                &p_base,
+                updates,
+                &mut bufs.actions,
+            );
+            deltas.push(*v_src - v_before);
+            decisions.push((overlay_key(target), *v_src));
+            if self.obs.is_active() {
+                *ns += self.obs.now_ns().saturating_sub(start_ns);
             }
-        } else {
-            heads
-        };
-        let start_ns = self.obs.now_ns();
-        let overlay_ref: &HashMap<u32, f64> = overlay;
-        let p_base = |t: Target| -> f64 {
-            match overlay_ref.get(&overlay_key(t)) {
-                Some(&p) => p,
-                None => router.links().probability(src, t),
-            }
-        };
-        let v_before = *v_src;
-        let target = if cache_set {
-            router.send_data_core_cached(
-                net, src, candidates, nacked, v_src, &p_base, updates, action_buf,
-            )
-        } else {
-            router.send_data_core(net, src, candidates, nacked, v_src, &p_base, updates)
-        };
-        deltas.push(*v_src - v_before);
-        decisions.push((overlay_key(target), *v_src));
-        if self.obs.is_active() {
-            *ns += self.obs.now_ns().saturating_sub(start_ns);
-        }
-        target
+            target
+        })
     }
 
     fn plan_hop_result(
@@ -1236,6 +1234,141 @@ mod tests {
         assert!(dense.rows_touched() > 0, "final round recorded decisions");
         for i in 0..dense.len() as u32 {
             assert_eq!(dense.row(i), sparse.row(i), "node {i}");
+        }
+    }
+
+    /// The uncached reference for a retarget's candidate set: a fresh
+    /// k-nearest query over this round's head index, filtered by the
+    /// live alive flags.
+    fn uncached_candidates(p: &QlecProtocol, net: &Network, src: NodeId) -> Vec<NodeId> {
+        let (mut buf, mut out) = (Vec::new(), Vec::new());
+        let window = (p.candidate_budget + 8).min(p.head_index.len());
+        p.head_index
+            .k_nearest_into(net.node(src).pos, window, &mut buf, &mut out);
+        out.iter()
+            .map(|&(id, _)| NodeId(id))
+            .filter(|&h| net.node(h).is_alive())
+            .take(p.candidate_budget)
+            .collect()
+    }
+
+    #[test]
+    fn retarget_cache_tracks_head_deaths_and_resets_per_round() {
+        // k = 40 heads against a budget of 4: the candidate index is in
+        // use, and every retarget goes through the per-round cache.
+        let mut rng = StdRng::seed_from_u64(51);
+        let mut net = NetworkBuilder::new()
+            .link(AnyLink::Ideal(IdealLink))
+            .uniform_cube(&mut rng, 400, 200.0, 5.0);
+        let mut p = QlecProtocol::builder().k(40).candidate_heads(4).build();
+        let unranked = |p: &QlecProtocol| {
+            p.retarget_ids.is_empty() && p.retarget_slot.iter().all(|&s| s == UNRANKED)
+        };
+        let heads = p.on_round_start(&mut net, 0, &mut rng);
+        assert!(p.candidates_active, "premise: pruning is binding");
+        assert!(unranked(&p));
+        let members: Vec<NodeId> = net
+            .ids()
+            .filter(|id| !heads.contains(id))
+            .take(40)
+            .collect();
+        let retarget = |p: &mut QlecProtocol, net: &Network, src: NodeId| {
+            p.on_packet_start(src);
+            p.choose_target(net, src, &heads, &mut StdRng::seed_from_u64(0));
+            assert_eq!(p.candidate_buf, uncached_candidates(p, net, src), "{src}");
+        };
+        for &src in &members {
+            retarget(&mut p, &net, src);
+            assert_ne!(p.retarget_slot[src.index()], UNRANKED, "{src} cached");
+        }
+        // A mid-round head death: the cached ranking is reused, and the
+        // live alive filter drops the dead head from the candidate set.
+        let src = members[0];
+        let victim = p.candidate_buf[0];
+        net.node_mut(victim).battery.consume(10.0);
+        let ranked = p.retarget_ids.len();
+        retarget(&mut p, &net, src);
+        assert_eq!(
+            p.retarget_ids.len(),
+            ranked,
+            "ranking reused, not re-queried"
+        );
+        assert!(!p.candidate_buf.contains(&victim), "dead head filtered out");
+        // A round boundary drops every cached ranking; the next retarget
+        // queries the new round's index.
+        p.on_round_end(&mut net, 0, &heads);
+        let heads = p.on_round_start(&mut net, 1, &mut rng);
+        assert!(p.candidates_active);
+        assert!(unranked(&p), "on_round_start resets the cache");
+        for &src in members.iter().filter(|id| !heads.contains(id)) {
+            p.on_packet_start(src);
+            p.choose_target(&net, src, &heads, &mut StdRng::seed_from_u64(0));
+            assert_eq!(p.candidate_buf, uncached_candidates(&p, &net, src), "{src}");
+        }
+    }
+
+    #[test]
+    fn event_stream_is_thread_invariant_under_the_example_fault_plan() {
+        // The `qlec-sim run --n 1000 --faults examples/faults.json
+        // --events -` stream (deterministic sink; 9 rounds reach the
+        // plan's drain, crash, link degradation and region blackout) at
+        // threads 1, 2 and 4.
+        use qlec_net::{FaultDriver, FaultPlan};
+        use qlec_obs::JsonLinesSink;
+        use std::io::Write;
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Clone, Default)]
+        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+        impl Write for SharedBuf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let plan: FaultPlan =
+            serde_json::from_str(include_str!("../../../examples/faults.json")).expect("plan");
+        let run = |threads: usize| -> Vec<u8> {
+            let mut rng = StdRng::seed_from_u64(61);
+            let net = NetworkBuilder::new()
+                .link(AnyLink::DistanceLoss(DistanceLossLink::for_cube(200.0)))
+                .uniform_cube(&mut rng, 1000, 200.0, 5.0);
+            let buf = SharedBuf::default();
+            let mut obs = ObserverSet::new();
+            obs.attach(Arc::new(Mutex::new(
+                JsonLinesSink::new(buf.clone())
+                    .expect("sink")
+                    .deterministic(),
+            )));
+            let mut cfg = SimConfig::paper(5.0);
+            cfg.rounds = 9;
+            cfg.threads = threads;
+            let mut p = QlecProtocol::builder()
+                .total_rounds(9)
+                .observer(obs.clone())
+                .build();
+            Simulator::builder(net)
+                .config(cfg)
+                .observers(obs.clone())
+                .faults(FaultDriver::new(plan.clone()).expect("plan validates"))
+                .build()
+                .run(&mut p, &mut rng);
+            assert!(p.candidates_active, "premise: the retarget cache is in use");
+            obs.flush().expect("flush");
+            let bytes = buf.0.lock().unwrap().clone();
+            bytes
+        };
+        let base = run(1);
+        assert!(base.len() > 100_000, "premise: a real event stream");
+        for threads in [2, 4] {
+            assert!(
+                run(threads) == base,
+                "events diverged at threads = {threads}"
+            );
         }
     }
 

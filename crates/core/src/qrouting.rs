@@ -103,13 +103,17 @@ impl LinkEstimator {
     }
 }
 
+/// Sweep cap and convergence tolerance of the `Send-Data` fixed point.
+const MAX_SWEEPS: usize = 60;
+const SWEEP_TOL: f64 = 1e-6;
+
 /// Sweep-invariant constants of one `Send-Data` action, hoisted by
-/// [`QRouter::send_data_core_cached`]: the (NACK-halved) link belief, the
+/// [`QRouter::send_data_core`]: the (NACK-halved) link belief, the
 /// Eq. 16 expected reward, and the target's `V*` — everything in the
 /// Q-value except the failure self-loop term that the fixed point
 /// iterates on.
 #[derive(Debug, Clone, Copy)]
-pub struct ActionConst {
+pub(crate) struct ActionConst {
     target: Target,
     p_ok: f64,
     r_t: f64,
@@ -134,6 +138,8 @@ pub struct QRouter {
     pub convergence: ConvergenceTracker,
     /// Signed V change of the most recent update (observability).
     last_delta: f64,
+    /// Action buffer reused by [`QRouter::send_data_excluding`].
+    actions: Vec<ActionConst>,
 }
 
 impl QRouter {
@@ -155,6 +161,7 @@ impl QRouter {
             updates: UpdateCounter::new(),
             convergence: ConvergenceTracker::new(1e-4),
             last_delta: 0.0,
+            actions: Vec::new(),
         }
     }
 
@@ -221,32 +228,20 @@ impl QRouter {
     /// two-outcome continuation (Eq. 15 specialised to
     /// `{delivered → target, lost → self}`).
     pub fn q_value(&self, net: &Network, src: NodeId, target: Target, penalize_bs: bool) -> f64 {
-        self.q_value_with_p(
+        self.q_value_with(
             net,
             src,
             target,
             penalize_bs,
             self.links.probability(src, target),
+            self.v[src.index()],
         )
     }
 
-    /// [`QRouter::q_value`] with an explicit link probability (used by the
-    /// per-packet NACK override in [`QRouter::send_data_excluding`]).
-    fn q_value_with_p(
-        &self,
-        net: &Network,
-        src: NodeId,
-        target: Target,
-        penalize_bs: bool,
-        p_ok: f64,
-    ) -> f64 {
-        self.q_value_with_p_v(net, src, target, penalize_bs, p_ok, self.v[src.index()])
-    }
-
-    /// [`QRouter::q_value_with_p`] with an explicit `V*(src)` as well, so
-    /// plan-time code can iterate a node's fixed point on a local copy
-    /// without writing through to the shared table.
-    fn q_value_with_p_v(
+    /// [`QRouter::q_value`] with an explicit link probability and
+    /// `V*(src)` — the per-sweep recomputation the tests' reference
+    /// `Send-Data` kernel iterates on.
+    fn q_value_with(
         &self,
         net: &Network,
         src: NodeId,
@@ -300,9 +295,19 @@ impl QRouter {
         let v_before = self.v[src.index()];
         let mut v_src = v_before;
         let mut updates = 0u64;
+        let mut actions = std::mem::take(&mut self.actions);
         let p_base = |t: Target| self.links.probability(src, t);
-        let action =
-            self.send_data_core(net, src, heads, nacked, &mut v_src, &p_base, &mut updates);
+        let action = self.send_data_core(
+            net,
+            src,
+            heads,
+            nacked,
+            &mut v_src,
+            &p_base,
+            &mut updates,
+            &mut actions,
+        );
+        self.actions = actions;
         self.v[src.index()] = v_src;
         self.updates.add(updates);
         self.last_delta = v_src - v_before;
@@ -314,9 +319,19 @@ impl QRouter {
     /// lives in the caller-owned `v_src`, link beliefs come from the
     /// caller-supplied `p_base` (so a planning pass can layer pending
     /// per-packet EWMA updates over the shared table), and elementary
-    /// Q-computation counts accumulate in `updates`. Operation order is
-    /// identical to the former in-place loop, so committing `v_src` back
-    /// afterwards reproduces [`QRouter::send_data_excluding`] bit for bit.
+    /// Q-computation counts accumulate in `updates`.
+    ///
+    /// Within one call the network is frozen (`&Network`) and the NACK
+    /// list fixed, so each action's link belief `P`, Eq. 16 expected
+    /// reward `R_t`, and target `V*` are sweep invariants: they are
+    /// computed once into `actions` (the caller-owned buffer, cleared
+    /// here, so per-packet calls allocate nothing in steady state), and
+    /// only the failure self-loop term `γ·(1−P)·V*(src)` is re-evaluated
+    /// per sweep. The expression tree `R_t + γ·(P·V*(target) +
+    /// (1−P)·V*(src))` is the textbook Q-value's, so every intermediate
+    /// f64 — and the elementary-update count, the paper's `X` — matches
+    /// a per-sweep recomputation bit for bit. The tests keep that
+    /// recomputation as the oracle (`cached_kernel_is_bit_identical`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_data_core(
         &self,
@@ -327,118 +342,16 @@ impl QRouter {
         v_src: &mut f64,
         p_base: &dyn Fn(Target) -> f64,
         updates: &mut u64,
+        actions: &mut Vec<ActionConst>,
     ) -> Target {
-        const MAX_SWEEPS: usize = 60;
-        const TOL: f64 = 1e-6;
         let p_of = |t: Target| -> f64 {
             let n = nacked.iter().filter(|&&x| x == t).count() as i32;
             p_base(t) * 0.5f64.powi(n)
         };
 
-        let mut action = Target::Bs;
-        for _ in 0..MAX_SWEEPS {
-            let mut best: Option<(Target, f64)> = None;
-            for &h in heads {
-                if !net.node(h).is_alive() {
-                    continue;
-                }
-                let t = Target::Head(h);
-                let q = self.q_value_with_p_v(net, src, t, true, p_of(t), *v_src);
-                *updates += 1;
-                if best.is_none_or(|(_, bq)| q > bq) {
-                    best = Some((t, q));
-                }
-            }
-            let q_bs = self.q_value_with_p_v(net, src, Target::Bs, true, p_of(Target::Bs), *v_src);
-            *updates += 1;
-            if best.is_none_or(|(_, bq)| q_bs > bq) {
-                best = Some((Target::Bs, q_bs));
-            }
-            let (a, v_new) = best.expect("BS action always exists");
-            action = a;
-            let delta = (v_new - *v_src).abs();
-            *v_src = v_new;
-            if delta < TOL {
-                break;
-            }
-        }
-        action
-    }
-
-    /// [`QRouter::send_data_excluding`] on the cached-constant kernel
-    /// ([`QRouter::send_data_core_cached`]): same decision, same
-    /// bookkeeping, bit-identical numbers. The parallel engine
-    /// (`threads > 1`) routes its merge-time retargets through this
-    /// entry point; the single-threaded path keeps the straightforward
-    /// reference kernel it is differentially tested against.
-    pub fn send_data_excluding_cached(
-        &mut self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        nacked: &[Target],
-        scratch: &mut Vec<ActionConst>,
-    ) -> Target {
-        let v_before = self.v[src.index()];
-        let mut v_src = v_before;
-        let mut updates = 0u64;
-        let p_base = |t: Target| self.links.probability(src, t);
-        let action = self.send_data_core_cached(
-            net,
-            src,
-            heads,
-            nacked,
-            &mut v_src,
-            &p_base,
-            &mut updates,
-            scratch,
-        );
-        self.v[src.index()] = v_src;
-        self.updates.add(updates);
-        self.last_delta = v_src - v_before;
-        self.convergence.observe(self.last_delta.abs());
-        action
-    }
-
-    /// [`QRouter::send_data_core`] with the per-action constants hoisted
-    /// out of the sweep loop. Within one call the network is frozen
-    /// (`&Network`) and the NACK list fixed, so each action's link belief
-    /// `P`, Eq. 16 expected reward `R_t`, and target `V*` are sweep
-    /// invariants — only the failure self-loop term `γ·(1−P)·V*(src)`
-    /// changes as the fixed point iterates. The reference kernel
-    /// recomputes all of them every sweep (each reward carries a distance
-    /// square root and two battery reads); hoisting preserves the exact
-    /// expression tree `R_t + γ·(P·V*(target) + (1−P)·V*(src))`, so every
-    /// intermediate f64 — and the elementary-update count, the paper's
-    /// `X` — is bit-identical to [`QRouter::send_data_core`]. Locked by
-    /// the `cached_kernel_is_bit_identical` test below and, end to end,
-    /// by the thread-equivalence byte diffs.
-    ///
-    /// `scratch` is the caller-owned action buffer (cleared here), so
-    /// per-packet calls allocate nothing in steady state.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn send_data_core_cached(
-        &self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        nacked: &[Target],
-        v_src: &mut f64,
-        p_base: &dyn Fn(Target) -> f64,
-        updates: &mut u64,
-        scratch: &mut Vec<ActionConst>,
-    ) -> Target {
-        const MAX_SWEEPS: usize = 60;
-        const TOL: f64 = 1e-6;
-        let p_of = |t: Target| -> f64 {
-            let n = nacked.iter().filter(|&&x| x == t).count() as i32;
-            p_base(t) * 0.5f64.powi(n)
-        };
-
-        // Dead heads are skipped here exactly as the reference skips them
-        // per sweep — before the elementary-update counter — and the BS
-        // action comes last, preserving the argmax comparison order.
-        scratch.clear();
+        // Dead heads are skipped before the elementary-update counter, and
+        // the BS action comes last, fixing the argmax comparison order.
+        actions.clear();
         for &h in heads {
             if !net.node(h).is_alive() {
                 continue;
@@ -447,7 +360,7 @@ impl QRouter {
             let p_ok = p_of(t);
             let r_t = p_ok * self.reward_success(net, src, t, true)
                 + (1.0 - p_ok) * self.reward_failure(net, src, t);
-            scratch.push(ActionConst {
+            actions.push(ActionConst {
                 target: t,
                 p_ok,
                 r_t,
@@ -458,7 +371,7 @@ impl QRouter {
             let p_ok = p_of(Target::Bs);
             let r_t = p_ok * self.reward_success(net, src, Target::Bs, true)
                 + (1.0 - p_ok) * self.reward_failure(net, src, Target::Bs);
-            scratch.push(ActionConst {
+            actions.push(ActionConst {
                 target: Target::Bs,
                 p_ok,
                 r_t,
@@ -469,7 +382,7 @@ impl QRouter {
         let mut action = Target::Bs;
         for _ in 0..MAX_SWEEPS {
             let mut best: Option<(Target, f64)> = None;
-            for a in scratch.iter() {
+            for a in actions.iter() {
                 let q = a.r_t + self.params.gamma * (a.p_ok * a.v_target + (1.0 - a.p_ok) * *v_src);
                 *updates += 1;
                 if best.is_none_or(|(_, bq)| q > bq) {
@@ -480,7 +393,7 @@ impl QRouter {
             action = a;
             let delta = (v_new - *v_src).abs();
             *v_src = v_new;
-            if delta < TOL {
+            if delta < SWEEP_TOL {
                 break;
             }
         }
@@ -488,7 +401,7 @@ impl QRouter {
     }
 
     /// Commit the outcome of a planning pass that ran
-    /// `QRouter::send_data_core` (possibly several times, one per
+    /// [`QRouter::send_data_core`] (possibly several times, one per
     /// packet) on a local `V*` copy: write the final value back, fold in
     /// the elementary-update count, and replay the per-packet signed
     /// deltas through the convergence tracker in packet order — exactly
@@ -1018,9 +931,60 @@ mod tests {
         assert!(r.updates.total() > 0);
     }
 
+    /// The reference `Send-Data` kernel: every sweep recomputes each
+    /// action's Q-value from scratch through [`QRouter::q_value_with`].
+    /// Kept here as the oracle for the hoisted-constant kernel.
+    fn reference_send_data(
+        r: &mut QRouter,
+        net: &Network,
+        src: NodeId,
+        heads: &[NodeId],
+        nacked: &[Target],
+    ) -> Target {
+        let p_of = |t: Target| -> f64 {
+            let n = nacked.iter().filter(|&&x| x == t).count() as i32;
+            r.links.probability(src, t) * 0.5f64.powi(n)
+        };
+        let v_before = r.v[src.index()];
+        let mut v_src = v_before;
+        let mut updates = 0u64;
+        let mut action = Target::Bs;
+        for _ in 0..MAX_SWEEPS {
+            let mut best: Option<(Target, f64)> = None;
+            for &h in heads {
+                if !net.node(h).is_alive() {
+                    continue;
+                }
+                let t = Target::Head(h);
+                let q = r.q_value_with(net, src, t, true, p_of(t), v_src);
+                updates += 1;
+                if best.is_none_or(|(_, bq)| q > bq) {
+                    best = Some((t, q));
+                }
+            }
+            let q_bs = r.q_value_with(net, src, Target::Bs, true, p_of(Target::Bs), v_src);
+            updates += 1;
+            if best.is_none_or(|(_, bq)| q_bs > bq) {
+                best = Some((Target::Bs, q_bs));
+            }
+            let (a, v_new) = best.expect("BS action always exists");
+            action = a;
+            let delta = (v_new - v_src).abs();
+            v_src = v_new;
+            if delta < SWEEP_TOL {
+                break;
+            }
+        }
+        r.v[src.index()] = v_src;
+        r.updates.add(updates);
+        r.last_delta = v_src - v_before;
+        r.convergence.observe(r.last_delta.abs());
+        action
+    }
+
     #[test]
     fn cached_kernel_is_bit_identical() {
-        // The cached-constant kernel must reproduce the reference kernel
+        // The hoisted-constant kernel must reproduce the reference kernel
         // bit for bit: same action, same V*(src) bits, same elementary
         // update count, same signed delta — across evolving link
         // evidence, NACK lists, dead heads, and an empty head set.
@@ -1038,7 +1002,6 @@ mod tests {
         let all_heads = [NodeId(1), NodeId(2), NodeId(3), NodeId(4)];
         let mut reference = router(&net);
         let mut cached = reference.clone();
-        let mut scratch = Vec::new();
         // Deterministic pseudo-random hop results / NACK churn.
         let mut x: u64 = 0x9E37_79B9;
         let mut nacked: Vec<Target> = Vec::new();
@@ -1055,8 +1018,8 @@ mod tests {
             if step % 7 == 0 {
                 nacked.clear();
             }
-            let a = reference.send_data_excluding(&net, src, heads, &nacked);
-            let b = cached.send_data_excluding_cached(&net, src, heads, &nacked, &mut scratch);
+            let a = reference_send_data(&mut reference, &net, src, heads, &nacked);
+            let b = cached.send_data_excluding(&net, src, heads, &nacked);
             assert_eq!(a, b, "action diverged at step {step}");
             assert_eq!(
                 reference.v_of(src).to_bits(),

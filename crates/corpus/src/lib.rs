@@ -13,9 +13,8 @@
 //! - **Property** cells (large N) run the invariant hooks —
 //!   [`SimReport::check_invariants`] (packet conservation, PDR bounds,
 //!   monotone deaths, alive roster ⊆ arena, energy sanity) and
-//!   [`MergeOutcome::check_invariants`] (conflict cause split,
-//!   residue-fraction bounds) — where a golden ledger would be too big
-//!   to review.
+//!   [`MergeOutcome::check_invariants`] (conflict cause split) — where
+//!   a golden ledger would be too big to review.
 //! - **Equivalence** cells byte-diff every documented-equivalent config
 //!   pair in one process: thread counts, head-index modes, q-rows
 //!   layouts, sync vs async sink, and the `--spec`-JSON round trip.
@@ -141,21 +140,6 @@ pub fn check_run(spec: &SimSpec, run: &CellRun) -> Vec<String> {
             spec.n
         ));
     }
-    // The reservation pre-pass only runs on the pool path; a sequential
-    // run reporting shards or classified packets would mean the oracle
-    // path executed parallel machinery.
-    if run.report.threads == 1
-        && (run.outcome.shards() > 0
-            || run.outcome.clean_commits() > 0
-            || run.outcome.residue() > 0)
-    {
-        v.push(format!(
-            "sequential run reports pre-pass work: {} shards, {} clean, {} residue",
-            run.outcome.shards(),
-            run.outcome.clean_commits(),
-            run.outcome.residue()
-        ));
-    }
     v
 }
 
@@ -173,7 +157,7 @@ pub enum CellKind {
 /// The documented-equivalent axes the corpus diffs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
-    /// `--threads 1` vs 2 vs 4 (reservation-oracle agreement).
+    /// `--threads 1` vs 2 vs 4.
     Threads,
     /// `--head-index incremental` vs `rebuild`.
     HeadIndex,
@@ -330,9 +314,7 @@ pub fn matrix() -> Vec<Cell> {
             kind: CellKind::Property,
         },
         // Full-cube blackout from round 0: nothing is ever generated,
-        // so PDR = 1 by convention and the reservation pre-pass
-        // classifies zero packets (residue_fraction = None) — the
-        // null-residue cell the bench gates must skip, not zero-fill.
+        // so PDR = 1 by convention and the merge commits nothing.
         Cell {
             name: "property/qlec-blackout-everything",
             spec: SimSpec {
@@ -688,11 +670,7 @@ mod tests {
         let run = run_cell(&cell.spec, EventsMode::Full, false).unwrap();
         assert_eq!(run.report.totals.generated, 0, "total blackout");
         assert_eq!(run.report.pdr(), 1.0, "idle network loses nothing");
-        assert_eq!(
-            run.outcome.residue_fraction(),
-            None,
-            "zero classified packets must report no fraction, not 0.0"
-        );
+        assert_eq!(run.outcome, MergeOutcome::default(), "nothing to merge");
         assert_eq!(check_run(&cell.spec, &run), Vec::<String>::new());
     }
 

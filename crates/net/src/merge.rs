@@ -5,72 +5,32 @@
 //! post-election network, in parallel. This module is stage 2: the plans
 //! meet merge-time reality — head batteries that drain as receptions
 //! land, queues that fill, heads that die mid-round — under one explicit
-//! API ([`MergePlan`] in, [`MergeOutcome`] out) with two entry points:
+//! API ([`MergePlan`] in, [`MergeOutcome`] out) and one entry point,
+//! [`commit`]: a single ordered walk over the round's events in global
+//! `(time, node)` order, at every thread count.
 //!
-//! * [`commit_sequential`] — the reference path (`threads = 1`): one
-//!   ordered walk over the round's events, nothing else. This is the
-//!   golden oracle every other path must match byte-for-byte.
-//! * [`commit_sharded`] — the pool path (`threads > 1`): a two-phase
-//!   *reservation merge*. A parallel pre-pass ([`reserve`]) shards the
-//!   round by target head and, per shard, replays that head's battery
-//!   drain and queue occupancy against only its own shard's events in
-//!   arrival order, producing a per-event verdict buffer. A sequential
-//!   frontier sweep then promotes the longest provable prefix of those
-//!   verdicts to **proven-clean** reservations; the ordered walk
-//!   interleaves the buffered verdicts with the sequential residue by
-//!   global `(time, node)` key.
+//! A planned packet meets one of three merge-time fates:
 //!
-//! # The residue taxonomy
+//! * **replayed** — its plan resolves against the live network as
+//!   stage 1 predicted it: a BS delivery, link-failure exhaustion, the
+//!   sender's own battery death, or an accepted queue offer. No master
+//!   RNG.
+//! * **conflicted** — its terminal hop meets a head that died mid-merge
+//!   or a queue verdict (full or past the fusion deadline) stage 1 could
+//!   not know. Counted per cause in [`MergeOutcome`]; with the retry
+//!   budget spent, the refusal is the packet's fate.
+//! * **retargeted** — a conflict with retry budget left. The packet
+//!   re-enters `choose_target` against the live network and every hop
+//!   samples the *master* RNG, so it must run in exact global order.
 //!
-//! A planned packet ends in one of four merge-time fates; only the last
-//! needs the master RNG:
-//!
-//! * **clean accept** — the terminal hop's head is alive at reception
-//!   and its queue accepts. No RNG.
-//! * **clean refusal** — the terminal hop is refused (dead head, full
-//!   queue, or deadline miss) *and* the plan already spent the whole
-//!   retry budget, so the refusal is terminal. No RNG. (A refusal does
-//!   not change a queue's accept-state for later offers, so clean
-//!   refusals do not taint the shard replay.)
-//! * **local resolution** — the plan never reaches a live head: a BS
-//!   delivery, link-failure exhaustion, or the sender's own planned
-//!   battery death. No RNG, no shared state beyond the sender.
-//! * **live retarget residue** — a refusal with retry budget left. The
-//!   packet re-enters `choose_target` against the live network and every
-//!   hop samples the *master* RNG, so it must run in exact global order.
-//!
-//! The measured N=10k saturated profile (λ=5, see `DESIGN.md`) puts
-//! ~96% of member packets in the residue: the clean frontier closes at
-//! the round's first live retarget, and under saturation that happens
-//! early — the conflicts that close it split ~85% queue-full, ~15%
-//! deadline, ~0% dead-head. That fraction is a property of the workload
-//! (Q-routing herds all planners onto the same frozen value table while
-//! the queues saturate), not of the merge — an uncongested λ=20 run at
-//! the same N classifies 93% clean (residue fraction 0.07). The profiler's
-//! `merge.clean_commits` / `merge.residue` counters and the scale
-//! bench's `residue_fraction` report it honestly, and `--compare` gates
-//! it as a regression (+0.05 absolute) rather than an absolute target.
-//!
-//! # Confluence and byte-identity
-//!
-//! Both entry points run the *same* walk function, so the event stream,
-//! every battery draw, and every RNG consumption are byte-identical
-//! between them by construction. Clean commits of disjoint heads are
-//! confluent — they touch disjoint state (their own head's battery and
-//! queue, plus the sender-local ledger the planner already fixed) — so
-//! the per-shard buffered replay computes exactly the verdicts the
-//! ordered walk will observe, as long as every event before a packet's
-//! reservation is itself clean. That is what the frontier sweep
-//! enforces: a reservation is only issued while *all* preceding member
-//! packets are proven clean (the first unproven packet closes the
-//! frontier for the rest of the round), so within the reserved prefix
-//! no live continuation has perturbed any battery or queue behind the
-//! replay's back. The classifier is a conservative under-approximation;
-//! the walk `assert!`s every reservation against the live outcome, so a
-//! classifier bug can only fail loudly — it cannot bend the byte
-//! stream, because the walk's behaviour never branches on a
-//! reservation. `tests/parallel_equivalence.rs` locks the identity at
-//! every thread count, with and without fault plans.
+//! Retargets interleave with replays in that order, and under saturation
+//! they come early in the round (N = 10k at λ = 5 retargets 63 % of
+//! generated packets), so no useful prefix of the round can be proven
+//! independent of them and committed ahead of the walk: a parallel
+//! per-head pre-pass that tried left 99.9 % of packets to the walk. The
+//! walk is the serial part of a round; the scale bench reports its share
+//! of wall time per row (`merge_share`), the Amdahl bound on thread
+//! scaling.
 
 use crate::metrics::{EnergyBreakdown, PacketCounters};
 use crate::network::Network;
@@ -84,7 +44,6 @@ use qlec_geom::stats::Welford;
 use qlec_obs::{Event, ObserverSet, PacketFate};
 use qlec_radio::link::{AnyLink, LinkModel};
 use rand::{Rng, RngCore};
-use rayon::prelude::*;
 
 /// Terminal failure cause of a member packet, attributed to its final
 /// attempt.
@@ -120,40 +79,14 @@ pub(crate) enum PlannedAttempt {
 /// battery, since the live trajectory only ever drains more).
 pub(crate) type PacketPlan = Vec<PlannedAttempt>;
 
-/// Classifier-facing metadata for one planned packet, computed by the
-/// stage-1 planner alongside the attempt list. It captures the only
-/// facts the reservation pre-pass needs: whether the plan touches a
-/// head at all, when the terminal reception lands, and whether a
-/// merge-time refusal would still have retry budget (and therefore
-/// request master-RNG draws).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum PacketMeta {
-    /// Empty plan: the sender was already dead at the arrival time.
-    Skip,
-    /// The plan resolves on sender-local state only — a BS delivery,
-    /// link-failure exhaustion, or the sender's own planned battery
-    /// death. No head, no queue, no master RNG.
-    Local,
-    /// The plan's terminal hop lands on head `h`, offered to its queue
-    /// at `offer_time`. `exhausted` means the plan already spent the
-    /// whole retry budget, so a merge-time refusal is terminal rather
-    /// than a live-retarget continuation.
-    Candidate {
-        h: NodeId,
-        offer_time: f64,
-        exhausted: bool,
-    },
-}
-
 /// One member node's stage-1 state for the current round.
 pub(crate) struct PlannedNode {
     pub(crate) src: NodeId,
-    /// This node's arrival times, ascending.
-    pub(crate) arrivals: Vec<f64>,
-    /// One plan per arrival, same order.
+    /// This node's packet arrivals this round (their times live in the
+    /// round's event list; planning needs only the count).
+    pub(crate) arrivals: usize,
+    /// One plan per arrival, in arrival order.
     pub(crate) packets: Vec<PacketPlan>,
-    /// One classifier record per arrival, same order.
-    pub(crate) meta: Vec<PacketMeta>,
     /// The planner's scratch, absorbed into the protocol after the merge.
     pub(crate) scratch: Option<PlanScratch>,
     /// Merge read position into `packets`.
@@ -215,8 +148,8 @@ pub(crate) struct MergeState<'a, P: Protocol + ?Sized> {
     pub(crate) net: &'a mut Network,
     pub(crate) protocol: &'a mut P,
     /// The master RNG — consumed only by live continuations (retarget
-    /// link samples), never by clean replays, which is why walk order
-    /// alone preserves the sequential draw order.
+    /// link samples), never by replays, which is why walk order alone
+    /// preserves the sequential draw order.
     pub(crate) rng: &'a mut dyn RngCore,
     pub(crate) faults: Option<&'a FaultDriver>,
     /// One queue per head, indexed by queue slot.
@@ -230,14 +163,9 @@ pub(crate) struct MergeState<'a, P: Protocol + ?Sized> {
 
 /// What one round's merge did, for the profiler, the scale bench, and
 /// the equivalence tests: how often a plan ran into merge-time reality
-/// (split by cause), how many packets entered the live-retargeting
-/// continuation, how many the reservation pre-pass proved clean, and
-/// the shape of the per-head commit shards.
-///
-/// `conflicts`/`retargets` and the cause split are walk-observed and
-/// thread-invariant; `clean_commits`/`residue`/`shards` describe the
-/// reservation pre-pass, which only runs on the pool path (they stay 0
-/// on the `threads = 1` reference path).
+/// (split by cause) and how many packets entered the live-retargeting
+/// continuation. Every counter is walk-observed, so the outcome is
+/// identical at every thread count.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MergeOutcome {
     /// Planned hops refused by live state: a head dead at reception or
@@ -245,23 +173,12 @@ pub struct MergeOutcome {
     pub(crate) conflicts: u64,
     /// Packets that entered the master-RNG live continuation.
     pub(crate) retargets: u64,
-    /// Distinct heads with at least one terminally-planned packet
-    /// (sharded path only; 0 on the reference path).
-    pub(crate) shards: u64,
-    /// Packet count of the largest commit shard (sharded path only).
-    pub(crate) largest_shard: u64,
     /// Conflicts whose cause was a head dead at reception.
     pub(crate) conflict_dead_head: u64,
     /// Conflicts whose cause was a full queue.
     pub(crate) conflict_queue_full: u64,
     /// Conflicts whose cause was the fusion deadline.
     pub(crate) conflict_deadline: u64,
-    /// Member packets the reservation pre-pass proved clean (sharded
-    /// path only).
-    pub(crate) clean_commits: u64,
-    /// Member packets left to the live walk: the frontier-closing packet
-    /// and everything after it (sharded path only).
-    pub(crate) residue: u64,
 }
 
 impl MergeOutcome {
@@ -291,45 +208,11 @@ impl MergeOutcome {
         self.conflict_deadline
     }
 
-    /// Distinct per-head commit shards (pool path only; 0 sequentially).
-    pub fn shards(&self) -> u64 {
-        self.shards
-    }
-
-    /// Packet count of the largest commit shard (pool path only).
-    pub fn largest_shard(&self) -> u64 {
-        self.largest_shard
-    }
-
-    /// Member packets the reservation pre-pass proved clean (pool path
-    /// only; 0 sequentially).
-    pub fn clean_commits(&self) -> u64 {
-        self.clean_commits
-    }
-
-    /// Member packets left to the live walk (pool path only).
-    pub fn residue(&self) -> u64 {
-        self.residue
-    }
-
-    /// Fraction of classified member packets the pre-pass could *not*
-    /// prove clean: `residue / (clean_commits + residue)`. `None` when
-    /// the reservation pre-pass did not run (sequential path) or saw no
-    /// member packets.
-    pub fn residue_fraction(&self) -> Option<f64> {
-        let classified = self.clean_commits + self.residue;
-        (classified > 0).then(|| self.residue as f64 / classified as f64)
-    }
-
     /// Check the outcome's internal consistency and return the
     /// violations (empty = healthy). The corpus runner and soak harness
-    /// call this beside [`crate::SimReport::check_invariants`]:
-    ///
-    /// - the conflict total equals its cause split
-    ///   (`dead_head + queue_full + deadline`);
-    /// - `residue_fraction()` ∈ [0, 1] whenever classification ran;
-    /// - shard shape sanity: no largest shard without shards, and never
-    ///   a larger largest shard than there are classified packets.
+    /// call this beside [`crate::SimReport::check_invariants`]: the
+    /// conflict total must equal its cause split
+    /// (`dead_head + queue_full + deadline`).
     pub fn check_invariants(&self) -> Vec<String> {
         let mut v = Vec::new();
         let causes = self.conflict_dead_head + self.conflict_queue_full + self.conflict_deadline;
@@ -342,386 +225,20 @@ impl MergeOutcome {
                 self.conflict_deadline
             ));
         }
-        if let Some(f) = self.residue_fraction() {
-            if !(0.0..=1.0).contains(&f) {
-                v.push(format!("residue_fraction {f} outside [0, 1]"));
-            }
-        }
-        if self.largest_shard > 0 && self.shards == 0 {
-            v.push(format!(
-                "largest_shard {} with zero shards",
-                self.largest_shard
-            ));
-        }
-        let classified = self.clean_commits + self.residue;
-        if classified > 0 && self.largest_shard > classified {
-            v.push(format!(
-                "largest_shard {} exceeds the {classified} classified packets",
-                self.largest_shard
-            ));
-        }
         v
     }
 
-    /// Fold another round's outcome into a running total. Counters sum;
-    /// `largest_shard` keeps the maximum over rounds.
+    /// Fold another round's outcome into a running total.
     pub(crate) fn accumulate(&mut self, other: &MergeOutcome) {
         self.conflicts += other.conflicts;
         self.retargets += other.retargets;
-        self.shards += other.shards;
-        self.largest_shard = self.largest_shard.max(other.largest_shard);
         self.conflict_dead_head += other.conflict_dead_head;
         self.conflict_queue_full += other.conflict_queue_full;
         self.conflict_deadline += other.conflict_deadline;
-        self.clean_commits += other.clean_commits;
-        self.residue += other.residue;
     }
 }
 
-/// Walk-observed counters, identical on both commit paths.
-#[derive(Default)]
-struct WalkStats {
-    conflicts: u64,
-    retargets: u64,
-    conflict_dead_head: u64,
-    conflict_queue_full: u64,
-    conflict_deadline: u64,
-}
-
-/// Why a proven-clean terminal refusal was refused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RefuseCause {
-    DeadHead,
-    Full,
-    Deadline,
-}
-
-/// The reservation issued for one event by the pre-pass. Everything but
-/// `Live` is proven clean: the walk must observe exactly this outcome,
-/// and must not touch the master RNG for the packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Reserved {
-    /// No reservation: run live (residue, own-gen, or past the frontier).
-    Live,
-    /// Proven clean on sender-local state alone.
-    Local,
-    /// Proven clean: the terminal hop's queue accepts.
-    Accept,
-    /// Proven clean: the terminal hop is refused and the retry budget is
-    /// spent, so the refusal is terminal.
-    Refused(RefuseCause),
-}
-
-/// Output of the reservation pre-pass: one [`Reserved`] per event plus
-/// the round's classification and shard-shape counters.
-pub(crate) struct Reservation {
-    /// Per-event reservation, aligned with `MergePlan::events`.
-    classes: Vec<Reserved>,
-    clean: u64,
-    residue: u64,
-    shards: u64,
-    largest_shard: u64,
-}
-
-/// Event kind resolved from the plan metadata, in event order.
-#[derive(Clone, Copy)]
-enum EvKind {
-    /// A head's own sensing packet (replayed in-shard, committed live).
-    OwnGen,
-    /// Dead-sender packet: empty plan, generates nothing.
-    Skip,
-    /// Sender-local resolution.
-    Local,
-    /// Terminal hop onto a head's queue slot (verdicts arrive keyed by
-    /// event index from the shard replay).
-    Cand { exhausted: bool },
-}
-
-/// One shard-replay input: an event on this head's queue slot.
-enum SlotEntry {
-    /// The head's own sensing packet, offered at its arrival time.
-    OwnGen { t: f64 },
-    /// A member packet's terminal hop, offered at `offer_time`.
-    Cand { event_idx: u32, offer_time: f64 },
-}
-
-/// Shard-replay verdict for one candidate offer.
-#[derive(Clone, Copy)]
-enum SlotVerdict {
-    Accept,
-    DeadHead,
-    Full,
-    Deadline,
-}
-
-/// The reservation pre-pass of the two-phase merge.
-///
-/// 1. **Group** (sequential, O(events)): resolve each event against its
-///    plan metadata and bucket head-bound work per queue slot, in event
-///    order.
-/// 2. **Shard replay** (pool-parallel, one task per queue slot): replay
-///    the slot's own-gen offers and candidate receptions in arrival
-///    order against a clone of the head's (freshly reset) queue and a
-///    local copy of its battery ledger — the same `consume` clamping
-///    and aliveness rule the walk applies — producing a verdict buffer
-///    per shard.
-/// 3. **Frontier sweep** (sequential, O(events)): issue reservations
-///    for the longest prefix in which every member packet is proven
-///    clean. The first packet that is not provably clean (an unproven
-///    refusal with retry budget left) closes the frontier: it and
-///    everything after it stay `Live`, because its master-RNG
-///    continuation may perturb batteries and queues behind the replay's
-///    back.
-///
-/// The verdicts of a shard's prefix depend only on earlier events of
-/// the *same* shard (a queue refusal does not change accept-state, and
-/// heads gain no energy mid-round), so per-shard replay is exact for
-/// every event the sweep ends up reserving — the confluence argument in
-/// the module docs.
-fn reserve(
-    pool: &rayon::ThreadPool,
-    plan: &MergePlan<'_>,
-    planned: &[PlannedNode],
-    net: &Network,
-    queues: &[ChQueue],
-) -> Reservation {
-    let n_events = plan.events.len();
-    let n_slots = queues.len();
-
-    // Step 1: group. Separate cursors — `PlannedNode::cursor` belongs to
-    // the walk.
-    let mut kinds: Vec<EvKind> = Vec::with_capacity(n_events);
-    let mut slots: Vec<Vec<SlotEntry>> = Vec::new();
-    slots.resize_with(n_slots, Vec::new);
-    let mut cand_counts = vec![0u64; n_slots];
-    let mut cursors = vec![0usize; planned.len()];
-    for (idx, &(time, src)) in plan.events.iter().enumerate() {
-        let pi = plan.plan_index[src.index()];
-        if pi < 0 {
-            let s = plan.head_slot[src.index()];
-            debug_assert!(s >= 0, "unplanned generator must be a head");
-            if s >= 0 {
-                slots[s as usize].push(SlotEntry::OwnGen { t: time });
-            }
-            kinds.push(EvKind::OwnGen);
-            continue;
-        }
-        let pn = &planned[pi as usize];
-        let k = cursors[pi as usize];
-        cursors[pi as usize] += 1;
-        kinds.push(match pn.meta[k] {
-            PacketMeta::Skip => EvKind::Skip,
-            PacketMeta::Local => EvKind::Local,
-            PacketMeta::Candidate {
-                h,
-                offer_time,
-                exhausted,
-            } => {
-                let s = plan.head_slot[h.index()];
-                debug_assert!(s >= 0, "terminal hop onto a non-head");
-                if s < 0 {
-                    // Defensive: an unmappable candidate gets no verdict,
-                    // so the sweep treats it as frontier-closing residue.
-                    EvKind::Cand { exhausted: false }
-                } else {
-                    slots[s as usize].push(SlotEntry::Cand {
-                        event_idx: idx as u32,
-                        offer_time,
-                    });
-                    cand_counts[s as usize] += 1;
-                    EvKind::Cand { exhausted }
-                }
-            }
-        });
-    }
-
-    // Step 2: per-shard replay on the pool. The closure touches only
-    // `Sync` data (slot buckets, the frozen network, the reset queues) —
-    // `PlannedNode` holds a `Send`-only `PlanScratch` and stays out.
-    let rx_e = net.radio.rx_energy(plan.cfg.packet_bits);
-    let bits = plan.cfg.packet_bits;
-    // The vendored pool exposes map/collect only, so the slot index is
-    // zipped into the job list instead of an `enumerate` adapter.
-    let slot_jobs: Vec<(usize, &[SlotEntry])> = slots
-        .iter()
-        .enumerate()
-        .map(|(s, entries)| (s, entries.as_slice()))
-        .collect();
-    let verdicts_by_slot: Vec<Vec<(u32, SlotVerdict)>> = pool.install(|| {
-        slot_jobs
-            .par_iter()
-            .map(|&(s, entries)| {
-                let head = plan.heads[s];
-                let hn = net.node(head);
-                // Mid-round a head's `online` flag is frozen; only its
-                // battery evolves (receptions drain it, nothing refills
-                // it), so aliveness reduces to `alive0 && residual > 0`.
-                let alive0 = hn.is_alive();
-                let mut residual = hn.battery.residual();
-                let mut q = queues[s].clone();
-                let mut out = Vec::with_capacity(entries.len());
-                for entry in entries {
-                    match *entry {
-                        SlotEntry::OwnGen { t } => {
-                            if alive0 && residual > 0.0 {
-                                // Queue verdicts depend on offer times and
-                                // queue state only, never on packet fields,
-                                // so a placeholder id is safe here.
-                                let pkt = Packet {
-                                    id: 0,
-                                    src: head,
-                                    created_at: t,
-                                    bits,
-                                };
-                                let _ = q.offer(pkt, t);
-                            }
-                        }
-                        SlotEntry::Cand {
-                            event_idx,
-                            offer_time,
-                        } => {
-                            let v = if !(alive0 && residual > 0.0) {
-                                SlotVerdict::DeadHead
-                            } else {
-                                // Reception drains the head even when the
-                                // queue then refuses — same clamping as
-                                // `Battery::consume`.
-                                residual -= rx_e.min(residual);
-                                let pkt = Packet {
-                                    id: 0,
-                                    src: head,
-                                    created_at: offer_time,
-                                    bits,
-                                };
-                                match q.offer(pkt, offer_time) {
-                                    Offer::Accepted { .. } => SlotVerdict::Accept,
-                                    Offer::Dropped(QueueDrop::Full) => SlotVerdict::Full,
-                                    Offer::Dropped(QueueDrop::Deadline) => SlotVerdict::Deadline,
-                                }
-                            };
-                            out.push((event_idx, v));
-                        }
-                    }
-                }
-                out
-            })
-            .collect()
-    });
-    let mut verdict_at: Vec<Option<SlotVerdict>> = vec![None; n_events];
-    for shard in &verdicts_by_slot {
-        for &(idx, v) in shard {
-            verdict_at[idx as usize] = Some(v);
-        }
-    }
-
-    // Step 3: frontier sweep.
-    let mut classes = vec![Reserved::Live; n_events];
-    let mut clean = 0u64;
-    let mut residue = 0u64;
-    let mut open = true;
-    for (idx, kind) in kinds.iter().enumerate() {
-        if !open {
-            // Past the frontier nothing is classified; everything that
-            // could be a live member packet counts as residue. (`Skip`
-            // is plan-derived, so dead-sender packets stay excluded even
-            // here; post-frontier battery divergence can only kill more
-            // senders, making `residue` a safe upper bound on the
-            // packets the walk actually replays live.)
-            if !matches!(kind, EvKind::OwnGen | EvKind::Skip) {
-                residue += 1;
-            }
-            continue;
-        }
-        match *kind {
-            // Own-gen packets commit live either way; the shard replay
-            // mirrored their queue effect, so they do not close the
-            // frontier. Skips generate nothing.
-            EvKind::OwnGen | EvKind::Skip => {}
-            EvKind::Local => {
-                classes[idx] = Reserved::Local;
-                clean += 1;
-            }
-            EvKind::Cand { exhausted } => match verdict_at[idx] {
-                Some(SlotVerdict::Accept) => {
-                    classes[idx] = Reserved::Accept;
-                    clean += 1;
-                }
-                Some(v) if exhausted => {
-                    classes[idx] = Reserved::Refused(match v {
-                        SlotVerdict::DeadHead => RefuseCause::DeadHead,
-                        SlotVerdict::Full => RefuseCause::Full,
-                        SlotVerdict::Deadline => RefuseCause::Deadline,
-                        SlotVerdict::Accept => unreachable!("accept handled above"),
-                    });
-                    clean += 1;
-                }
-                // A refusal with retry budget left — the live-retarget
-                // residue — or a candidate with no verdict (defensive):
-                // the continuation draws the master RNG and may change
-                // any battery or queue, so the frontier closes here.
-                _ => {
-                    residue += 1;
-                    open = false;
-                }
-            },
-        }
-    }
-
-    Reservation {
-        classes,
-        clean,
-        residue,
-        shards: cand_counts.iter().filter(|&&c| c > 0).count() as u64,
-        largest_shard: cand_counts.iter().copied().max().unwrap_or(0),
-    }
-}
-
-/// The reference merge (`threads = 1`): one ordered walk, nothing else.
-pub(crate) fn commit_sequential<P: Protocol + ?Sized>(
-    plan: &MergePlan<'_>,
-    planned: &mut [PlannedNode],
-    st: &mut MergeState<'_, P>,
-) -> MergeOutcome {
-    let stats = walk(plan, planned, st, None);
-    MergeOutcome {
-        conflicts: stats.conflicts,
-        retargets: stats.retargets,
-        conflict_dead_head: stats.conflict_dead_head,
-        conflict_queue_full: stats.conflict_queue_full,
-        conflict_deadline: stats.conflict_deadline,
-        ..MergeOutcome::default()
-    }
-}
-
-/// The pool merge (`threads > 1`): the two-phase reservation merge. The
-/// parallel pre-pass ([`reserve`]) buffers per-shard verdicts and issues
-/// proven-clean reservations for the longest provable prefix; the same
-/// ordered walk the reference path runs then interleaves the buffered
-/// verdicts with the residue's master-RNG re-decisions in global
-/// `(time, node)` order — byte-identical by construction, with every
-/// reservation asserted against the live outcome.
-pub(crate) fn commit_sharded<P: Protocol + ?Sized>(
-    pool: &rayon::ThreadPool,
-    plan: &MergePlan<'_>,
-    planned: &mut [PlannedNode],
-    st: &mut MergeState<'_, P>,
-) -> MergeOutcome {
-    let resv = reserve(pool, plan, planned, st.net, st.queues);
-    let stats = walk(plan, planned, st, Some(&resv));
-    MergeOutcome {
-        conflicts: stats.conflicts,
-        retargets: stats.retargets,
-        shards: resv.shards,
-        largest_shard: resv.largest_shard,
-        conflict_dead_head: stats.conflict_dead_head,
-        conflict_queue_full: stats.conflict_queue_full,
-        conflict_deadline: stats.conflict_deadline,
-        clean_commits: resv.clean,
-        residue: resv.residue,
-    }
-}
-
-/// The ordered commit walk, shared verbatim by both entry points.
+/// Commit one round's plans: the ordered walk.
 ///
 /// Replays plans in global `(time, node)` order: packet ids, battery
 /// consumes, head receptions, queue offers, counters, latency, events,
@@ -732,26 +249,18 @@ pub(crate) fn commit_sharded<P: Protocol + ?Sized>(
 /// both push the packet into the live continuation, which re-decides
 /// against the live network with the master RNG (the MDP's self-loop
 /// semantics).
-///
-/// When a [`Reservation`] is supplied, each reserved packet's live
-/// outcome is `assert!`ed against its buffered verdict — the contract
-/// that a proven-clean packet resolves exactly as the pre-pass replayed
-/// it and never reaches the master RNG. The walk's behaviour does not
-/// branch on reservations, so a classifier bug fails loudly instead of
-/// bending the byte stream.
-fn walk<P: Protocol + ?Sized>(
+pub(crate) fn commit<P: Protocol + ?Sized>(
     plan: &MergePlan<'_>,
     planned: &mut [PlannedNode],
     st: &mut MergeState<'_, P>,
-    resv: Option<&Reservation>,
-) -> WalkStats {
+) -> MergeOutcome {
     let cfg = plan.cfg;
     let round = plan.round;
     let link = st.net.link;
     let radio = st.net.radio;
-    let mut stats = WalkStats::default();
+    let mut stats = MergeOutcome::default();
 
-    for (ev_idx, &(time, src)) in plan.events.iter().enumerate() {
+    for &(time, src) in plan.events.iter() {
         let pi = plan.plan_index[src.index()];
         if pi < 0 {
             // A head's own sensing packet: checked and queued live —
@@ -922,51 +431,6 @@ fn walk<P: Protocol + ?Sized>(
             }
         }
 
-        // Reservation soundness contract: a proven-clean packet must
-        // have resolved exactly as the pre-pass replayed it, and must
-        // not reach the master-RNG continuation below. The classifier is
-        // a conservative under-approximation and the walk never branches
-        // on it, so a violation here is a loud classifier bug — never a
-        // byte divergence.
-        if let Some(r) = resv {
-            match r.classes[ev_idx] {
-                Reserved::Live => {}
-                Reserved::Accept => {
-                    assert!(
-                        resolved,
-                        "reserved-accept packet did not resolve (round {round}, src {src})"
-                    );
-                }
-                Reserved::Refused(cause) => {
-                    let expected = match cause {
-                        RefuseCause::DeadHead => FailCause::Link,
-                        RefuseCause::Full => FailCause::QueueFull,
-                        RefuseCause::Deadline => FailCause::Deadline,
-                    };
-                    assert!(
-                        !resolved && attempt > cfg.member_retries && fail == expected,
-                        "reserved-refusal mismatch (round {round}, src {src}): \
-                         resolved={resolved} attempt={attempt} fail={fail:?} expected={expected:?}"
-                    );
-                }
-                Reserved::Local => {
-                    // Locally-resolved plans either deliver, die, or
-                    // exhaust the budget; the only other exit (a planned
-                    // battery death to exactly 0.0 with budget left)
-                    // fails the continuation's aliveness check before
-                    // any RNG draw.
-                    assert!(
-                        resolved
-                            || fail == FailCause::Dead
-                            || attempt > cfg.member_retries
-                            || !st.net.node(src).is_alive(),
-                        "reserved-local packet would reach the RNG continuation \
-                         (round {round}, src {src})"
-                    );
-                }
-            }
-        }
-
         // Live continuation: the plan ended on a contingency stage 1
         // could not resolve — a queue refusal or a head that died
         // mid-merge. The remaining retries re-decide against the
@@ -1114,31 +578,22 @@ mod tests {
     use std::sync::{Arc, Mutex};
 
     #[test]
-    fn outcome_invariants_catch_split_and_shard_breaks() {
+    fn outcome_invariants_catch_split_breaks() {
         assert_eq!(
             MergeOutcome::default().check_invariants(),
             Vec::<String>::new()
         );
         let healthy = MergeOutcome {
             conflicts: 3,
+            retargets: 2,
             conflict_dead_head: 1,
             conflict_queue_full: 2,
-            shards: 2,
-            largest_shard: 4,
-            clean_commits: 5,
-            residue: 2,
             ..MergeOutcome::default()
         };
         assert_eq!(healthy.check_invariants(), Vec::<String>::new());
         let mut broken = healthy;
         broken.conflict_deadline = 9; // split no longer sums to conflicts
         assert!(broken.check_invariants()[0].contains("cause split"));
-        let mut broken = healthy;
-        broken.largest_shard = 99;
-        assert!(broken.check_invariants()[0].contains("classified"));
-        let mut broken = healthy;
-        broken.shards = 0;
-        assert!(broken.check_invariants()[0].contains("zero shards"));
     }
 
     /// A `Write` target the test can read back after the `ObserverSet`
@@ -1194,14 +649,11 @@ mod tests {
         (stream, report_json)
     }
 
-    /// The two commit paths produce identical reports and identical
-    /// event streams — the structural byte-identity the module
-    /// guarantees, checked end to end through the round engine (the
-    /// only place `commit_sharded` is reachable from). The pool runs
-    /// with the reservation asserts live, so this also exercises the
-    /// classifier's soundness contract on real traffic.
+    /// Every thread count produces identical reports and identical
+    /// event streams: planning fans out across the pool, and the walk
+    /// commits the plans in the same global order either way.
     #[test]
-    fn sharded_commit_matches_sequential_commit() {
+    fn commit_is_thread_invariant() {
         let (seq_stream, seq_report) = run_observed(1);
         assert!(
             seq_stream.lines().count() > 100,
@@ -1215,171 +667,5 @@ mod tests {
             );
             assert_eq!(seq_report, report, "report diverged at threads={threads}");
         }
-    }
-
-    fn test_pool() -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .expect("test pool")
-    }
-
-    /// Hand-built round for `reserve`: two heads (one of them drained
-    /// flat), one member with a crafted plan sequence. Verifies the
-    /// clean classes (accept, local, exhausted refusals incl. dead
-    /// head), the frontier closing at the first unproven refusal, and
-    /// the shard-shape counters.
-    #[test]
-    fn reservation_classifies_and_closes_frontier() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut net = NetworkBuilder::new()
-            .link(AnyLink::DistanceLoss(DistanceLossLink::for_cube(200.0)))
-            .uniform_cube(&mut rng, 4, 200.0, 5.0);
-        // Node 3 is an elected-then-drained head: alive at election,
-        // dead by merge time.
-        let drained = net.node(NodeId(3)).battery.residual();
-        net.node_mut(NodeId(3)).battery.consume(drained);
-
-        let mut cfg = SimConfig::paper(1.0);
-        // Tiny queue + long service: the second offer onto slot 0 is
-        // refused Full.
-        cfg.queue_capacity = 1;
-        cfg.service_time = 1000.0;
-        let heads = [NodeId(0), NodeId(3)];
-        let mut head_slot = vec![-1i32; net.len()];
-        head_slot[0] = 0;
-        head_slot[3] = 1;
-        // Member node 1 sends six packets; node 2 stays out of the round.
-        let mut plan_index = vec![-1i32; net.len()];
-        plan_index[1] = 0;
-        let e = 0.001;
-        let meta = vec![
-            // t=0.0: accepted by slot 0.
-            PacketMeta::Candidate {
-                h: NodeId(0),
-                offer_time: 0.5,
-                exhausted: false,
-            },
-            // t=1.0: local resolution (BS delivery).
-            PacketMeta::Local,
-            // t=2.0: dead-head refusal with the budget spent — clean.
-            PacketMeta::Candidate {
-                h: NodeId(3),
-                offer_time: 3.5,
-                exhausted: true,
-            },
-            // t=3.0: full-queue refusal with the budget spent — clean.
-            PacketMeta::Candidate {
-                h: NodeId(0),
-                offer_time: 4.5,
-                exhausted: true,
-            },
-            // t=4.0: full-queue refusal with budget left — closes the
-            // frontier.
-            PacketMeta::Candidate {
-                h: NodeId(0),
-                offer_time: 4.5,
-                exhausted: false,
-            },
-            // t=5.0: would be clean, but the frontier is closed.
-            PacketMeta::Local,
-        ];
-        let to_head = |h: u32| -> PacketPlan { vec![PlannedAttempt::ToHead { h: NodeId(h), e }] };
-        let planned = vec![PlannedNode {
-            src: NodeId(1),
-            arrivals: vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
-            packets: vec![
-                to_head(0),
-                vec![PlannedAttempt::DeliveredBs { e }],
-                to_head(3),
-                to_head(0),
-                to_head(0),
-                vec![PlannedAttempt::DeliveredBs { e }],
-            ],
-            meta,
-            scratch: None,
-            cursor: 0,
-        }];
-        let events: Vec<(f64, NodeId)> = (0..6).map(|i| (i as f64, NodeId(1))).collect();
-        let queues = vec![
-            ChQueue::new(cfg.queue_capacity, cfg.service_time, 1e9),
-            ChQueue::new(cfg.queue_capacity, cfg.service_time, 1e9),
-        ];
-        let plan = MergePlan {
-            events: &events,
-            plan_index: &plan_index,
-            head_slot: &head_slot,
-            heads: &heads,
-            round: 0,
-            cfg: &cfg,
-        };
-        let resv = reserve(&test_pool(), &plan, &planned, &net, &queues);
-        assert_eq!(
-            resv.classes,
-            vec![
-                Reserved::Accept,
-                Reserved::Local,
-                Reserved::Refused(RefuseCause::DeadHead),
-                Reserved::Refused(RefuseCause::Full),
-                Reserved::Live,
-                Reserved::Live,
-            ]
-        );
-        assert_eq!(resv.clean, 4);
-        assert_eq!(resv.residue, 2);
-        // Slot 0 saw three candidates, slot 1 one; both shards non-empty.
-        assert_eq!(resv.shards, 2);
-        assert_eq!(resv.largest_shard, 3);
-    }
-
-    /// A head's own-gen packets participate in its shard replay: they
-    /// occupy the queue ahead of later candidate offers, flipping the
-    /// candidate's verdict to a refusal.
-    #[test]
-    fn own_gen_occupancy_feeds_candidate_verdicts() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let net = NetworkBuilder::new()
-            .link(AnyLink::DistanceLoss(DistanceLossLink::for_cube(200.0)))
-            .uniform_cube(&mut rng, 2, 200.0, 5.0);
-        let mut cfg = SimConfig::paper(1.0);
-        cfg.queue_capacity = 1;
-        cfg.service_time = 1000.0;
-        let heads = [NodeId(0)];
-        let mut head_slot = vec![-1i32; net.len()];
-        head_slot[0] = 0;
-        let mut plan_index = vec![-1i32; net.len()];
-        plan_index[1] = 0;
-        let planned = vec![PlannedNode {
-            src: NodeId(1),
-            arrivals: vec![1.0],
-            packets: vec![vec![PlannedAttempt::ToHead {
-                h: NodeId(0),
-                e: 0.001,
-            }]],
-            meta: vec![PacketMeta::Candidate {
-                h: NodeId(0),
-                offer_time: 1.5,
-                exhausted: true,
-            }],
-            scratch: None,
-            cursor: 0,
-        }];
-        // The head's own packet arrives first and fills the 1-slot queue.
-        let events = vec![(0.0, NodeId(0)), (1.0, NodeId(1))];
-        let queues = vec![ChQueue::new(cfg.queue_capacity, cfg.service_time, 1e9)];
-        let plan = MergePlan {
-            events: &events,
-            plan_index: &plan_index,
-            head_slot: &head_slot,
-            heads: &heads,
-            round: 0,
-            cfg: &cfg,
-        };
-        let resv = reserve(&test_pool(), &plan, &planned, &net, &queues);
-        assert_eq!(
-            resv.classes,
-            vec![Reserved::Live, Reserved::Refused(RefuseCause::Full)]
-        );
-        assert_eq!((resv.clean, resv.residue), (1, 0));
     }
 }

@@ -23,8 +23,7 @@
 //! across protocols, does not.
 
 use crate::merge::{
-    self, sample_hop, MergeOutcome, MergePlan, MergeState, PacketMeta, PacketPlan, PlannedAttempt,
-    PlannedNode,
+    self, sample_hop, MergeOutcome, MergePlan, MergeState, PacketPlan, PlannedAttempt, PlannedNode,
 };
 use crate::metrics::{EnergyBreakdown, LifespanInfo, PacketCounters, RoundMetrics, SimReport};
 use crate::network::Network;
@@ -315,10 +314,8 @@ impl Simulator {
     }
 
     /// Run the full simulation and also return the whole-run
-    /// [`MergeOutcome`] totals: merge conflicts and retargets split by
-    /// cause (thread-invariant), plus the reservation pre-pass's
-    /// clean-commit/residue classification and shard shape (pool path
-    /// only — zero when `threads = 1`).
+    /// [`MergeOutcome`] totals: merge conflicts split by cause, and
+    /// retargets (thread-invariant).
     pub fn run_with_outcome<P: Protocol + ?Sized>(
         mut self,
         protocol: &mut P,
@@ -532,18 +529,17 @@ impl Simulator {
                     events.push((t, id));
                 });
             } else {
-                let mut arrivals = Vec::new();
+                let mut arrivals = 0;
                 traffic.for_each_arrival(&mut trng, round_start, cfg.slots_per_round, |t| {
-                    arrivals.push(t);
+                    arrivals += 1;
                     events.push((t, id));
                 });
-                if !arrivals.is_empty() {
+                if arrivals > 0 {
                     self.scratch.plan_index[idx] = planned.len() as i32;
                     planned.push(PlannedNode {
                         src: id,
                         arrivals,
                         packets: Vec::new(),
-                        meta: Vec::new(),
                         scratch: None,
                         cursor: 0,
                     });
@@ -601,11 +597,9 @@ impl Simulator {
                 let planner = protocol.planner().expect("planner() just returned Some");
                 // `PlanScratch` is `Send` but not `Sync`, so the fan-out
                 // iterates Sync job tuples rather than the nodes proper.
-                let jobs: Vec<(NodeId, &[f64])> = planned
-                    .iter()
-                    .map(|pn| (pn.src, pn.arrivals.as_slice()))
-                    .collect();
-                let plan_one = |job: &(NodeId, &[f64])| {
+                let jobs: Vec<(NodeId, usize)> =
+                    planned.iter().map(|pn| (pn.src, pn.arrivals)).collect();
+                let plan_one = |job: &(NodeId, usize)| {
                     // Worker-local busy measurement: clock reads only,
                     // no shared state touched from the fan-out.
                     let t0 = prof_ref.map(|p| p.now_ns());
@@ -614,7 +608,7 @@ impl Simulator {
                         planner,
                         scratch: planner.begin_node(net, src),
                     };
-                    let (packets, meta) = plan_member_packets(
+                    let packets = plan_member_packets(
                         net,
                         &cfg,
                         faults_ref,
@@ -630,9 +624,9 @@ impl Simulator {
                         (Some(p), Some(t0)) => p.now_ns().saturating_sub(t0),
                         _ => 0,
                     };
-                    (packets, meta, t.scratch, busy_ns)
+                    (packets, t.scratch, busy_ns)
                 };
-                type PlanJob = (Vec<PacketPlan>, Vec<PacketMeta>, PlanScratch, u64);
+                type PlanJob = (Vec<PacketPlan>, PlanScratch, u64);
                 let results: Vec<PlanJob> = match self.pool.as_ref() {
                     Some(pool) if jobs.len() > 1 => {
                         pool.install(|| jobs.par_iter().map(&plan_one).collect())
@@ -652,13 +646,12 @@ impl Simulator {
                         _ => 1,
                     };
                     let chunk_len = n_jobs.div_ceil(workers.max(1)).max(1);
-                    for (i, (_, _, _, busy_ns)) in results.iter().enumerate() {
+                    for (i, (_, _, busy_ns)) in results.iter().enumerate() {
                         p.record_busy("transmission/plan", i / chunk_len, *busy_ns);
                     }
                 }
-                for (pn, (packets, meta, scratch, _)) in planned.iter_mut().zip(results) {
+                for (pn, (packets, scratch, _)) in planned.iter_mut().zip(results) {
                     pn.packets = packets;
-                    pn.meta = meta;
                     pn.scratch = Some(scratch);
                 }
             } else {
@@ -666,7 +659,7 @@ impl Simulator {
                     let mut t = ChooseTargeter {
                         protocol: &mut *protocol,
                     };
-                    let (packets, meta) = plan_member_packets(
+                    pn.packets = plan_member_packets(
                         net,
                         &cfg,
                         faults_ref,
@@ -675,11 +668,9 @@ impl Simulator {
                         stream_seed,
                         round,
                         pn.src,
-                        &pn.arrivals,
+                        pn.arrivals,
                         &mut t,
                     );
-                    pn.packets = packets;
-                    pn.meta = meta;
                 }
             }
         }
@@ -697,8 +688,7 @@ impl Simulator {
         // One explicit API: the immutable round inputs (MergePlan), the
         // mutable simulation state (MergeState), and the outcome counters
         // the profiler and the equivalence tests consume (MergeOutcome).
-        // The pool path adds the parallel per-head shard pre-pass; both
-        // paths run the same ordered commit walk, so the event stream is
+        // One ordered walk at every thread count, so the event stream is
         // byte-identical by construction.
         let merge_t0 = prof.as_ref().map(|p| p.now_ns());
         let outcome = {
@@ -722,10 +712,7 @@ impl Simulator {
                 breakdown: &mut breakdown,
                 next_packet_id: &mut self.next_packet_id,
             };
-            match self.pool.as_ref() {
-                Some(pool) => merge::commit_sharded(pool, &mplan, &mut planned, &mut st),
-                None => merge::commit_sequential(&mplan, &mut planned, &mut st),
-            }
+            merge::commit(&mplan, &mut planned, &mut st)
         };
 
         self.merge_totals.accumulate(&outcome);
@@ -739,12 +726,6 @@ impl Simulator {
             p.inc("merge.conflict_dead_head", outcome.conflict_dead_head);
             p.inc("merge.conflict_queue_full", outcome.conflict_queue_full);
             p.inc("merge.conflict_deadline", outcome.conflict_deadline);
-            if self.pool.is_some() {
-                p.inc("merge.shards", outcome.shards);
-                p.inc("merge.shard_max", outcome.largest_shard);
-                p.inc("merge.clean_commits", outcome.clean_commits);
-                p.inc("merge.residue", outcome.residue);
-            }
         }
 
         // Absorb planner scratch (Q-value writes, link-table overlays)
@@ -1037,12 +1018,6 @@ impl<P: Protocol + ?Sized> PlanTargeter for ChooseTargeter<'_, P> {
 /// at merge time. Target choices draw from the node's PROTOCOL stream
 /// and radio samples from its LINK stream, making the plan independent
 /// of scheduling and thread count.
-///
-/// Alongside each plan it emits the [`PacketMeta`] record the merge's
-/// reservation pre-pass classifies against: the terminal kind, the
-/// terminal reception time (computed with the walk's exact float
-/// expressions), and whether a merge-time refusal would still have
-/// retry budget.
 #[allow(clippy::too_many_arguments)]
 fn plan_member_packets(
     net: &Network,
@@ -1053,23 +1028,21 @@ fn plan_member_packets(
     stream_seed: u64,
     round: u32,
     src: NodeId,
-    arrivals: &[f64],
+    arrivals: usize,
     targeter: &mut dyn PlanTargeter,
-) -> (Vec<PacketPlan>, Vec<PacketMeta>) {
+) -> Vec<PacketPlan> {
     let link = net.link;
     let radio = net.radio;
     let mut prng = StreamRng::for_node(stream_seed, round, src.0, stream_tag::PROTOCOL);
     let mut lrng = StreamRng::for_node(stream_seed, round, src.0, stream_tag::LINK);
     let mut residual = net.node(src).battery.residual();
-    let mut packets = Vec::with_capacity(arrivals.len());
-    let mut meta = Vec::with_capacity(arrivals.len());
-    for &time in arrivals {
+    let mut packets = Vec::with_capacity(arrivals);
+    for _ in 0..arrivals {
         // Mid-round, a member's `is_alive` reduces to battery state: the
         // `online` flag cannot change within a round, and it was online
         // when it generated this arrival.
         if residual <= 0.0 {
             packets.push(Vec::new());
-            meta.push(PacketMeta::Skip);
             continue;
         }
         targeter.begin_packet(src);
@@ -1122,26 +1095,9 @@ fn plan_member_packets(
                 break;
             }
         }
-        meta.push(match attempts.last() {
-            None => PacketMeta::Skip,
-            Some(PlannedAttempt::ToHead { h, .. }) => {
-                // The walk offers at `attempt_time + hop_delay` with
-                // `attempt_time = time + attempt * hop_delay` — replicate
-                // the expressions exactly so the reservation replay's
-                // offer times are bit-identical.
-                let a = (attempts.len() - 1) as u32;
-                let attempt_time = time + a as f64 * cfg.hop_delay;
-                PacketMeta::Candidate {
-                    h: *h,
-                    offer_time: attempt_time + cfg.hop_delay,
-                    exhausted: attempts.len() as u32 > cfg.member_retries,
-                }
-            }
-            Some(_) => PacketMeta::Local,
-        });
         packets.push(attempts);
     }
-    (packets, meta)
+    packets
 }
 
 #[cfg(test)]

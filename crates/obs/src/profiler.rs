@@ -286,18 +286,6 @@ impl ProfileReport {
             .map(|c| c.value)
     }
 
-    /// Fraction of reservation-classified member packets the merge's
-    /// pre-pass could *not* prove clean:
-    /// `merge.residue / (merge.clean_commits + merge.residue)`.
-    /// `None` when the reservation pre-pass never ran (sequential
-    /// merge) or classified nothing.
-    pub fn residue_fraction(&self) -> Option<f64> {
-        let clean = self.counter("merge.clean_commits").unwrap_or(0);
-        let residue = self.counter("merge.residue").unwrap_or(0);
-        let classified = clean + residue;
-        (classified > 0).then(|| residue as f64 / classified as f64)
-    }
-
     /// Render the hierarchical phase tree, counters, and the
     /// thread-utilization table as fixed-width text.
     pub fn render(&self) -> String {
@@ -342,28 +330,6 @@ impl ProfileReport {
             let _ = writeln!(out, "counters:");
             for c in &self.counters {
                 let _ = writeln!(out, "  {:<30} {}", c.name, c.value);
-            }
-            // Derived from merge.residue / (merge.clean_commits +
-            // merge.residue) — rendered beside the raw merge counters
-            // rather than stored, so the counter map stays integral.
-            // When the merge counters exist but classified nothing
-            // (e.g. a full-blackout run generated zero packets), the
-            // fraction is undefined: say so explicitly instead of
-            // silently omitting the line or faking a 0.000.
-            let merge_counters_present = self.counter("merge.clean_commits").is_some()
-                || self.counter("merge.residue").is_some();
-            match self.residue_fraction() {
-                Some(f) => {
-                    let _ = writeln!(out, "  {:<30} {f:.3}", "merge.residue_fraction");
-                }
-                None if merge_counters_present => {
-                    let _ = writeln!(
-                        out,
-                        "  {:<30} n/a (nothing classified)",
-                        "merge.residue_fraction"
-                    );
-                }
-                None => {}
             }
         }
         let _ = writeln!(out, "thread utilization (busy / total wall):");
@@ -486,51 +452,13 @@ mod tests {
     }
 
     #[test]
-    fn residue_fraction_derives_from_merge_counters() {
+    fn counters_look_up_by_name() {
         let (_, prof) = manual();
-        prof.inc("merge.clean_commits", 30);
-        prof.inc("merge.residue", 70);
+        prof.inc("merge.retargets", 30);
+        prof.inc("merge.retargets", 40);
         let report = prof.report();
-        assert_eq!(report.counter("merge.residue"), Some(70));
+        assert_eq!(report.counter("merge.retargets"), Some(70));
         assert_eq!(report.counter("nope"), None);
-        assert_eq!(report.residue_fraction(), Some(0.7));
-        let text = report.render();
-        assert!(text.contains("merge.residue_fraction"), "{text}");
-        assert!(text.contains("0.700"), "{text}");
-
-        // Sequential merges never classify: no derived line.
-        let (_, seq) = manual();
-        seq.inc("merge.conflicts", 5);
-        let report = seq.report();
-        assert_eq!(report.residue_fraction(), None);
-        assert!(!report.render().contains("residue_fraction"));
-    }
-
-    /// A sharded merge that classified nothing (a run where no packet
-    /// ever reached the pre-pass — e.g. a full-blackout fault plan) has
-    /// merge counters at zero. The fraction is undefined, not 0.000;
-    /// the renderer must say so instead of dropping the line.
-    #[test]
-    fn render_marks_undefined_residue_fraction_explicitly() {
-        let (_, prof) = manual();
-        prof.inc("merge.clean_commits", 0);
-        prof.inc("merge.residue", 0);
-        let report = prof.report();
-        assert_eq!(report.counter("merge.clean_commits"), Some(0));
-        assert_eq!(report.residue_fraction(), None);
-        let text = report.render();
-        assert!(
-            text.contains("merge.residue_fraction"),
-            "zero-classified runs must still name the metric: {text}"
-        );
-        let line = text
-            .lines()
-            .find(|l| l.contains("merge.residue_fraction"))
-            .expect("metric line present");
-        assert!(
-            line.ends_with("n/a (nothing classified)"),
-            "must not fake a zero: {line:?}"
-        );
     }
 
     #[test]

@@ -384,13 +384,12 @@ fn aggregate_stream_under_faults_is_sink_and_thread_invariant() {
     }
 }
 
-/// The head-sharded merge (`threads > 1` routes stage 2 through
-/// `commit_sharded`: pool pre-pass + per-head commit groups + ordered
-/// fixup walk) reproduces the sequential commit byte-for-byte under an
-/// active fault plan — crashes and a BS outage force dead-head retargets
-/// and refused-queue re-decisions, i.e. exactly the conflicted residue
-/// whose master-RNG draws must stay in global `(time, node)` order.
-fn assert_sharded_merge_invariant_under_faults(n: usize, k: usize, rounds: u32, lambda: f64) {
+/// The pool run (`threads > 1` plans stage 1 on workers, then commits
+/// through the same ordered walk) reproduces the sequential run
+/// byte-for-byte under an active fault plan — crashes and a BS outage
+/// force dead-head retargets and refused-queue re-decisions, whose
+/// master-RNG draws must stay in global `(time, node)` order.
+fn assert_pool_run_invariant_under_faults(n: usize, k: usize, rounds: u32, lambda: f64) {
     let plan = FaultPlan::named(
         "sharded-merge",
         vec![
@@ -431,27 +430,27 @@ fn assert_sharded_merge_invariant_under_faults(n: usize, k: usize, rounds: u32, 
         let (stream, report) = run(threads);
         assert!(
             stream == seq_stream,
-            "sharded merge diverged from sequential commit (N = {n}, threads = {threads})"
+            "pool run diverged from sequential run (N = {n}, threads = {threads})"
         );
         assert_eq!(
             report, seq_report,
-            "report diverged from sequential commit (N = {n}, threads = {threads})"
+            "report diverged from sequential run (N = {n}, threads = {threads})"
         );
     }
 }
 
 /// Paper scale, saturated traffic: queue refusals plus the fault plan
-/// maximize the fixup pass's share of the merge.
+/// maximize the merge's live retargets.
 #[test]
 fn sharded_merge_matches_sequential_under_faults_at_n100() {
-    assert_sharded_merge_invariant_under_faults(100, 5, 4, 1.0);
+    assert_pool_run_invariant_under_faults(100, 5, 4, 1.0);
 }
 
-/// Large-N configuration: many shards per round (k = 50) with the
+/// Large-N configuration: many heads per round (k = 50) with the
 /// Theorem-1 candidate budget active in the retarget kernel.
 #[test]
 fn sharded_merge_matches_sequential_under_faults_at_n1000() {
-    assert_sharded_merge_invariant_under_faults(1000, 50, 3, 5.0);
+    assert_pool_run_invariant_under_faults(1000, 50, 3, 5.0);
 }
 
 /// Full-mode streams through the async (block) pipeline reproduce the
