@@ -11,9 +11,7 @@
 //!
 //! Usage: `cargo run --release -p qlec-bench --bin scale -- \
 //!     [--sizes 100,1000,10000] [--threads 1] [--rounds 20] \
-//!     [--candidates auto|legacy-auto|full|<n>] \
-//!     [--head-index incremental,rebuild] [--q-rows sparse,dense] \
-//!     [--lambda 5] [--seed 42] \
+//!     [--candidates auto|full|<n>] [--lambda 5] [--seed 42] \
 //!     [--events-sink sync,async] [--out BENCH_scale.json] [--append] \
 //!     [--validate] [--compare BASE.json] [--gate-thread-scaling 0.8]`
 //!
@@ -23,9 +21,8 @@
 //! async pipeline's hot-thread win over the synchronous sink.
 //!
 //! When the sweep includes a `threads = 1` point alongside multi-thread
-//! points at the same (N, candidates, head-index, q-rows, rounds, λ)
-//! coordinates,
-//! the artifact gains `thread_scaling` summary rows: headline pkt/s
+//! points at the same (N, candidates, rounds, λ) coordinates, the
+//! artifact gains `thread_scaling` summary rows: headline pkt/s
 //! speedup plus per-phase wall speedups against the single-threaded
 //! baseline. `--gate-thread-scaling FLOOR` turns those rows into a CI
 //! gate — every multi-thread point at N ≥ 10 000 must reach FLOOR ×
@@ -35,7 +32,7 @@
 //! error, not a silent pass.
 
 use qlec_bench::{print_table, write_json, PhaseWall, ProtocolKind, RunSpec};
-use qlec_core::params::{CandidatePolicy, HeadIndexMode, QRowsMode, QlecParams};
+use qlec_core::params::{CandidatePolicy, QlecParams};
 use qlec_net::Simulator;
 use qlec_obs::{
     peak_rss_bytes, AsyncJsonLinesSink, JsonLinesSink, MeasuredSink, MemorySink, ObserverSet,
@@ -87,7 +84,12 @@ use std::time::Instant;
 /// `--compare` residue gate. Every run gains `merge_share`: merge wall
 /// over run wall, the serial fraction that bounds thread scaling
 /// (Amdahl: speedup ≤ 1 / merge_share).
-const SCALE_SCHEMA: &str = "qlec-bench-scale/v8";
+/// v9: the `head_index` and `q_rows` knobs are retired (one per-round
+/// head kd-tree, one sparse Q-row layout), so rows drop both fields and
+/// the `--compare`/append/thread-scaling keys shrink to `(n, threads,
+/// candidates, lambda, rounds)`; `legacy-auto` is no longer a
+/// candidates spelling.
+const SCALE_SCHEMA: &str = "qlec-bench-scale/v9";
 
 /// `--compare` fails on a `packets_per_sec` drop of more than this
 /// fraction below the baseline at any matching point.
@@ -115,7 +117,7 @@ const RSS_GATE_MIN_N: usize = 100_000;
 /// regression — small-N rows get a warning, never a gate failure.
 const SCALING_GATE_MIN_N: u64 = 10_000;
 
-/// One (size, threads, head-index mode) point of the sweep.
+/// One (size, threads) point of the sweep.
 #[derive(Debug)]
 struct ScaleRun {
     /// Node count N.
@@ -129,13 +131,9 @@ struct ScaleRun {
     /// The worker count the engine actually used (`SimReport::threads`)
     /// — never 0, so an `auto` sweep records the machine it ran on.
     threads_resolved: usize,
-    /// `Send-Data` candidate pruning policy spelling (`auto`,
-    /// `legacy-auto`, `full`, or a fixed budget as an integer string).
+    /// `Send-Data` candidate pruning policy spelling (`auto`, `full`,
+    /// or a fixed budget as an integer string).
     candidates: String,
-    /// Spatial-index maintenance mode (`incremental` or `rebuild`).
-    head_index: String,
-    /// Decision-Q diagnostic row layout (`sparse` or `dense`).
-    q_rows: String,
     /// Traffic congestion level λ this run was generated under. v7:
     /// per-row, so one artifact can carry rows at several congestion
     /// levels; part of the `--compare` and thread-scaling keys.
@@ -233,8 +231,6 @@ impl Serialize for ScaleRun {
                 self.threads_resolved.to_value(),
             ),
             ("candidates".to_string(), self.candidates.to_value()),
-            ("head_index".to_string(), self.head_index.to_value()),
-            ("q_rows".to_string(), self.q_rows.to_value()),
             ("lambda".to_string(), self.lambda.to_value()),
             ("wall_s".to_string(), self.wall_s.to_value()),
             ("packets".to_string(), self.packets.to_value()),
@@ -302,7 +298,7 @@ struct ScaleReportValue {
 /// Compute the `thread_scaling` summary rows from rendered run rows.
 ///
 /// Every run with `threads != 1` is paired with the `threads = 1` run
-/// at the same `(n, candidates, head_index, rounds)` coordinates (a
+/// at the same `(n, candidates, lambda, rounds)` coordinates (a
 /// `threads = 0` auto run counts as a scaled point — its baseline is
 /// still the explicit single-thread row). Unpaired points contribute
 /// nothing: speedup against a missing baseline is unmeasurable, not
@@ -317,8 +313,6 @@ fn thread_scaling_rows(runs: &[serde_json::Value]) -> Vec<serde_json::Value> {
         (
             r["n"].as_u64(),
             r["candidates"].as_str().map(str::to_string),
-            r["head_index"].as_str().map(str::to_string),
-            r["q_rows"].as_str().map(str::to_string),
             // v7: λ is a per-row coordinate — a λ = 20 demo row must
             // never borrow a λ = 5 single-thread baseline. Bits, so the
             // key stays Eq.
@@ -372,7 +366,6 @@ fn thread_scaling_rows(runs: &[serde_json::Value]) -> Vec<serde_json::Value> {
                 run["threads_resolved"].clone(),
             ),
             ("candidates".to_string(), run["candidates"].clone()),
-            ("head_index".to_string(), run["head_index"].clone()),
             ("lambda".to_string(), run["lambda"].clone()),
             ("packets_per_sec".to_string(), pps.to_value()),
             ("baseline_packets_per_sec".to_string(), base_pps.to_value()),
@@ -446,19 +439,15 @@ fn gate_thread_scaling(
 fn policy_label(policy: CandidatePolicy) -> String {
     match policy {
         CandidatePolicy::Auto => "auto".into(),
-        CandidatePolicy::LegacyAuto => "legacy-auto".into(),
         CandidatePolicy::Full => "full".into(),
         CandidatePolicy::Fixed(c) => c.to_string(),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_size(
     n: usize,
     rounds: u32,
     candidates: CandidatePolicy,
-    head_index: HeadIndexMode,
-    q_rows: QRowsMode,
     threads: usize,
     lambda: f64,
     seed: u64,
@@ -478,8 +467,6 @@ fn run_size(
     obs.attach(sink.clone());
     let params = QlecParams {
         candidates,
-        head_index,
-        q_rows,
         ..spec.qlec_params()
     };
     let mut protocol = ProtocolKind::Qlec.build_observed(&params, &obs);
@@ -524,8 +511,6 @@ fn run_size(
         threads,
         threads_resolved: report.threads,
         candidates: policy_label(candidates),
-        head_index: head_index.label().to_string(),
-        q_rows: q_rows.label().to_string(),
         lambda,
         wall_s,
         packets: report.totals.generated,
@@ -550,12 +535,10 @@ fn run_size(
 /// sink costs the *hot* simulation thread. Block backpressure keeps the
 /// async stream complete, so the two rows describe identical event
 /// loads.
-#[allow(clippy::too_many_arguments)]
 fn run_events_pipeline(
     n: usize,
     rounds: u32,
     candidates: CandidatePolicy,
-    head_index: HeadIndexMode,
     threads: usize,
     lambda: f64,
     seed: u64,
@@ -596,7 +579,6 @@ fn run_events_pipeline(
             };
             let params = QlecParams {
                 candidates,
-                head_index,
                 ..spec.qlec_params()
             };
             let mut protocol = ProtocolKind::Qlec.build_observed(&params, &obs);
@@ -632,7 +614,7 @@ fn run_events_pipeline(
         .collect()
 }
 
-/// Check a `BENCH_scale.json` text against the v5 schema. Returns a
+/// Check a `BENCH_scale.json` text against the current schema. Returns a
 /// description of the first problem found.
 fn validate_scale_json(text: &str) -> Result<(), String> {
     let v: serde_json::Value = serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
@@ -720,21 +702,9 @@ fn validate_scale_json(text: &str) -> Result<(), String> {
             Some(c) if CandidatePolicy::parse(c).is_ok() => {}
             _ => {
                 return Err(format!(
-                    "runs[{i}].candidates must be auto, legacy-auto, full or a positive integer"
+                    "runs[{i}].candidates must be auto, full or a positive integer"
                 ))
             }
-        }
-        match run["head_index"].as_str() {
-            Some(m) if HeadIndexMode::parse(m).is_ok() => {}
-            _ => {
-                return Err(format!(
-                    "runs[{i}].head_index must be incremental or rebuild"
-                ))
-            }
-        }
-        match run["q_rows"].as_str() {
-            Some(m) if QRowsMode::parse(m).is_ok() => {}
-            _ => return Err(format!("runs[{i}].q_rows must be sparse or dense")),
         }
         // peak_rss_bytes is optional, but when present it must be a
         // number — v3 forbids the old explicit null.
@@ -817,12 +787,11 @@ fn validate_scale_json(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The fields every appended-onto row must carry so the 7-tuple
-/// compare/baseline key `(n, threads, candidates, head_index, q_rows,
-/// lambda, rounds)` stays meaningful and every row reports its serial
-/// fraction. A pre-v8 row is missing some of these: its `lambda` would
-/// never match downstream comparisons, and its `merge_share` would
-/// silently zero-fill.
+/// The fields every appended-onto row must carry so the compare/baseline
+/// key `(n, threads, candidates, lambda, rounds)` stays meaningful and
+/// every row reports its serial fraction. A pre-v8 row is missing some of
+/// these: its `lambda` would never match downstream comparisons, and its
+/// `merge_share` would silently zero-fill.
 const APPEND_KEY_FIELDS: [&str; 6] = [
     "n",
     "threads",
@@ -832,17 +801,25 @@ const APPEND_KEY_FIELDS: [&str; 6] = [
     "packets_per_sec",
 ];
 
-/// The 7-tuple append/compare coordinate: `(n, threads, candidates,
-/// head_index, q_rows, lambda-bits, rounds)`.
-type AppendKey = (u64, u64, String, String, String, u64, u64);
+/// Per-run fields of retired knobs. A row carrying one predates v9: it
+/// was measured under a mode the key no longer distinguishes, so two such
+/// rows could collide on one coordinate.
+const RETIRED_FIELDS: [&str; 2] = ["head_index", "q_rows"];
+
+/// The append/compare coordinate: `(n, threads, candidates,
+/// lambda-bits, rounds)`.
+type AppendKey = (u64, u64, String, u64, u64);
 
 /// The dedup/compare key of one run row, or `Err` naming the first
-/// v8 field the row is missing.
+/// v9 field the row is missing or the first retired field it carries.
 fn append_key(row: &serde_json::Value) -> Result<AppendKey, String> {
     for key in APPEND_KEY_FIELDS {
         if row[key].as_f64().is_none() {
             return Err(format!("missing numeric field {key:?}"));
         }
+    }
+    if let Some(key) = RETIRED_FIELDS.iter().find(|&&k| row.get(k).is_some()) {
+        return Err(format!("carries the retired field {key:?}"));
     }
     let text = |key: &str| -> Result<String, String> {
         row[key]
@@ -863,8 +840,6 @@ fn append_key(row: &serde_json::Value) -> Result<AppendKey, String> {
         uint("n")?,
         uint("threads")?,
         text("candidates")?,
-        text("head_index")?,
-        text("q_rows")?,
         // Gated non-null by the APPEND_KEY_FIELDS loop above.
         row["lambda"].as_f64().map(f64::to_bits).unwrap_or(0),
         uint("rounds")?,
@@ -876,10 +851,11 @@ fn append_key(row: &serde_json::Value) -> Result<AppendKey, String> {
 /// corrupting the merged artifact silently:
 ///
 /// - a prior row that predates [`SCALE_SCHEMA`] (missing `lambda` or
-///   `merge_share`) would slip past the 7-tuple compare key forever —
-///   matched by nothing, gated by nothing — so it is a structured error
-///   naming the schema, not a carry-through;
-/// - a fresh row whose 7-tuple coordinate already exists in the prior
+///   `merge_share`, or carrying a retired `head_index`/`q_rows` field)
+///   would slip past the compare key — matched by the wrong baseline or
+///   by nothing — so it is a structured error naming the schema, not a
+///   carry-through;
+/// - a fresh row whose coordinate already exists in the prior
 ///   set would make every later baseline lookup pick one of the two at
 ///   random (`find` order), so duplicates are an error naming the
 ///   coordinate — re-run without `--append` to replace a point.
@@ -907,15 +883,13 @@ fn append_runs(
         if !seen.insert(key.clone()) {
             return Err(format!(
                 "--append would duplicate the point n={} threads={} candidates={} \
-                 head-index={} q-rows={} lambda={} rounds={}: the artifact already \
-                 records it; drop --append to replace the artifact",
+                 lambda={} rounds={}: the artifact already records it; drop --append to \
+                 replace the artifact",
                 key.0,
                 key.1,
                 key.2,
-                key.3,
+                f64::from_bits(key.3),
                 key.4,
-                f64::from_bits(key.5),
-                key.6,
             ));
         }
         merged.push(row);
@@ -925,8 +899,7 @@ fn append_runs(
 
 /// Compare a fresh sweep against a committed baseline artifact.
 ///
-/// Points are matched on `(n, threads, candidates, head_index, q_rows,
-/// lambda, rounds)`; `Ok` carries one message per matched point whose
+/// Points are matched on `(n, threads, candidates, lambda, rounds)`; `Ok` carries one message per matched point whose
 /// `packets_per_sec` fell more than [`REGRESSION_TOLERANCE`] below the
 /// baseline, or — at `n ≥` [`RSS_GATE_MIN_N`], when both sides carry
 /// the counter —
@@ -951,8 +924,6 @@ fn compare_against_baseline(
             b["n"].as_u64() == Some(run.n as u64)
                 && b["threads"].as_u64() == Some(run.threads as u64)
                 && b["candidates"].as_str() == Some(run.candidates.as_str())
-                && b["head_index"].as_str() == Some(run.head_index.as_str())
-                && b["q_rows"].as_str() == Some(run.q_rows.as_str())
                 && b["lambda"].as_f64().map(f64::to_bits) == Some(run.lambda.to_bits())
                 && b["rounds"].as_u64() == Some(run.rounds as u64)
         }) else {
@@ -963,13 +934,11 @@ fn compare_against_baseline(
         let floor = base_pps * (1.0 - REGRESSION_TOLERANCE);
         if run.packets_per_sec < floor {
             regressions.push(format!(
-                "N={} threads={} candidates={} head-index={} q-rows={}: {:.0} packets/s vs \
-                 baseline {:.0} (below the {:.0}% floor {:.0})",
+                "N={} threads={} candidates={}: {:.0} packets/s vs baseline {:.0} (below \
+                 the {:.0}% floor {:.0})",
                 run.n,
                 run.threads,
                 run.candidates,
-                run.head_index,
-                run.q_rows,
                 run.packets_per_sec,
                 base_pps,
                 (1.0 - REGRESSION_TOLERANCE) * 100.0,
@@ -982,13 +951,11 @@ fn compare_against_baseline(
                 let ceiling = base_rss as f64 * (1.0 + RSS_TOLERANCE);
                 if rss as f64 > ceiling {
                     regressions.push(format!(
-                        "N={} threads={} candidates={} head-index={} q-rows={}: peak RSS \
-                         {:.1} MB vs baseline {:.1} MB (above the +{:.0}% ceiling {:.1} MB)",
+                        "N={} threads={} candidates={}: peak RSS {:.1} MB vs baseline \
+                         {:.1} MB (above the +{:.0}% ceiling {:.1} MB)",
                         run.n,
                         run.threads,
                         run.candidates,
-                        run.head_index,
-                        run.q_rows,
                         rss as f64 / 1e6,
                         base_rss as f64 / 1e6,
                         RSS_TOLERANCE * 100.0,
@@ -1000,9 +967,7 @@ fn compare_against_baseline(
     }
     if matched == 0 {
         return Err(
-            "no (n, threads, candidates, head_index, q_rows, lambda, rounds) point in common \
-             with the baseline"
-                .into(),
+            "no (n, threads, candidates, lambda, rounds) point in common with the baseline".into(),
         );
     }
     Ok(regressions)
@@ -1060,35 +1025,6 @@ fn main() {
     let candidates = flag_value(&args, "--candidates").map_or(CandidatePolicy::Fixed(8), |s| {
         CandidatePolicy::parse(&s).unwrap_or_else(|e| die(&format!("--candidates: {e}")))
     });
-    let head_modes: Vec<HeadIndexMode> = flag_value(&args, "--head-index")
-        .unwrap_or_else(|| "incremental".into())
-        .split(',')
-        .map(|s| {
-            HeadIndexMode::parse(s.trim()).unwrap_or_else(|e| die(&format!("--head-index: {e}")))
-        })
-        .collect();
-    let q_rows_modes: Vec<QRowsMode> = flag_value(&args, "--q-rows")
-        .unwrap_or_else(|| "sparse".into())
-        .split(',')
-        .map(|s| QRowsMode::parse(s.trim()).unwrap_or_else(|e| die(&format!("--q-rows: {e}"))))
-        .collect();
-    // Refuse an infeasible sweep up front — the dense oracle needs
-    // n·(n+1) Q-entries, which the protocol rejects past its hard cap.
-    if q_rows_modes.contains(&QRowsMode::Dense) {
-        for &n in &sizes {
-            let feasible = n
-                .checked_add(1)
-                .and_then(|cols| n.checked_mul(cols))
-                .is_some_and(|entries| entries <= qlec_core::qrouting::MAX_DENSE_Q_ENTRIES);
-            if !feasible {
-                die(&format!(
-                    "--q-rows dense needs {n}·({n}+1) Q-entries at N = {n}, above the {}-entry \
-                     cap; drop dense or the size",
-                    qlec_core::qrouting::MAX_DENSE_Q_ENTRIES
-                ));
-            }
-        }
-    }
     let lambda: f64 = flag_value(&args, "--lambda").map_or(5.0, |s| match s.parse() {
         Ok(l) if l > 0.0 => l,
         _ => die(&format!("--lambda takes a positive number, got `{s}`")),
@@ -1125,46 +1061,37 @@ fn main() {
     let mut rows = Vec::new();
     for &n in &sizes {
         for &threads in &threads_list {
-            for &mode in &head_modes {
-                for &q_mode in &q_rows_modes {
-                    let mut run =
-                        run_size(n, rounds, candidates, mode, q_mode, threads, lambda, seed);
+            let mut run = run_size(n, rounds, candidates, threads, lambda, seed);
+            eprintln!(
+                "N = {n:>6} × {threads} thread(s): {:.2}s wall, {:.0} packets/s",
+                run.wall_s, run.packets_per_sec
+            );
+            if let Some(kinds) = &events_sinks {
+                run.events_pipeline =
+                    run_events_pipeline(n, rounds, candidates, threads, lambda, seed, kinds);
+                for row in &run.events_pipeline {
                     eprintln!(
-                        "N = {n:>6} × {threads} thread(s), {}, q-rows {}: {:.2}s wall, \
-                         {:.0} packets/s",
-                        run.head_index, run.q_rows, run.wall_s, run.packets_per_sec
+                        "    events via {:<5}: {:>9} events, {:.1} ms on the hot thread \
+                         ({:.0} ns/event)",
+                        row.sink,
+                        row.events,
+                        row.hot_ns as f64 / 1e6,
+                        row.hot_ns as f64 / row.events.max(1) as f64,
                     );
-                    if let Some(kinds) = &events_sinks {
-                        run.events_pipeline = run_events_pipeline(
-                            n, rounds, candidates, mode, threads, lambda, seed, kinds,
-                        );
-                        for row in &run.events_pipeline {
-                            eprintln!(
-                                "    events via {:<5}: {:>9} events, {:.1} ms on the hot thread \
-                                 ({:.0} ns/event)",
-                                row.sink,
-                                row.events,
-                                row.hot_ns as f64 / 1e6,
-                                row.hot_ns as f64 / row.events.max(1) as f64,
-                            );
-                        }
-                    }
-                    rows.push(vec![
-                        run.n.to_string(),
-                        run.k.to_string(),
-                        run.threads.to_string(),
-                        run.head_index.clone(),
-                        run.q_rows.clone(),
-                        format!("{:.2}s", run.wall_s),
-                        run.packets.to_string(),
-                        format!("{:.0}", run.packets_per_sec),
-                        format!("{:.4}", run.pdr),
-                        run.peak_rss_bytes
-                            .map_or("n/a".into(), |b| format!("{:.1}", b as f64 / 1e6)),
-                    ]);
-                    report.runs.push(run);
                 }
             }
+            rows.push(vec![
+                run.n.to_string(),
+                run.k.to_string(),
+                run.threads.to_string(),
+                format!("{:.2}s", run.wall_s),
+                run.packets.to_string(),
+                format!("{:.0}", run.packets_per_sec),
+                format!("{:.4}", run.pdr),
+                run.peak_rss_bytes
+                    .map_or("n/a".into(), |b| format!("{:.1}", b as f64 / 1e6)),
+            ]);
+            report.runs.push(run);
         }
     }
     print_table(
@@ -1176,8 +1103,6 @@ fn main() {
             "N",
             "k",
             "thr",
-            "index",
-            "q-rows",
             "wall",
             "packets",
             "pkt/s",
@@ -1287,26 +1212,32 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn tiny_run(threads: usize, mode: HeadIndexMode) -> ScaleRun {
-        tiny_run_q(threads, mode, QRowsMode::Sparse)
+    fn tiny_run(threads: usize) -> ScaleRun {
+        run_size(30, 2, CandidatePolicy::Fixed(4), threads, 8.0, 7)
     }
 
-    fn tiny_run_q(threads: usize, mode: HeadIndexMode, q_rows: QRowsMode) -> ScaleRun {
-        run_size(
-            30,
-            2,
-            CandidatePolicy::Fixed(4),
-            mode,
-            q_rows,
-            threads,
-            8.0,
-            7,
-        )
+    type Fields = Vec<(String, serde_json::Value)>;
+
+    /// A one-run artifact built from `base`'s row after `mutate` edits it.
+    fn render(base: &ScaleRun, mutate: &dyn Fn(&mut Fields)) -> String {
+        let mut fields = match base.to_value() {
+            serde_json::Value::Object(fields) => fields,
+            _ => unreachable!("runs serialize to objects"),
+        };
+        mutate(&mut fields);
+        serde_json::to_string(&ScaleReportValue {
+            schema: SCALE_SCHEMA.to_string(),
+            lambda: 8.0,
+            seed: 7,
+            thread_scaling: Vec::new(),
+            runs: vec![serde_json::Value::Object(fields)],
+        })
+        .unwrap()
     }
 
     #[test]
     fn a_tiny_run_produces_a_valid_artifact() {
-        let run = tiny_run(1, HeadIndexMode::Incremental);
+        let run = tiny_run(1);
         let report = ScaleReport {
             schema: SCALE_SCHEMA.to_string(),
             lambda: 8.0,
@@ -1322,8 +1253,10 @@ mod tests {
         assert_eq!(r.threads, 1);
         assert_eq!(r.threads_resolved, 1);
         assert_eq!(r.candidates, "4");
-        assert_eq!(r.head_index, "incremental");
-        assert_eq!(r.q_rows, "sparse");
+        let row = r.to_value();
+        for retired in RETIRED_FIELDS {
+            assert!(row.get(retired).is_none(), "{retired} is retired in v9");
+        }
         assert_eq!(r.phase_wall.len(), Phase::ALL.len());
         assert!(
             r.phase_threads
@@ -1339,16 +1272,7 @@ mod tests {
     #[test]
     fn events_pipeline_rows_measure_both_sinks() {
         let kinds = ["sync".to_string(), "async".to_string()];
-        let rows = run_events_pipeline(
-            30,
-            2,
-            CandidatePolicy::Fixed(4),
-            HeadIndexMode::Incremental,
-            1,
-            8.0,
-            7,
-            &kinds,
-        );
+        let rows = run_events_pipeline(30, 2, CandidatePolicy::Fixed(4), 1, 8.0, 7, &kinds);
         assert_eq!(rows.len(), 2);
         let sync = &rows[0];
         let asynk = &rows[1];
@@ -1369,17 +1293,8 @@ mod tests {
     }
 
     #[test]
-    fn both_index_modes_produce_identical_reports() {
-        let inc = tiny_run(1, HeadIndexMode::Incremental);
-        let reb = tiny_run(1, HeadIndexMode::Rebuild);
-        assert_eq!(inc.packets, reb.packets);
-        assert_eq!(inc.pdr, reb.pdr);
-        assert_eq!(inc.alive_end, reb.alive_end);
-    }
-
-    #[test]
     fn peak_rss_is_omitted_when_unavailable() {
-        let mut run = tiny_run(1, HeadIndexMode::Incremental);
+        let mut run = tiny_run(1);
         run.peak_rss_bytes = None;
         let v = run.to_value();
         assert!(
@@ -1392,10 +1307,10 @@ mod tests {
 
     #[test]
     fn compare_flags_only_real_regressions() {
-        let run = tiny_run(1, HeadIndexMode::Incremental);
+        let run = tiny_run(1);
         let pps = run.packets_per_sec;
         let baseline = |base_pps: f64| {
-            let mut base_run = tiny_run(1, HeadIndexMode::Incremental);
+            let mut base_run = tiny_run(1);
             base_run.packets_per_sec = base_pps;
             serde_json::to_string(&ScaleReport {
                 schema: SCALE_SCHEMA.to_string(),
@@ -1420,19 +1335,14 @@ mod tests {
         assert!(compare_against_baseline(fresh, &baseline(pps * 1.2))
             .unwrap()
             .is_empty());
-        // No matching point (threads, head-index mode, q-rows layout,
-        // or — v7 — λ differ) → a hard error, not a silent pass.
+        // No matching point (threads or — v7 — λ differ) → a hard
+        // error, not a silent pass.
         let other_lambda = {
-            let mut r = tiny_run(1, HeadIndexMode::Incremental);
+            let mut r = tiny_run(1);
             r.lambda = 9.0;
             r
         };
-        for other_run in [
-            tiny_run(2, HeadIndexMode::Incremental),
-            tiny_run(1, HeadIndexMode::Rebuild),
-            tiny_run_q(1, HeadIndexMode::Incremental, QRowsMode::Dense),
-            other_lambda,
-        ] {
+        for other_run in [tiny_run(2), other_lambda] {
             let other = serde_json::to_string(&ScaleReport {
                 schema: SCALE_SCHEMA.to_string(),
                 lambda: 8.0,
@@ -1462,32 +1372,11 @@ mod tests {
         assert!(err.contains("missing numeric field"), "{err}");
     }
 
-    type Fields = Vec<(String, serde_json::Value)>;
-
     #[test]
     fn validator_enforces_v3_fields() {
-        // A v3 row without head_index, and one with an explicit null
-        // peak_rss_bytes, must both be rejected.
-        let base = tiny_run(1, HeadIndexMode::Incremental);
-        let render = |mutate: &dyn Fn(&mut Fields)| {
-            let mut fields = match base.to_value() {
-                serde_json::Value::Object(fields) => fields,
-                _ => unreachable!("runs serialize to objects"),
-            };
-            mutate(&mut fields);
-            let report = ScaleReportValue {
-                schema: SCALE_SCHEMA.to_string(),
-                lambda: 8.0,
-                seed: 7,
-                thread_scaling: Vec::new(),
-                runs: vec![serde_json::Value::Object(fields)],
-            };
-            serde_json::to_string(&report).unwrap()
-        };
-        let no_mode = render(&|fields| fields.retain(|(k, _)| k != "head_index"));
-        let err = validate_scale_json(&no_mode).unwrap_err();
-        assert!(err.contains("head_index"), "{err}");
-        let null_rss = render(&|fields| {
+        // A row with an explicit null peak_rss_bytes is rejected.
+        let base = tiny_run(1);
+        let null_rss = render(&base, &|fields| {
             fields.retain(|(k, _)| k != "peak_rss_bytes");
             fields.push(("peak_rss_bytes".into(), serde_json::Value::Null));
         });
@@ -1497,22 +1386,7 @@ mod tests {
 
     #[test]
     fn validator_enforces_v4_fields() {
-        let base = tiny_run(1, HeadIndexMode::Incremental);
-        let render = |mutate: &dyn Fn(&mut Fields)| {
-            let mut fields = match base.to_value() {
-                serde_json::Value::Object(fields) => fields,
-                _ => unreachable!("runs serialize to objects"),
-            };
-            mutate(&mut fields);
-            let report = ScaleReportValue {
-                schema: SCALE_SCHEMA.to_string(),
-                lambda: 8.0,
-                seed: 7,
-                thread_scaling: Vec::new(),
-                runs: vec![serde_json::Value::Object(fields)],
-            };
-            serde_json::to_string(&report).unwrap()
-        };
+        let base = tiny_run(1);
         for missing in [
             "phase_threads",
             "merge_conflicts",
@@ -1520,12 +1394,12 @@ mod tests {
             "round_p50_ns",
             "round_p99_ns",
         ] {
-            let text = render(&|fields| fields.retain(|(k, _)| k != missing));
+            let text = render(&base, &|fields| fields.retain(|(k, _)| k != missing));
             let err = validate_scale_json(&text).unwrap_err();
             assert!(err.contains(missing), "{missing}: {err}");
         }
         // An events_pipeline row that claims async must carry counters.
-        let bad_pipeline = render(&|fields| {
+        let bad_pipeline = render(&base, &|fields| {
             fields.push((
                 "events_pipeline".into(),
                 serde_json::to_value(&vec![EventsPipelineRow {
@@ -1540,7 +1414,7 @@ mod tests {
         let err = validate_scale_json(&bad_pipeline).unwrap_err();
         assert!(err.contains("queue"), "{err}");
         // A well-formed pipeline pair passes.
-        let good_pipeline = render(&|fields| {
+        let good_pipeline = render(&base, &|fields| {
             fields.push((
                 "events_pipeline".into(),
                 serde_json::to_value(&vec![
@@ -1572,36 +1446,21 @@ mod tests {
 
     #[test]
     fn validator_enforces_v5_fields() {
-        let base = tiny_run(1, HeadIndexMode::Incremental);
-        let render = |mutate: &dyn Fn(&mut Fields)| {
-            let mut fields = match base.to_value() {
-                serde_json::Value::Object(fields) => fields,
-                _ => unreachable!("runs serialize to objects"),
-            };
-            mutate(&mut fields);
-            let report = ScaleReportValue {
-                schema: SCALE_SCHEMA.to_string(),
-                lambda: 8.0,
-                seed: 7,
-                thread_scaling: Vec::new(),
-                runs: vec![serde_json::Value::Object(fields)],
-            };
-            serde_json::to_string(&report).unwrap()
-        };
+        let base = tiny_run(1);
         for missing in ["threads_resolved", "merge_conflicts", "merge_retargets"] {
-            let text = render(&|fields| fields.retain(|(k, _)| k != missing));
+            let text = render(&base, &|fields| fields.retain(|(k, _)| k != missing));
             let err = validate_scale_json(&text).unwrap_err();
             assert!(err.contains(missing), "{missing}: {err}");
         }
         // A recorded 0 means the run never resolved `auto` — rejected.
-        let zero = render(&|fields| {
+        let zero = render(&base, &|fields| {
             fields.retain(|(k, _)| k != "threads_resolved");
             fields.push(("threads_resolved".into(), 0u64.to_value()));
         });
         let err = validate_scale_json(&zero).unwrap_err();
         assert!(err.contains("threads_resolved"), "{err}");
         // The thread_scaling key itself is mandatory, even when empty.
-        let valid = render(&|_| {});
+        let valid = render(&base, &|_| {});
         let mut v: serde_json::Value = serde_json::from_str(&valid).unwrap();
         if let serde_json::Value::Object(top) = &mut v {
             top.retain(|(k, _)| k != "thread_scaling");
@@ -1625,69 +1484,22 @@ mod tests {
     }
 
     #[test]
-    fn validator_enforces_v6_fields() {
-        let base = tiny_run(1, HeadIndexMode::Incremental);
-        let render = |mutate: &dyn Fn(&mut Fields)| {
-            let mut fields = match base.to_value() {
-                serde_json::Value::Object(fields) => fields,
-                _ => unreachable!("runs serialize to objects"),
-            };
-            mutate(&mut fields);
-            let report = ScaleReportValue {
-                schema: SCALE_SCHEMA.to_string(),
-                lambda: 8.0,
-                seed: 7,
-                thread_scaling: Vec::new(),
-                runs: vec![serde_json::Value::Object(fields)],
-            };
-            serde_json::to_string(&report).unwrap()
-        };
-        // A v6 row must name its Q-row layout …
-        let no_q_rows = render(&|fields| fields.retain(|(k, _)| k != "q_rows"));
-        let err = validate_scale_json(&no_q_rows).unwrap_err();
-        assert!(err.contains("q_rows"), "{err}");
-        // … with a recognized spelling.
-        let bad_q_rows = render(&|fields| {
-            fields.retain(|(k, _)| k != "q_rows");
-            fields.push(("q_rows".into(), "huge".to_value()));
-        });
-        let err = validate_scale_json(&bad_q_rows).unwrap_err();
-        assert!(err.contains("sparse or dense"), "{err}");
-        validate_scale_json(&render(&|_| {})).expect("untouched row validates");
-    }
-
-    #[test]
     fn validator_enforces_v8_fields() {
-        let base = tiny_run(1, HeadIndexMode::Incremental);
-        let render = |mutate: &dyn Fn(&mut Fields)| {
-            let mut fields = match base.to_value() {
-                serde_json::Value::Object(fields) => fields,
-                _ => unreachable!("runs serialize to objects"),
-            };
-            mutate(&mut fields);
-            let report = ScaleReportValue {
-                schema: SCALE_SCHEMA.to_string(),
-                lambda: 8.0,
-                seed: 7,
-                thread_scaling: Vec::new(),
-                runs: vec![serde_json::Value::Object(fields)],
-            };
-            serde_json::to_string(&report).unwrap()
-        };
+        let base = tiny_run(1);
         // Every v8 row carries its own λ and its serial fraction.
         for missing in ["lambda", "merge_share"] {
-            let text = render(&|fields| fields.retain(|(k, _)| k != missing));
+            let text = render(&base, &|fields| fields.retain(|(k, _)| k != missing));
             let err = validate_scale_json(&text).unwrap_err();
             assert!(err.contains(missing), "{missing}: {err}");
         }
         // merge_share is a fraction of the run's wall.
-        let out_of_range = render(&|fields| {
+        let out_of_range = render(&base, &|fields| {
             fields.retain(|(k, _)| k != "merge_share");
             fields.push(("merge_share".into(), 1.5f64.to_value()));
         });
         let err = validate_scale_json(&out_of_range).unwrap_err();
         assert!(err.contains("merge_share"), "{err}");
-        validate_scale_json(&render(&|_| {})).expect("untouched row validates");
+        validate_scale_json(&render(&base, &|_| {})).expect("untouched row validates");
         // The walk is part of every run, so its share is measured.
         assert!(
             base.merge_share > 0.0 && base.merge_share < 1.0,
@@ -1702,26 +1514,11 @@ mod tests {
     /// counter all pass.
     #[test]
     fn compare_gates_peak_rss_growth_at_scale() {
-        let mut run = tiny_run(1, HeadIndexMode::Incremental);
+        let mut run = tiny_run(1);
         run.n = RSS_GATE_MIN_N;
         run.peak_rss_bytes = Some(1_000_000_000);
-        let baseline = |mutate: &dyn Fn(&mut Fields)| {
-            let mut fields = match run.to_value() {
-                serde_json::Value::Object(fields) => fields,
-                _ => unreachable!("runs serialize to objects"),
-            };
-            mutate(&mut fields);
-            serde_json::to_string(&ScaleReportValue {
-                schema: SCALE_SCHEMA.to_string(),
-                lambda: 8.0,
-                seed: 7,
-                thread_scaling: Vec::new(),
-                runs: vec![serde_json::Value::Object(fields)],
-            })
-            .unwrap()
-        };
         let with_rss = |rss: Option<u64>| {
-            baseline(&move |fields| {
+            render(&run, &move |fields| {
                 fields.retain(|(k, _)| k != "peak_rss_bytes");
                 if let Some(b) = rss {
                     fields.push(("peak_rss_bytes".into(), b.to_value()));
@@ -1745,30 +1542,18 @@ mod tests {
         let msgs = compare_against_baseline(fresh, &with_rss(Some(700_000_000))).unwrap();
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("peak RSS"), "{}", msgs[0]);
-        assert!(msgs[0].contains("q-rows=sparse"), "{}", msgs[0]);
+        assert!(msgs[0].contains("candidates=4"), "{}", msgs[0]);
         // A baseline without the counter cannot gate — skip, not fail.
         assert!(compare_against_baseline(fresh, &with_rss(None))
             .unwrap()
             .is_empty());
         // Below the gate's n floor the same growth is allocator noise.
-        let mut small = tiny_run(1, HeadIndexMode::Incremental);
+        let mut small = tiny_run(1);
         small.peak_rss_bytes = Some(1_000_000_000);
-        let small_base = {
-            let mut fields = match small.to_value() {
-                serde_json::Value::Object(fields) => fields,
-                _ => unreachable!(),
-            };
+        let small_base = render(&small, &|fields| {
             fields.retain(|(k, _)| k != "peak_rss_bytes");
             fields.push(("peak_rss_bytes".into(), 700_000_000u64.to_value()));
-            serde_json::to_string(&ScaleReportValue {
-                schema: SCALE_SCHEMA.to_string(),
-                lambda: 8.0,
-                seed: 7,
-                thread_scaling: Vec::new(),
-                runs: vec![serde_json::Value::Object(fields)],
-            })
-            .unwrap()
-        };
+        });
         assert!(
             compare_against_baseline(std::slice::from_ref(&small), &small_base)
                 .unwrap()
@@ -1778,8 +1563,8 @@ mod tests {
 
     #[test]
     fn thread_scaling_rows_pair_points_with_their_baselines() {
-        let base = tiny_run(1, HeadIndexMode::Incremental);
-        let mut fast = tiny_run(2, HeadIndexMode::Incremental);
+        let base = tiny_run(1);
+        let mut fast = tiny_run(2);
         // Pin the headline numbers so the speedup is exact.
         fast.packets_per_sec = base.packets_per_sec * 2.0;
         let rows = thread_scaling_rows(&[base.to_value(), fast.to_value()]);
@@ -1795,22 +1580,10 @@ mod tests {
         for p in phases {
             assert!(p["speedup"].as_f64().unwrap() > 0.0);
         }
-        // A scaled point with no threads = 1 partner contributes
-        // nothing (a rebuild-mode run has different coordinates).
-        let orphan = tiny_run(2, HeadIndexMode::Rebuild);
-        assert!(thread_scaling_rows(&[base.to_value(), orphan.to_value()]).is_empty());
-        // v7: λ is part of the pairing key — a baseline at a different
-        // congestion level is no baseline at all.
-        let other_lambda = run_size(
-            30,
-            2,
-            CandidatePolicy::Fixed(4),
-            HeadIndexMode::Incremental,
-            QRowsMode::Sparse,
-            2,
-            9.0,
-            7,
-        );
+        // v7: λ is part of the pairing key — a scaled point whose only
+        // threads = 1 partner ran at a different congestion level has no
+        // baseline at all and contributes nothing.
+        let other_lambda = run_size(30, 2, CandidatePolicy::Fixed(4), 2, 9.0, 7);
         assert!(thread_scaling_rows(&[base.to_value(), other_lambda.to_value()]).is_empty());
         // The gate refuses to pass vacuously on an empty summary, and —
         // v7 — on a summary with no row at the N >= 10k gate floor.
@@ -1849,22 +1622,34 @@ mod tests {
     }
 
     /// The `--append` merge on a mixed-schema artifact: rows that
-    /// predate v8 (no `lambda`, no `merge_share`) must be a structured
-    /// error naming the schema, not a silent carry-through that no
-    /// later 7-tuple lookup would ever match.
+    /// predate v9 (no `lambda` or `merge_share`, or a retired
+    /// `head_index`/`q_rows` field) must be a structured error naming
+    /// the schema, not a silent carry-through that a later lookup would
+    /// mismatch.
     #[test]
-    fn append_rejects_pre_v8_rows_with_the_schema_named() {
-        let fresh = vec![tiny_run(1, HeadIndexMode::Incremental).to_value()];
+    fn append_rejects_pre_v9_rows_with_the_schema_named() {
+        let fresh = vec![tiny_run(1).to_value()];
+        let row = || match tiny_run(2).to_value() {
+            serde_json::Value::Object(fields) => fields,
+            _ => unreachable!("runs serialize to objects"),
+        };
         let strip = |key: &str| {
-            let mut fields = match tiny_run(1, HeadIndexMode::Rebuild).to_value() {
-                serde_json::Value::Object(fields) => fields,
-                _ => unreachable!("runs serialize to objects"),
-            };
+            let mut fields = row();
             fields.retain(|(k, _)| k != key);
             serde_json::Value::Object(fields)
         };
-        for key in ["lambda", "merge_share"] {
-            let err = append_runs(&[strip(key)], fresh.clone()).unwrap_err();
+        let with = |key: &str, value: &str| {
+            let mut fields = row();
+            fields.push((key.to_string(), value.to_value()));
+            serde_json::Value::Object(fields)
+        };
+        for (key, stale) in [
+            ("lambda", strip("lambda")),
+            ("merge_share", strip("merge_share")),
+            ("head_index", with("head_index", "incremental")),
+            ("q_rows", with("q_rows", "sparse")),
+        ] {
+            let err = append_runs(&[stale], fresh.clone()).unwrap_err();
             assert!(err.contains(SCALE_SCHEMA), "{key}: {err}");
             assert!(err.contains(key), "{key}: {err}");
             assert!(err.contains("runs[0]"), "{key}: {err}");
@@ -1883,7 +1668,7 @@ mod tests {
     #[test]
     fn append_rejects_non_integer_coordinates() {
         let with_n = |n: serde_json::Value| {
-            let mut fields = match tiny_run(1, HeadIndexMode::Rebuild).to_value() {
+            let mut fields = match tiny_run(2).to_value() {
                 serde_json::Value::Object(fields) => fields,
                 _ => unreachable!("runs serialize to objects"),
             };
@@ -1912,15 +1697,15 @@ mod tests {
 
     #[test]
     fn append_merges_distinct_points_and_rejects_duplicates() {
-        let prior = tiny_run(1, HeadIndexMode::Incremental).to_value();
-        let other = tiny_run(2, HeadIndexMode::Incremental).to_value();
+        let prior = tiny_run(1).to_value();
+        let other = tiny_run(2).to_value();
         // Distinct coordinates merge, prior rows first.
         let merged = append_runs(std::slice::from_ref(&prior), vec![other.clone()])
             .expect("distinct points append");
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0]["threads"].as_u64(), Some(1));
         assert_eq!(merged[1]["threads"].as_u64(), Some(2));
-        // Appending the same 7-tuple coordinate again is an error that
+        // Appending the same coordinate again is an error that
         // names the point instead of silently double-counting it.
         let err = append_runs(&merged, vec![prior.clone()]).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");

@@ -7,7 +7,7 @@ use qlec_clustering::deec::DeecProtocol;
 use qlec_clustering::heed::HeedProtocol;
 use qlec_clustering::leach::LeachProtocol;
 use qlec_clustering::{FcmProtocol, KMeansProtocol};
-use qlec_core::params::{CandidatePolicy, HeadIndexMode, QRowsMode, QlecParams};
+use qlec_core::params::QlecParams;
 use qlec_core::{kopt, QlecProtocol};
 use qlec_dataset::{generate_china, records, GeneratorConfig};
 use qlec_geom::sample::MEAN_DIST_TO_CENTER_UNIT_CUBE;
@@ -35,9 +35,7 @@ USAGE:
                     [--protocol qlec|fcm|kmeans|leach|deec|heed] [--n 100]
                     [--m 200] [--energy 5] [--k 5] [--lambda 5] [--rounds 20]
                     [--seed 42] [--death-line 0] [--threads 1]
-                    [--candidates auto|legacy-auto|full|C]
-                    [--head-index incremental|rebuild] [--q-rows sparse|dense]
-                    [--json]
+                    [--candidates auto|full|C] [--json]
                     [--trace FILE] [--svg FILE] [--chart FILE]
                     [--events FILE|-] [--events-mode full|sample:R|aggregate]
                     [--sink sync|async|async:drop] [--profile FILE]
@@ -80,17 +78,8 @@ NOTES:
   produces byte-identical events and reports.
   --candidates sets QLEC's Send-Data pruning: auto derives the
   Theorem-1 budget k if k <= 8 else min(k, ceil(8 + sqrt(16 ln k)))
-  (default), legacy-auto is the old flat min(k, 8), full is the
-  paper-exact full scan, an integer C pins the budget.
-  --head-index picks how QLEC maintains its spatial indexes:
-  incremental (default) applies per-round deltas with a churn-triggered
-  rebuild fallback, rebuild reconstructs them every round. Both modes
-  produce byte-identical events and reports.
-  --q-rows picks the decision-Q row-store layout: sparse (default)
-  holds only each node's candidate-budget targets and scales to any N,
-  dense allocates N x (N+1) values and is refused above its entry cap.
-  The store is diagnostic-only: both layouts produce byte-identical
-  events and reports.
+  (default), full is the paper-exact full scan, an integer C pins the
+  budget.
 ";
 
 /// Dispatch a parsed command line.
@@ -110,16 +99,25 @@ pub fn dispatch(args: &ParsedArgs) -> Result<String, String> {
 /// the exact CLI construction path in-process so its byte-diffs cover
 /// what `qlec-sim run` actually executes.
 pub fn build_spec_protocol(spec: &SimSpec, obs: &ObserverSet) -> Result<Box<dyn Protocol>, String> {
-    build_protocol(
-        &spec.protocol,
-        spec.n,
-        spec.k,
-        spec.rounds,
-        spec.candidates,
-        spec.head_index,
-        spec.q_rows,
-        obs,
-    )
+    let (k, rounds) = (spec.k, spec.rounds);
+    Ok(match spec.protocol.as_str() {
+        "qlec" => Box::new(
+            QlecProtocol::builder()
+                .params(QlecParams {
+                    total_rounds: rounds,
+                    candidates: spec.candidates,
+                    ..QlecParams::paper_with_k(k)
+                })
+                .observer(obs.clone())
+                .build(),
+        ),
+        "fcm" => Box::new(FcmProtocol::new(k)),
+        "kmeans" | "k-means" => Box::new(KMeansProtocol::new(k)),
+        "leach" => Box::new(LeachProtocol::new(k)),
+        "deec" => Box::new(DeecProtocol::new(k, rounds)),
+        "heed" => Box::new(HeedProtocol::with_target_k(200.0, k)),
+        other => return Err(format!("unknown protocol {other:?}")),
+    })
 }
 
 /// Run a spec end to end with the given observers — the spec's inline
@@ -136,54 +134,6 @@ pub fn run_spec(spec: &SimSpec, obs: ObserverSet) -> Result<(SimReport, MergeOut
         obs,
         spec.faults.clone(),
     ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_protocol(
-    name: &str,
-    n: usize,
-    k: usize,
-    rounds: u32,
-    candidates: CandidatePolicy,
-    head_index: HeadIndexMode,
-    q_rows: QRowsMode,
-    obs: &ObserverSet,
-) -> Result<Box<dyn Protocol>, String> {
-    // Refuse an infeasible dense row store up front — the protocol would
-    // otherwise panic mid-run on its first round.
-    if name == "qlec" && q_rows == QRowsMode::Dense {
-        let feasible = n
-            .checked_add(1)
-            .and_then(|cols| n.checked_mul(cols))
-            .is_some_and(|entries| entries <= qlec_core::qrouting::MAX_DENSE_Q_ENTRIES);
-        if !feasible {
-            return Err(format!(
-                "--q-rows dense needs {n}·({n}+1) Q-entries at n = {n}, above the \
-                 {}-entry cap; use --q-rows sparse",
-                qlec_core::qrouting::MAX_DENSE_Q_ENTRIES
-            ));
-        }
-    }
-    Ok(match name {
-        "qlec" => Box::new(
-            QlecProtocol::builder()
-                .params(QlecParams {
-                    total_rounds: rounds,
-                    candidates,
-                    head_index,
-                    q_rows,
-                    ..QlecParams::paper_with_k(k)
-                })
-                .observer(obs.clone())
-                .build(),
-        ),
-        "fcm" => Box::new(FcmProtocol::new(k)),
-        "kmeans" | "k-means" => Box::new(KMeansProtocol::new(k)),
-        "leach" => Box::new(LeachProtocol::new(k)),
-        "deec" => Box::new(DeecProtocol::new(k, rounds)),
-        "heed" => Box::new(HeedProtocol::with_target_k(200.0, k)),
-        other => return Err(format!("unknown protocol {other:?}")),
-    })
 }
 
 /// Resolve the run description: `--spec FILE.json` loads the whole
@@ -328,8 +278,6 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
         "death-line",
         "threads",
         "candidates",
-        "head-index",
-        "q-rows",
         "json",
         "trace",
         "svg",
@@ -429,16 +377,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
         None => None,
     };
 
-    let mut protocol = build_protocol(
-        &name,
-        setup.n,
-        setup.k,
-        setup.rounds,
-        setup.candidates,
-        setup.head_index,
-        setup.q_rows,
-        &obs,
-    )?;
+    let mut protocol = build_spec_protocol(&setup, &obs)?;
     let report = execute_observed(&setup, protocol.as_mut(), obs.clone(), faults);
     obs.flush()
         .map_err(|e| format!("observer flush failed: {e}"))?;
@@ -575,21 +514,13 @@ fn cmd_compare(args: &ParsedArgs) -> Result<String, String> {
         let mut latency_seeds = 0usize;
         let mut min_res = 0.0;
         for s in 0..seeds {
-            let mut setup_s = SimSpec {
+            let setup_s = SimSpec {
+                protocol: name.to_string(),
                 seed: setup.seed + s,
+                death_line: 0.0,
                 ..setup.clone()
             };
-            setup_s.death_line = 0.0;
-            let mut protocol = build_protocol(
-                name,
-                setup.n,
-                setup.k,
-                setup.rounds,
-                CandidatePolicy::Auto,
-                HeadIndexMode::default(),
-                QRowsMode::default(),
-                &ObserverSet::new(),
-            )?;
+            let mut protocol = build_spec_protocol(&setup_s, &ObserverSet::new())?;
             let report = execute(&setup_s, protocol.as_mut());
             pdr += report.pdr();
             energy += report.total_energy();
@@ -721,6 +652,10 @@ mod tests {
         assert!(run(&["run", "--n", "0"]).is_err());
         assert!(run(&["run", "--k", "50", "--n", "10"]).is_err());
         assert!(run(&["run", "--frobnicate", "1"]).is_err());
+        // Knobs that no longer exist are unknown flags.
+        assert!(run(&["run", "--head-index", "rebuild"]).is_err());
+        assert!(run(&["run", "--q-rows", "dense"]).is_err());
+        assert!(run(&["run", "--candidates", "legacy-auto"]).is_err());
         assert!(run(&["run", "--lambda", "-3"]).is_err());
     }
 
@@ -742,57 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn head_index_flag_is_validated_and_inert() {
-        let err = run(&["run", "--n", "20", "--rounds", "1", "--head-index", "magic"]).unwrap_err();
-        assert!(err.contains("--head-index"), "{err}");
-        let base = run(&[
-            "run", "--n", "20", "--rounds", "2", "--lambda", "8", "--json",
-        ])
-        .unwrap();
-        for mode in ["incremental", "rebuild"] {
-            let out = run(&[
-                "run",
-                "--n",
-                "20",
-                "--rounds",
-                "2",
-                "--lambda",
-                "8",
-                "--head-index",
-                mode,
-                "--json",
-            ])
-            .unwrap();
-            assert_eq!(base, out, "--head-index {mode} must not change the report");
-        }
-    }
-
-    #[test]
-    fn q_rows_flag_is_validated_and_inert() {
-        let err = run(&["run", "--n", "20", "--rounds", "1", "--q-rows", "huge"]).unwrap_err();
-        assert!(err.contains("--q-rows"), "{err}");
-        let base = run(&[
-            "run", "--n", "20", "--rounds", "2", "--lambda", "8", "--json",
-        ])
-        .unwrap();
-        for mode in ["sparse", "dense"] {
-            let out = run(&[
-                "run", "--n", "20", "--rounds", "2", "--lambda", "8", "--q-rows", mode, "--json",
-            ])
-            .unwrap();
-            assert_eq!(base, out, "--q-rows {mode} must not change the report");
-        }
-    }
-
-    #[test]
-    fn dense_q_rows_refused_at_scale_before_the_run() {
-        // 100k nodes would need ~10^10 dense entries; the refusal must
-        // arrive as a flag error, not a mid-run panic.
-        let err = run(&["run", "--n", "100000", "--rounds", "1", "--q-rows", "dense"]).unwrap_err();
-        assert!(err.contains("--q-rows sparse"), "{err}");
-    }
-
-    #[test]
     fn candidates_flag_is_validated_and_inert_when_large() {
         assert!(run(&["run", "--n", "20", "--rounds", "1", "--candidates", "0"]).is_err());
         assert!(run(&["run", "--n", "20", "--rounds", "1", "--candidates", "maybe"]).is_err());
@@ -802,7 +686,7 @@ mod tests {
         .unwrap();
         // Default (auto), an over-large fixed budget, and the explicit
         // full scan all resolve to the same scan at k = 5.
-        for spelling in ["auto", "legacy-auto", "full", "50"] {
+        for spelling in ["auto", "full", "50"] {
             let pruned = run(&[
                 "run",
                 "--n",
@@ -1286,9 +1170,8 @@ mod artifact_tests {
         // File streams carry real wall-clock PhaseTimed events, so two
         // runs are compared modulo timings here; *byte* identity of the
         // deterministic `--events -` stream is asserted where the same
-        // sink objects can be driven in-process
-        // (tests/parallel_equivalence.rs) and against the real binary in
-        // CI's sink-equivalence job.
+        // sink objects can be driven in-process (the corpus
+        // `equivalence/sink` cell).
         let dir = std::env::temp_dir();
         let sync_path = dir.join("qlec_test_sink_sync.jsonl");
         let async_path = dir.join("qlec_test_sink_async.jsonl");

@@ -12,16 +12,14 @@
 //! the same spec file reproduces the same run under any artifact set.
 //!
 //! The JSON shape uses the CLI spellings everywhere — `"candidates"`
-//! accepts `"auto"`, `"legacy-auto"`, `"full"`, or a positive integer;
-//! `"head_index"` accepts `"incremental"` or `"rebuild"`; `"q_rows"`
-//! accepts `"sparse"` or `"dense"`; `"threads"`
+//! accepts `"auto"`, `"full"`, or a positive integer; `"threads"`
 //! accepts a positive integer or `"auto"` — and every field is optional
 //! with the same defaults as the flags, so `{}` is the default run.
 //! Unknown keys are rejected (a typoed field must not silently fall back
 //! to its default).
 
 use crate::args::ParsedArgs;
-use qlec_core::params::{CandidatePolicy, HeadIndexMode, QRowsMode};
+use qlec_core::params::CandidatePolicy;
 use qlec_net::FaultPlan;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
@@ -53,11 +51,6 @@ pub struct SimSpec {
     pub death_line: f64,
     /// QLEC `Send-Data` candidate-pruning policy.
     pub candidates: CandidatePolicy,
-    /// QLEC spatial-index maintenance mode.
-    pub head_index: HeadIndexMode,
-    /// QLEC decision-Q row-store layout (`sparse` scales to any `N`;
-    /// `dense` is the small-deployment oracle, refused past its cap).
-    pub q_rows: QRowsMode,
     /// Worker threads for the round engine (`0` = auto, every core).
     pub threads: usize,
     /// Inline fault plan, or `None` for a fault-free run. A spec that
@@ -81,8 +74,6 @@ impl Default for SimSpec {
             seed: 42,
             death_line: 0.0,
             candidates: CandidatePolicy::Auto,
-            head_index: HeadIndexMode::default(),
-            q_rows: QRowsMode::default(),
             threads: 1,
             faults: None,
         }
@@ -103,8 +94,6 @@ pub const SPEC_FIELDS: &[&str] = &[
     "seed",
     "death_line",
     "candidates",
-    "head_index",
-    "q_rows",
     "threads",
     "faults",
 ];
@@ -129,16 +118,6 @@ impl SimSpec {
                 Some(text) => {
                     CandidatePolicy::parse(text).map_err(|e| format!("--candidates: {e}"))?
                 }
-            },
-            head_index: match args.get("head-index") {
-                None => d.head_index,
-                Some(text) => {
-                    HeadIndexMode::parse(text).map_err(|e| format!("--head-index: {e}"))?
-                }
-            },
-            q_rows: match args.get("q-rows") {
-                None => d.q_rows,
-                Some(text) => QRowsMode::parse(text).map_err(|e| format!("--q-rows: {e}"))?,
             },
             threads: match args.get("threads") {
                 Some("auto") => 0,
@@ -204,7 +183,6 @@ impl Serialize for SimSpec {
         let candidates = match self.candidates {
             CandidatePolicy::Fixed(c) => Value::UInt(c as u64),
             CandidatePolicy::Auto => Value::Str("auto".to_string()),
-            CandidatePolicy::LegacyAuto => Value::Str("legacy-auto".to_string()),
             CandidatePolicy::Full => Value::Str("full".to_string()),
         };
         let mut fields = vec![
@@ -218,8 +196,6 @@ impl Serialize for SimSpec {
             ("seed".to_string(), Value::UInt(self.seed)),
             ("death_line".to_string(), Value::Float(self.death_line)),
             ("candidates".to_string(), candidates),
-            ("head_index".to_string(), self.head_index.to_value()),
-            ("q_rows".to_string(), self.q_rows.to_value()),
             ("threads".to_string(), threads),
         ];
         // Fault-free specs stay byte-compatible with the pre-faults
@@ -303,8 +279,6 @@ impl Deserialize for SimSpec {
             seed: u64_field("seed", d.seed)?,
             death_line: f64_field("death_line", d.death_line)?,
             candidates,
-            head_index: HeadIndexMode::from_value(v.get("head_index").unwrap_or(&Value::Null))?,
-            q_rows: QRowsMode::from_value(v.get("q_rows").unwrap_or(&Value::Null))?,
             threads,
             faults,
         })
@@ -350,10 +324,6 @@ mod tests {
             "0.5",
             "--candidates",
             "12",
-            "--head-index",
-            "rebuild",
-            "--q-rows",
-            "dense",
             "--threads",
             "auto",
         ]);
@@ -361,8 +331,6 @@ mod tests {
         assert_eq!(spec.protocol, "leach");
         assert_eq!(spec.n, 64);
         assert_eq!(spec.candidates, CandidatePolicy::Fixed(12));
-        assert_eq!(spec.head_index, HeadIndexMode::Rebuild);
-        assert_eq!(spec.q_rows, QRowsMode::Dense);
         assert_eq!(spec.threads, 0, "auto spells 0");
         let back = SimSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(spec, back, "spec JSON round-trips losslessly");
@@ -376,6 +344,11 @@ mod tests {
             err.contains("lambda"),
             "error lists the valid fields: {err}"
         );
+        // So do the fields of knobs that no longer exist.
+        for retired in [r#"{"head_index": "rebuild"}"#, r#"{"q_rows": "dense"}"#] {
+            let err = SimSpec::from_json(retired).unwrap_err();
+            assert!(err.contains("unknown spec field"), "{err}");
+        }
     }
 
     #[test]
@@ -384,8 +357,7 @@ mod tests {
         assert!(SimSpec::from_json(r#"{"threads": "many"}"#).is_err());
         assert!(SimSpec::from_json(r#"{"candidates": "maybe"}"#).is_err());
         assert!(SimSpec::from_json(r#"{"candidates": 0}"#).is_err());
-        assert!(SimSpec::from_json(r#"{"head_index": "magic"}"#).is_err());
-        assert!(SimSpec::from_json(r#"{"q_rows": "huge"}"#).is_err());
+        assert!(SimSpec::from_json(r#"{"candidates": "legacy-auto"}"#).is_err());
         assert!(SimSpec::from_json(r#"{"n": -5}"#).is_err());
         assert!(SimSpec::from_json("[]").is_err());
         assert!(SimSpec::from_json("not json").is_err());

@@ -31,6 +31,6 @@ pub mod params;
 pub mod qlec;
 pub mod qrouting;
 
-pub use params::{QRowsMode, QlecParams};
+pub use params::QlecParams;
 pub use qlec::{QlecBuilder, QlecProtocol};
 pub use qrouting::QRowStore;

@@ -22,11 +22,6 @@ pub enum CandidatePolicy {
     /// path. The default.
     #[default]
     Auto,
-    /// The pre-Theorem-1 heuristic budget,
-    /// [`auto_candidate_heads`]`(k) = min(k, 8)`. Kept under the CLI
-    /// spelling `legacy-auto` so existing experiment configurations
-    /// reproduce byte-for-byte.
-    LegacyAuto,
     /// Always scan every head — byte-for-byte the paper's behaviour at
     /// any scale.
     Full,
@@ -35,161 +30,28 @@ pub enum CandidatePolicy {
     Fixed(usize),
 }
 
-/// The [`CandidatePolicy::LegacyAuto`] budget for a cluster count `k`.
-///
-/// `min(k, 8)`: within a cluster-head coverage radius `d_c` (Eq. 5 ties
-/// it to the deployment side and `k`), the Q comparison is dominated by
-/// the nearest few heads — the transmission-cost term `y(·,·)` of
-/// Eq. 18 grows with `d²`/`d⁴`, so far heads lose the argmax except
-/// under extreme energy skew. The flat cap ignores how densely heads
-/// pack as `k` grows, which is why [`CandidatePolicy::Auto`] now derives
-/// the budget from Theorem 1 instead; this heuristic survives for
-/// reproducibility of older runs.
-pub fn auto_candidate_heads(k: usize) -> usize {
-    k.min(8)
-}
-
 impl CandidatePolicy {
     /// Resolve to a per-packet candidate budget for a round planned with
     /// `k` clusters; `None` means scan every head.
     pub fn budget(&self, k: usize) -> Option<usize> {
         match self {
             CandidatePolicy::Auto => Some(crate::kopt::auto_candidate_budget(k)),
-            CandidatePolicy::LegacyAuto => Some(auto_candidate_heads(k)),
             CandidatePolicy::Full => None,
             CandidatePolicy::Fixed(c) => Some(*c),
         }
     }
 
-    /// Parse the CLI spelling: `auto`, `legacy-auto`, `full`, or a
-    /// positive integer.
+    /// Parse the CLI spelling: `auto`, `full`, or a positive integer.
     pub fn parse(text: &str) -> Result<CandidatePolicy, String> {
         match text {
             "auto" => Ok(CandidatePolicy::Auto),
-            "legacy-auto" => Ok(CandidatePolicy::LegacyAuto),
             "full" => Ok(CandidatePolicy::Full),
             _ => match text.parse::<usize>() {
                 Ok(c) if c > 0 => Ok(CandidatePolicy::Fixed(c)),
                 _ => Err(format!(
-                    "expected auto, legacy-auto, full or a positive integer, got `{text}`"
+                    "expected auto, full or a positive integer, got `{text}`"
                 )),
             },
-        }
-    }
-}
-
-/// How the protocol maintains its per-round spatial indexes (the node
-/// grid backing Algorithm 3 and the Send-Data candidate kd-index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HeadIndexMode {
-    /// Rebuild both structures from scratch every round — `O(N + k log k)`
-    /// of index work per round regardless of how little changed. The
-    /// baseline the scale bench compares against.
-    Rebuild,
-    /// Maintain them incrementally: the grid absorbs the round's death
-    /// diff, the head kd-index syncs against the new roster, and both
-    /// fall back to a full rebuild past their churn thresholds. Produces
-    /// byte-identical event streams and reports (queries are ordered by
-    /// `(distance, id)`, independent of tree shape). The default.
-    #[default]
-    Incremental,
-}
-
-impl HeadIndexMode {
-    /// Parse the CLI spelling: `rebuild` or `incremental`.
-    pub fn parse(text: &str) -> Result<HeadIndexMode, String> {
-        match text {
-            "rebuild" => Ok(HeadIndexMode::Rebuild),
-            "incremental" => Ok(HeadIndexMode::Incremental),
-            _ => Err(format!("expected rebuild or incremental, got `{text}`")),
-        }
-    }
-
-    /// Stable lowercase label (used in bench artifacts).
-    pub fn label(&self) -> &'static str {
-        match self {
-            HeadIndexMode::Rebuild => "rebuild",
-            HeadIndexMode::Incremental => "incremental",
-        }
-    }
-}
-
-impl Serialize for HeadIndexMode {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label().to_string())
-    }
-}
-
-impl Deserialize for HeadIndexMode {
-    /// Accepts the [`label`](HeadIndexMode::label) spellings; `Null`
-    /// (i.e. the field absent from a pre-existing serialized config)
-    /// deserializes to the default, [`HeadIndexMode::Incremental`].
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Null => Ok(HeadIndexMode::default()),
-            serde::Value::Str(s) => HeadIndexMode::parse(s).map_err(serde::Error::custom),
-            other => Err(serde::Error::expected("head index mode string", other)),
-        }
-    }
-}
-
-/// How the per-round decision-Q diagnostic store lays out its rows (see
-/// `crate::qrouting::QRowStore`).
-///
-/// The hot routing path keeps only the per-node `V` vector; the row store
-/// is a write-only record of each round's decision Q-values, so the two
-/// layouts produce byte-identical event streams by construction. `Dense`
-/// allocates one `QTable` row per node with one column per possible
-/// target (`N + 1` with the BS) — quadratic, so it is refused above a
-/// hard entry cap and survives as the small-`k` golden oracle the sparse
-/// layout is differentially tested against. `Sparse` holds only the
-/// ≤ C candidate heads each node actually routed through (Theorem 1
-/// budget), keeping the store linear in `N` at any scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QRowsMode {
-    /// One dense row per node (`N × (N + 1)` values). Small deployments
-    /// only; creation fails past the entry cap.
-    Dense,
-    /// Per-node [`qlec_mdp::SparseQRow`] sized by the Theorem-1 candidate
-    /// budget. The default.
-    #[default]
-    Sparse,
-}
-
-impl QRowsMode {
-    /// Parse the CLI spelling: `dense` or `sparse`.
-    pub fn parse(text: &str) -> Result<QRowsMode, String> {
-        match text {
-            "dense" => Ok(QRowsMode::Dense),
-            "sparse" => Ok(QRowsMode::Sparse),
-            _ => Err(format!("expected dense or sparse, got `{text}`")),
-        }
-    }
-
-    /// Stable lowercase label (used in bench artifacts).
-    pub fn label(&self) -> &'static str {
-        match self {
-            QRowsMode::Dense => "dense",
-            QRowsMode::Sparse => "sparse",
-        }
-    }
-}
-
-impl Serialize for QRowsMode {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label().to_string())
-    }
-}
-
-impl Deserialize for QRowsMode {
-    /// Accepts the [`label`](QRowsMode::label) spellings; `Null` (i.e.
-    /// the field absent from a pre-existing serialized config)
-    /// deserializes to the default, [`QRowsMode::Sparse`].
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Null => Ok(QRowsMode::default()),
-            serde::Value::Str(s) => QRowsMode::parse(s).map_err(serde::Error::custom),
-            other => Err(serde::Error::expected("q-rows mode string", other)),
         }
     }
 }
@@ -254,17 +116,6 @@ pub struct QlecParams {
     /// full scan while making 100k-node deployments practical;
     /// [`CandidatePolicy::Full`] forces the full scan at any scale.
     pub candidates: CandidatePolicy,
-    /// Spatial-index maintenance strategy (see [`HeadIndexMode`]). Both
-    /// modes produce identical results; `Rebuild` exists as the
-    /// benchmark baseline. Deserialization of pre-existing configs
-    /// (field absent) defaults to [`HeadIndexMode::Incremental`].
-    pub head_index: HeadIndexMode,
-    /// Layout of the per-round decision-Q diagnostic store (see
-    /// [`QRowsMode`]). Both layouts record the same values and leave the
-    /// event stream untouched; `Dense` is refused above its entry cap.
-    /// Deserialization of pre-existing configs (field absent) defaults to
-    /// [`QRowsMode::Sparse`].
-    pub q_rows: QRowsMode,
 }
 
 impl QlecParams {
@@ -286,8 +137,6 @@ impl QlecParams {
             charge_control_traffic: true,
             k_override: None,
             candidates: CandidatePolicy::Auto,
-            head_index: HeadIndexMode::Incremental,
-            q_rows: QRowsMode::Sparse,
         }
     }
 
@@ -378,15 +227,12 @@ mod tests {
 
     #[test]
     fn candidate_policy_resolves_and_parses() {
-        // Both auto flavours are inert (budget ≥ any possible head
-        // count) up to k = 8 — the bit-identical lock.
+        // Auto is inert (budget ≥ any possible head count) up to k = 8
+        // — the bit-identical lock; past that Theorem 1 adds the Poisson
+        // tail margin.
         for k in 1..=8 {
             assert_eq!(CandidatePolicy::Auto.budget(k), Some(k));
-            assert_eq!(CandidatePolicy::LegacyAuto.budget(k), Some(k));
         }
-        // Past that they diverge: legacy pins 8, Theorem 1 adds the
-        // Poisson tail margin.
-        assert_eq!(CandidatePolicy::LegacyAuto.budget(40), Some(8));
         assert_eq!(
             CandidatePolicy::Auto.budget(40),
             Some(crate::kopt::auto_candidate_budget(40))
@@ -401,10 +247,6 @@ mod tests {
             CandidatePolicy::Auto
         );
         assert_eq!(
-            CandidatePolicy::parse("legacy-auto").unwrap(),
-            CandidatePolicy::LegacyAuto
-        );
-        assert_eq!(
             CandidatePolicy::parse("full").unwrap(),
             CandidatePolicy::Full
         );
@@ -412,67 +254,11 @@ mod tests {
             CandidatePolicy::parse("12").unwrap(),
             CandidatePolicy::Fixed(12)
         );
-        for bad in ["", "0", "-3", "Auto", "8.5", "legacyauto"] {
+        for bad in ["", "0", "-3", "Auto", "8.5", "legacy-auto"] {
             assert!(
                 CandidatePolicy::parse(bad).is_err(),
                 "`{bad}` should not parse"
             );
-        }
-    }
-
-    #[test]
-    fn head_index_mode_parses_and_defaults() {
-        assert_eq!(
-            HeadIndexMode::parse("rebuild").unwrap(),
-            HeadIndexMode::Rebuild
-        );
-        assert_eq!(
-            HeadIndexMode::parse("incremental").unwrap(),
-            HeadIndexMode::Incremental
-        );
-        assert!(HeadIndexMode::parse("Rebuild").is_err());
-        assert!(HeadIndexMode::parse("").is_err());
-        assert_eq!(HeadIndexMode::default(), HeadIndexMode::Incremental);
-        assert_eq!(HeadIndexMode::Rebuild.label(), "rebuild");
-        assert_eq!(QlecParams::paper().head_index, HeadIndexMode::Incremental);
-        // Pre-existing serialized configs (no head_index field) still load.
-        let mut v = serde_json::to_value(&QlecParams::paper()).unwrap();
-        if let serde::Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "head_index");
-        } else {
-            panic!("params must serialize to an object");
-        }
-        let p: QlecParams = serde_json::from_value(v).unwrap();
-        assert_eq!(p.head_index, HeadIndexMode::Incremental);
-        // And the explicit spellings round-trip.
-        for mode in [HeadIndexMode::Rebuild, HeadIndexMode::Incremental] {
-            let v = serde_json::to_value(&mode).unwrap();
-            assert_eq!(serde_json::from_value::<HeadIndexMode>(v).unwrap(), mode);
-        }
-    }
-
-    #[test]
-    fn q_rows_mode_parses_and_defaults() {
-        assert_eq!(QRowsMode::parse("dense").unwrap(), QRowsMode::Dense);
-        assert_eq!(QRowsMode::parse("sparse").unwrap(), QRowsMode::Sparse);
-        assert!(QRowsMode::parse("Dense").is_err());
-        assert!(QRowsMode::parse("").is_err());
-        assert_eq!(QRowsMode::default(), QRowsMode::Sparse);
-        assert_eq!(QRowsMode::Dense.label(), "dense");
-        assert_eq!(QlecParams::paper().q_rows, QRowsMode::Sparse);
-        // Pre-existing serialized configs (no q_rows field) still load.
-        let mut v = serde_json::to_value(&QlecParams::paper()).unwrap();
-        if let serde::Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "q_rows");
-        } else {
-            panic!("params must serialize to an object");
-        }
-        let p: QlecParams = serde_json::from_value(v).unwrap();
-        assert_eq!(p.q_rows, QRowsMode::Sparse);
-        // And the explicit spellings round-trip.
-        for mode in [QRowsMode::Dense, QRowsMode::Sparse] {
-            let v = serde_json::to_value(&mode).unwrap();
-            assert_eq!(serde_json::from_value::<QRowsMode>(v).unwrap(), mode);
         }
     }
 

@@ -16,8 +16,10 @@
 //!   [`MergeOutcome::check_invariants`] (conflict cause split) — where
 //!   a golden ledger would be too big to review.
 //! - **Equivalence** cells byte-diff every documented-equivalent config
-//!   pair in one process: thread counts, head-index modes, q-rows
-//!   layouts, sync vs async sink, and the `--spec`-JSON round trip.
+//!   pair in one process: thread counts (on the planner path and on the
+//!   `choose_target` fallback of a protocol without a planner, with and
+//!   without faults), sync vs async sink (full and aggregate event
+//!   modes), and the `--spec`-JSON round trip.
 //!
 //! Every cell runs through [`qlec_cli::commands::run_spec`] — the same
 //! construction path `qlec-sim run` executes — so a diff here is a diff
@@ -29,10 +31,9 @@ pub mod soak;
 
 use qlec_cli::commands::run_spec;
 use qlec_cli::spec::SimSpec;
-use qlec_core::params::QRowsMode;
 use qlec_geom::{Aabb, Vec3};
 use qlec_net::{FaultEvent, FaultPlan, MergeOutcome, SimReport};
-use qlec_obs::{AsyncJsonLinesSink, EventsMode, JsonLinesSink, ObserverSet};
+use qlec_obs::{read_events, AsyncJsonLinesSink, Event, EventsMode, JsonLinesSink, ObserverSet};
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -159,11 +160,8 @@ pub enum CellKind {
 pub enum Axis {
     /// `--threads 1` vs 2 vs 4.
     Threads,
-    /// `--head-index incremental` vs `rebuild`.
-    HeadIndex,
-    /// `--q-rows sparse` vs `dense`.
-    QRows,
-    /// `--sink sync` vs `async` (block backpressure).
+    /// `--sink sync` vs `async` (block backpressure), in full and in
+    /// aggregate event mode, at threads 1 and 2.
     Sink,
     /// Spec → JSON → spec round trip reproduces the run.
     SpecJson,
@@ -229,6 +227,24 @@ pub fn composed_fault_plan(n: u32, m: f64) -> FaultPlan {
                 round: 2,
                 node: 7,
                 joules: 4.0,
+            },
+        ],
+    )
+}
+
+/// Two node crashes in round 1 and a BS outage in round 2.
+fn crash_and_outage_plan(n: u32) -> FaultPlan {
+    FaultPlan::named(
+        "corpus-crash-and-outage",
+        vec![
+            FaultEvent::NodeCrash { round: 1, node: 3 },
+            FaultEvent::NodeCrash {
+                round: 1,
+                node: n / 2,
+            },
+            FaultEvent::BsOutage {
+                from_round: 2,
+                to_round: 2,
             },
         ],
     )
@@ -352,15 +368,34 @@ pub fn matrix() -> Vec<Cell> {
             },
             kind: CellKind::Equivalence(Axis::Threads),
         },
+        // k = 50 puts the Theorem-1 candidate budget in play, and the
+        // crashes and BS outage force dead-head and refused-queue
+        // retargets through the merge walk.
         Cell {
-            name: "equivalence/head-index",
-            spec: medium.clone(),
-            kind: CellKind::Equivalence(Axis::HeadIndex),
+            name: "equivalence/threads-1k-faults",
+            spec: SimSpec {
+                n: 1000,
+                k: 50,
+                rounds: 3,
+                faults: Some(crash_and_outage_plan(1000)),
+                ..medium.clone()
+            },
+            kind: CellKind::Equivalence(Axis::Threads),
         },
+        // LEACH has no route planner, so every thread count runs the
+        // sequential `choose_target` fallback.
         Cell {
-            name: "equivalence/q-rows",
-            spec: medium.clone(),
-            kind: CellKind::Equivalence(Axis::QRows),
+            name: "equivalence/threads-no-planner",
+            spec: SimSpec {
+                protocol: "leach".to_string(),
+                n: 100,
+                k: 5,
+                lambda: 1.0,
+                rounds: 5,
+                seed: 17,
+                ..SimSpec::default()
+            },
+            kind: CellKind::Equivalence(Axis::Threads),
         },
         Cell {
             name: "equivalence/sink",
@@ -371,6 +406,7 @@ pub fn matrix() -> Vec<Cell> {
                 rounds: 4,
                 seed: 17,
                 threads: 2,
+                faults: Some(crash_and_outage_plan(100)),
                 ..SimSpec::default()
             },
             kind: CellKind::Equivalence(Axis::Sink),
@@ -531,47 +567,6 @@ fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
             }
             Ok(())
         }
-        CellKind::Equivalence(Axis::HeadIndex) => {
-            use qlec_core::params::HeadIndexMode;
-            for (threads, mode) in [
-                (1, HeadIndexMode::Rebuild),
-                (2, HeadIndexMode::Incremental),
-                (2, HeadIndexMode::Rebuild),
-            ] {
-                let spec = SimSpec {
-                    threads,
-                    head_index: mode,
-                    ..cell.spec.clone()
-                };
-                let run = run_cell(&spec, EventsMode::Full, false)?;
-                expect_identical(
-                    &format!("head-index {mode:?}, threads {threads}"),
-                    &base,
-                    &run,
-                )?;
-            }
-            Ok(())
-        }
-        CellKind::Equivalence(Axis::QRows) => {
-            for (threads, q_rows) in [
-                (1, QRowsMode::Dense),
-                (2, QRowsMode::Sparse),
-                (2, QRowsMode::Dense),
-            ] {
-                let spec = SimSpec {
-                    threads,
-                    q_rows,
-                    ..cell.spec.clone()
-                };
-                let run = run_cell(&spec, EventsMode::Full, false)?;
-                expect_identical(
-                    &format!("q-rows {}, threads {threads}", q_rows.label()),
-                    &base,
-                    &run,
-                )?;
-            }
-            Ok(())
-        }
         CellKind::Equivalence(Axis::Sink) => {
             let run = run_cell(&cell.spec, EventsMode::Full, true)?;
             expect_identical("sync vs async sink", &base, &run)?;
@@ -582,6 +577,21 @@ fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
             let seq_sync = run_cell(&seq, EventsMode::Full, false)?;
             let seq_async = run_cell(&seq, EventsMode::Full, true)?;
             expect_identical("sync vs async sink (threads 1)", &seq_sync, &seq_async)?;
+            // Aggregate mode: the events-mode filter may not depend on
+            // the writer pipeline or the thread count either.
+            let aggregate = |threads: usize, async_sink: bool| {
+                let spec = SimSpec {
+                    threads,
+                    ..cell.spec.clone()
+                };
+                run_cell(&spec, EventsMode::Aggregate, async_sink)
+            };
+            let agg = aggregate(1, false)?;
+            check_aggregate_stream(&agg.stream)?;
+            for (threads, async_sink) in [(1, true), (2, false), (2, true)] {
+                let label = format!("aggregate mode, threads {threads}, async {async_sink}");
+                expect_identical(&label, &agg, &aggregate(threads, async_sink)?)?;
+            }
             Ok(())
         }
         CellKind::Equivalence(Axis::SpecJson) => {
@@ -596,6 +606,24 @@ fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
         }
         CellKind::Golden | CellKind::Property => unreachable!("not an equivalence cell"),
     }
+}
+
+/// An aggregate-mode stream digests every round, carries the fault
+/// plan's events, and no per-packet events — otherwise the aggregate
+/// diffs would compare nothing.
+fn check_aggregate_stream(stream: &str) -> Result<(), String> {
+    let events = read_events(stream).map_err(|e| format!("aggregate stream: {e}"))?;
+    let has = |f: fn(&Event) -> bool| events.iter().any(f);
+    if !has(|e| matches!(e, Event::RoundSummary { .. })) {
+        return Err("aggregate mode carries no RoundSummary".to_string());
+    }
+    if !has(|e| matches!(e, Event::FaultInjected { .. })) {
+        return Err("aggregate stream carries no FaultInjected".to_string());
+    }
+    if has(|e| matches!(e, Event::PacketOutcome { .. })) {
+        return Err("aggregate mode leaked per-packet events".to_string());
+    }
+    Ok(())
 }
 
 fn run_property_cell(cell: &Cell) -> Result<(), String> {

@@ -6,7 +6,7 @@
 
 use crate::{check_run, report_fingerprint, run_cell};
 use qlec_cli::spec::SimSpec;
-use qlec_core::params::{CandidatePolicy, HeadIndexMode, QRowsMode};
+use qlec_core::params::CandidatePolicy;
 use qlec_geom::{Aabb, Vec3};
 use qlec_net::{FaultEvent, FaultPlan, LinkEnd};
 use qlec_obs::EventsMode;
@@ -90,10 +90,9 @@ pub fn sample_spec(rng: &mut StdRng) -> SimSpec {
     // death/dropout paths get sampled too.
     let energy = if rng.gen_bool(0.2) { 0.5 } else { 5.0 };
     let death_line = if rng.gen_bool(0.25) { 0.05 } else { 0.0 };
-    let candidates = match rng.gen_range(0..4u32) {
+    let candidates = match rng.gen_range(0..3u32) {
         0 => CandidatePolicy::Auto,
-        1 => CandidatePolicy::LegacyAuto,
-        2 => CandidatePolicy::Full,
+        1 => CandidatePolicy::Full,
         _ => CandidatePolicy::Fixed(rng.gen_range(1..=8)),
     };
     let faults = if rng.gen_bool(0.6) {
@@ -112,16 +111,6 @@ pub fn sample_spec(rng: &mut StdRng) -> SimSpec {
         seed: rng.gen(),
         death_line,
         candidates,
-        head_index: if rng.gen_bool(0.5) {
-            HeadIndexMode::Incremental
-        } else {
-            HeadIndexMode::Rebuild
-        },
-        q_rows: if rng.gen_bool(0.5) {
-            QRowsMode::Sparse
-        } else {
-            QRowsMode::Dense
-        },
         threads: 1,
         faults,
     }

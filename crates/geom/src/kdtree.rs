@@ -2,7 +2,9 @@
 //!
 //! Used where the query pattern is dominated by nearest-neighbour lookups —
 //! assigning 2 896 power-plant nodes to their closest of 272 cluster heads
-//! each round (§5.3), and the k-means / FCM baselines' assignment steps.
+//! each round (§5.3), pruning QLEC's Send-Data candidates to each member's
+//! nearest heads (rebuilt per round), and the k-means / FCM baselines'
+//! assignment steps.
 //! Complements [`crate::grid::UniformGrid`], which is better for
 //! fixed-radius queries.
 //!

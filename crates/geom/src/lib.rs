@@ -13,8 +13,6 @@
 //!   (the HELLO broadcast of Algorithm 3 touches every node within `d_c`),
 //! * [`kdtree::KdTree`] — a k-d tree for nearest-neighbour queries on the
 //!   2 896-node power-plant deployment,
-//! * [`incremental::IncrementalKdIndex`] — a generation-stamped wrapper
-//!   that absorbs per-round roster diffs instead of rebuilding the tree,
 //! * [`stats`] — streaming and batch statistics used by the metrics code,
 //! * [`randx`] — exponential / normal / log-normal sampling built on `rand`
 //!   (kept local instead of adding a `rand_distr` dependency).
@@ -24,7 +22,6 @@
 
 pub mod aabb;
 pub mod grid;
-pub mod incremental;
 pub mod kdtree;
 pub mod randx;
 pub mod sample;
@@ -33,6 +30,5 @@ pub mod vec3;
 
 pub use aabb::Aabb;
 pub use grid::UniformGrid;
-pub use incremental::IncrementalKdIndex;
 pub use kdtree::KdTree;
 pub use vec3::Vec3;
