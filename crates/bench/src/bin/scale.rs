@@ -2,12 +2,18 @@
 //!
 //! Runs the paper-shaped QLEC configuration at N ∈ {100, 1k, 10k} (by
 //! default) with `Send-Data` candidate pruning enabled, and emits
-//! `BENCH_scale.json`: per-phase wall time (from the `qlec-obs` phase
-//! spans), peak RSS, and packet throughput for each (size, threads)
-//! point. CI smoke-runs it at N = 100 and validates the artifact
-//! against the schema, and the regression gate re-runs the committed
-//! baseline's N = 100 point with `--compare`; the full sweep is the
-//! cross-PR performance trajectory.
+//! `BENCH_scale.json`: per-phase wall time (the [`PhaseProfiler`]'s
+//! wall at each [`Phase::path`]), per-worker busy spans, merge counters,
+//! peak RSS, and packet throughput for each (size, threads) point. CI
+//! smoke-runs it at N = 100 and validates the artifact against the
+//! schema, and the regression gate re-runs the committed baseline's
+//! N = 100 point with `--compare`; the full sweep is the cross-PR
+//! performance trajectory.
+//!
+//! The artifact is written from typed rows ([`ScaleReport`],
+//! [`ScaleRun`]) and read back through the same types: `--validate`,
+//! `--append` and `--compare` all parse it with [`parse_scale_report`],
+//! a typed parse plus the named [`RUN_CHECKS`].
 //!
 //! Usage: `cargo run --release -p qlec-bench --bin scale -- \
 //!     [--sizes 100,1000,10000] [--threads 1] [--rounds 20] \
@@ -31,16 +37,16 @@
 //! [`SCALING_GATE_MIN_N`]), and a sweep with nothing to gate is an
 //! error, not a silent pass.
 
-use qlec_bench::{print_table, write_json, PhaseWall, ProtocolKind, RunSpec};
+use qlec_bench::{phase_walls, print_table, write_json, PhaseWall, ProtocolKind, RunSpec};
 use qlec_core::params::{CandidatePolicy, QlecParams};
-use qlec_net::Simulator;
+use qlec_net::{SimReport, Simulator};
 use qlec_obs::{
-    peak_rss_bytes, AsyncJsonLinesSink, JsonLinesSink, MeasuredSink, MemorySink, ObserverSet,
-    Phase, PhaseProfiler, SinkStats,
+    peak_rss_bytes, AsyncJsonLinesSink, JsonLinesSink, MeasuredSink, ObserverSet, Phase,
+    PhaseProfiler, SimObserver, SinkStats,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -115,10 +121,15 @@ const RSS_GATE_MIN_N: usize = 100_000;
 /// measured threads = 4 *slower* than threads = 2 (614k vs 766k
 /// pkt/s). That inversion is expected oversubscription, not a
 /// regression — small-N rows get a warning, never a gate failure.
-const SCALING_GATE_MIN_N: u64 = 10_000;
+const SCALING_GATE_MIN_N: usize = 10_000;
+
+/// Per-run fields of retired knobs. A row carrying one predates v9: it
+/// was measured under a mode the key no longer distinguishes, so two such
+/// rows could collide on one coordinate.
+const RETIRED_FIELDS: [&str; 2] = ["head_index", "q_rows"];
 
 /// One (size, threads) point of the sweep.
-#[derive(Debug)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct ScaleRun {
     /// Node count N.
     n: usize,
@@ -153,7 +164,8 @@ struct ScaleRun {
     /// dominates. Omitted from the JSON on platforms without the
     /// counter.
     peak_rss_bytes: Option<u64>,
-    /// Wall nanoseconds per simulation phase, from the obs spans.
+    /// Wall nanoseconds per simulation phase: the profiler's wall at
+    /// each [`Phase::path`], labelled by [`Phase::name`].
     phase_wall: Vec<PhaseWall>,
     /// Busy nanoseconds per (phase path, worker slot), from the
     /// profiler — reveals fan-out imbalance the wall numbers hide.
@@ -171,13 +183,28 @@ struct ScaleRun {
     round_p50_ns: f64,
     round_p90_ns: f64,
     round_p99_ns: f64,
-    /// Hot-thread cost of the full-events sink pipelines; empty unless
+    /// Hot-thread cost of the full-events sink pipelines; absent unless
     /// `--events-sink` requested the extra measured runs.
-    events_pipeline: Vec<EventsPipelineRow>,
+    events_pipeline: Option<Vec<EventsPipelineRow>>,
+}
+
+impl ScaleRun {
+    /// The point this row measures, `(n, threads, candidates, λ bits,
+    /// rounds)`: `--compare`, `--append` and the thread-scaling pairing
+    /// all match rows on it. λ as bits keeps the key `Eq`.
+    fn key(&self) -> (usize, usize, &str, u64, u32) {
+        (
+            self.n,
+            self.threads,
+            &self.candidates,
+            self.lambda.to_bits(),
+            self.rounds,
+        )
+    }
 }
 
 /// Busy time one worker slot spent in one profiler phase path.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct PhaseThreadBusy {
     /// `/`-separated profiler path (`"transmission/plan"`).
     phase: String,
@@ -186,9 +213,36 @@ struct PhaseThreadBusy {
     busy_ns: u64,
 }
 
+/// An `--events-sink` pipeline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SinkKind {
+    /// The synchronous JSON-lines sink.
+    Sync,
+    /// The off-thread JSON-lines sink, with block backpressure.
+    Async,
+}
+
+impl SinkKind {
+    fn parse(text: &str) -> Result<SinkKind, String> {
+        match text.trim() {
+            "sync" => Ok(SinkKind::Sync),
+            "async" => Ok(SinkKind::Async),
+            other => Err(format!("--events-sink takes sync or async, got `{other}`")),
+        }
+    }
+
+    /// The artifact spelling (also the flag syntax).
+    fn label(self) -> &'static str {
+        match self {
+            SinkKind::Sync => "sync",
+            SinkKind::Async => "async",
+        }
+    }
+}
+
 /// One measured full-events run: how much the event sink costs the hot
 /// simulation thread, and (async only) the writer-queue counters.
-#[derive(Debug)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct EventsPipelineRow {
     /// `sync` or `async` (block backpressure).
     sink: String,
@@ -196,80 +250,46 @@ struct EventsPipelineRow {
     events: u64,
     /// Nanoseconds the hot thread spent inside `on_event`.
     hot_ns: u64,
+    hot_ns_per_event: f64,
     /// Queue counters, async pipeline only.
     queue: Option<SinkStats>,
 }
 
-// Hand-rolled so the sync row simply has no `queue` field.
-impl Serialize for EventsPipelineRow {
-    fn to_value(&self) -> serde::Value {
-        let per_event = self.hot_ns as f64 / self.events.max(1) as f64;
-        let mut fields = vec![
-            ("sink".to_string(), self.sink.to_value()),
-            ("events".to_string(), self.events.to_value()),
-            ("hot_ns".to_string(), self.hot_ns.to_value()),
-            ("hot_ns_per_event".to_string(), per_event.to_value()),
-        ];
-        if let Some(q) = &self.queue {
-            fields.push(("queue".to_string(), q.to_value()));
+impl EventsPipelineRow {
+    fn new(kind: SinkKind, events: u64, hot_ns: u64, queue: Option<SinkStats>) -> Self {
+        EventsPipelineRow {
+            sink: kind.label().to_string(),
+            events,
+            hot_ns,
+            hot_ns_per_event: hot_ns as f64 / events.max(1) as f64,
+            queue,
         }
-        serde::Value::Object(fields)
     }
 }
 
-// Hand-rolled so `peak_rss_bytes: None` drops the field entirely
-// instead of writing `null` (the derive cannot skip fields).
-impl Serialize for ScaleRun {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("n".to_string(), self.n.to_value()),
-            ("k".to_string(), self.k.to_value()),
-            ("rounds".to_string(), self.rounds.to_value()),
-            ("threads".to_string(), self.threads.to_value()),
-            (
-                "threads_resolved".to_string(),
-                self.threads_resolved.to_value(),
-            ),
-            ("candidates".to_string(), self.candidates.to_value()),
-            ("lambda".to_string(), self.lambda.to_value()),
-            ("wall_s".to_string(), self.wall_s.to_value()),
-            ("packets".to_string(), self.packets.to_value()),
-            (
-                "packets_per_sec".to_string(),
-                self.packets_per_sec.to_value(),
-            ),
-            ("pdr".to_string(), self.pdr.to_value()),
-            ("alive_end".to_string(), self.alive_end.to_value()),
-        ];
-        if let Some(rss) = self.peak_rss_bytes {
-            fields.push(("peak_rss_bytes".to_string(), rss.to_value()));
-        }
-        fields.push(("phase_wall".to_string(), self.phase_wall.to_value()));
-        fields.push(("phase_threads".to_string(), self.phase_threads.to_value()));
-        fields.push((
-            "merge_conflicts".to_string(),
-            self.merge_conflicts.to_value(),
-        ));
-        fields.push((
-            "merge_retargets".to_string(),
-            self.merge_retargets.to_value(),
-        ));
-        fields.push(("merge_share".to_string(), self.merge_share.to_value()));
-        fields.push(("round_p50_ns".to_string(), self.round_p50_ns.to_value()));
-        fields.push(("round_p90_ns".to_string(), self.round_p90_ns.to_value()));
-        fields.push(("round_p99_ns".to_string(), self.round_p99_ns.to_value()));
-        if !self.events_pipeline.is_empty() {
-            fields.push((
-                "events_pipeline".to_string(),
-                self.events_pipeline.to_value(),
-            ));
-        }
-        serde::Value::Object(fields)
-    }
+/// Speedup of a multi-thread point over its `threads = 1` baseline.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct ThreadScalingRow {
+    n: usize,
+    threads: usize,
+    threads_resolved: usize,
+    candidates: String,
+    lambda: f64,
+    packets_per_sec: f64,
+    baseline_packets_per_sec: f64,
+    speedup: f64,
+    /// Per-phase wall speedups, for the phases both runs spent time in.
+    phases: Vec<PhaseSpeedup>,
+}
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct PhaseSpeedup {
+    phase: String,
+    speedup: f64,
 }
 
 /// The whole artifact.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct ScaleReport {
     /// Always [`SCALE_SCHEMA`].
     schema: String,
@@ -279,23 +299,115 @@ struct ScaleReport {
     seed: u64,
     /// Speedups of the multi-thread points over their `threads = 1`
     /// baselines; empty when the sweep has nothing to compare.
-    thread_scaling: Vec<serde_json::Value>,
+    thread_scaling: Vec<ThreadScalingRow>,
     /// One entry per requested size, in request order.
     runs: Vec<ScaleRun>,
 }
 
-/// [`ScaleReport`] with pre-rendered run values: the `--append` merge
-/// path carries the baseline's existing rows through untouched.
-#[derive(Serialize)]
-struct ScaleReportValue {
-    schema: String,
-    lambda: f64,
-    seed: u64,
-    thread_scaling: Vec<serde_json::Value>,
-    runs: Vec<serde_json::Value>,
+impl ScaleReport {
+    /// The artifact's JSON value. An absent value is spelled by leaving
+    /// its key out, never as `null` (v3): the derive writes `None` as
+    /// `null`, so those fields are dropped here.
+    fn to_artifact(&self) -> serde_json::Value {
+        fn without_nulls(v: serde_json::Value) -> serde_json::Value {
+            match v {
+                serde_json::Value::Object(fields) => serde_json::Value::Object(
+                    fields
+                        .into_iter()
+                        .filter(|(_, x)| !x.is_null())
+                        .map(|(k, x)| (k, without_nulls(x)))
+                        .collect(),
+                ),
+                serde_json::Value::Array(items) => {
+                    serde_json::Value::Array(items.into_iter().map(without_nulls).collect())
+                }
+                other => other,
+            }
+        }
+        without_nulls(self.to_value())
+    }
 }
 
-/// Compute the `thread_scaling` summary rows from rendered run rows.
+/// Just the artifact's version tag, read before the full parse so a
+/// stale artifact is named as such, not as its first missing field.
+#[derive(Deserialize)]
+struct SchemaTag {
+    schema: String,
+}
+
+/// A named rule over one run row: the rule text, and whether a row
+/// satisfies it.
+type RunCheck = (&'static str, fn(&ScaleRun) -> bool);
+
+/// The rules a well-typed run row must also satisfy, by name.
+const RUN_CHECKS: [RunCheck; 5] = [
+    ("merge_share must lie in [0, 1]", |r| {
+        (0.0..=1.0).contains(&r.merge_share)
+    }),
+    // "auto" resolves to a concrete worker count before the first
+    // round, so a recorded 0 means the run never resolved it.
+    ("threads_resolved must be >= 1", |r| r.threads_resolved >= 1),
+    ("candidates must be auto, full or a positive integer", |r| {
+        CandidatePolicy::parse(&r.candidates).is_ok()
+    }),
+    ("phase_wall must name every phase", |r| {
+        Phase::ALL
+            .iter()
+            .all(|p| r.phase_wall.iter().any(|w| w.phase == p.name()))
+    }),
+    (
+        "events_pipeline rows must be sync, or async with queue counters",
+        |r| {
+            r.events_pipeline.iter().flatten().all(|row| {
+                matches!(
+                    (row.sink.as_str(), &row.queue),
+                    ("sync", _) | ("async", Some(_))
+                )
+            })
+        },
+    ),
+];
+
+/// Parse a `BENCH_scale.json` text as the current schema: a typed parse
+/// plus the [`RUN_CHECKS`]. Returns the report, or a description of the
+/// first problem found.
+fn parse_scale_report(text: &str) -> Result<ScaleReport, String> {
+    let v: serde_json::Value = serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
+    let tag = SchemaTag::from_value(&v).map_err(|e| e.to_string())?;
+    if tag.schema != SCALE_SCHEMA {
+        return Err(format!(
+            "schema must be {SCALE_SCHEMA:?}, got {:?}",
+            tag.schema
+        ));
+    }
+    let report = ScaleReport::from_value(&v).map_err(|e| e.to_string())?;
+    if report.runs.is_empty() {
+        return Err("runs must be non-empty".into());
+    }
+    for (i, run) in report.runs.iter().enumerate() {
+        if let Some((rule, _)) = RUN_CHECKS.iter().find(|(_, holds)| !holds(run)) {
+            return Err(format!("runs[{i}]: {rule}"));
+        }
+    }
+    // The two rules the types cannot express: the derive reads an
+    // explicit `null` as an absent value, and ignores unknown keys.
+    for (i, row) in v["runs"].as_array().into_iter().flatten().enumerate() {
+        if row.get("peak_rss_bytes").is_some_and(|rss| rss.is_null()) {
+            return Err(format!(
+                "runs[{i}].peak_rss_bytes must be omitted, not null, when unavailable"
+            ));
+        }
+        if let Some(key) = RETIRED_FIELDS.iter().find(|&&k| row.get(k).is_some()) {
+            return Err(format!(
+                "runs[{i}] carries the retired field {key:?}: it predates {SCALE_SCHEMA}; \
+                 re-run the sweep"
+            ));
+        }
+    }
+    Ok(report)
+}
+
+/// Compute the `thread_scaling` summary rows.
 ///
 /// Every run with `threads != 1` is paired with the `threads = 1` run
 /// at the same `(n, candidates, lambda, rounds)` coordinates (a
@@ -304,76 +416,56 @@ struct ScaleReportValue {
 /// nothing: speedup against a missing baseline is unmeasurable, not
 /// 1.0. Each row carries the headline pkt/s speedup plus per-phase
 /// wall speedups for every phase both runs actually spent time in.
-///
-/// Operating on rendered [`serde_json::Value`] rows (not [`ScaleRun`])
-/// means the `--append` path contributes its carried-through baseline
-/// rows on equal footing with fresh ones.
-fn thread_scaling_rows(runs: &[serde_json::Value]) -> Vec<serde_json::Value> {
-    let coords = |r: &serde_json::Value| {
-        (
-            r["n"].as_u64(),
-            r["candidates"].as_str().map(str::to_string),
-            // v7: λ is a per-row coordinate — a λ = 20 demo row must
-            // never borrow a λ = 5 single-thread baseline. Bits, so the
-            // key stays Eq.
-            r["lambda"].as_f64().map(f64::to_bits),
-            r["rounds"].as_u64(),
-        )
-    };
-    let phase_wall = |r: &serde_json::Value, phase: &str| -> f64 {
-        r["phase_wall"]
-            .as_array()
-            .into_iter()
-            .flatten()
-            .find(|w| w["phase"].as_str() == Some(phase))
-            .and_then(|w| w["mean_wall_ns"].as_f64())
-            .unwrap_or(0.0)
-    };
-    let mut rows = Vec::new();
-    for run in runs {
-        if run["threads"].as_u64() == Some(1) {
-            continue;
-        }
-        let Some(base) = runs
+/// Under `--append` the carried-through rows pair on equal footing with
+/// fresh ones.
+fn thread_scaling_rows(runs: &[ScaleRun]) -> Vec<ThreadScalingRow> {
+    let wall = |r: &ScaleRun, p: Phase| {
+        r.phase_wall
             .iter()
-            .find(|b| b["threads"].as_u64() == Some(1) && coords(b) == coords(run))
-        else {
-            continue;
-        };
-        let pps = run["packets_per_sec"].as_f64().unwrap_or(0.0);
-        let base_pps = base["packets_per_sec"].as_f64().unwrap_or(0.0);
-        if base_pps <= 0.0 {
-            continue;
-        }
-        let phases: Vec<serde_json::Value> = Phase::ALL
-            .iter()
-            .filter_map(|&p| {
-                let b = phase_wall(base, p.name());
-                let s = phase_wall(run, p.name());
-                (b > 0.0 && s > 0.0).then(|| {
-                    serde_json::Value::Object(vec![
-                        ("phase".to_string(), p.name().to_value()),
-                        ("speedup".to_string(), (b / s).to_value()),
-                    ])
+            .find(|w| w.phase == p.name())
+            .map_or(0.0, |w| w.mean_wall_ns)
+    };
+    runs.iter()
+        .filter(|run| run.threads != 1)
+        .filter_map(|run| {
+            let mut baseline_key = run.key();
+            baseline_key.1 = 1;
+            let base = runs.iter().find(|b| b.key() == baseline_key)?;
+            if base.packets_per_sec <= 0.0 {
+                return None;
+            }
+            let phases = Phase::ALL
+                .iter()
+                .filter_map(|&p| {
+                    let (b, s) = (wall(base, p), wall(run, p));
+                    (b > 0.0 && s > 0.0).then(|| PhaseSpeedup {
+                        phase: p.name().to_string(),
+                        speedup: b / s,
+                    })
                 })
+                .collect();
+            Some(ThreadScalingRow {
+                n: run.n,
+                threads: run.threads,
+                threads_resolved: run.threads_resolved,
+                candidates: run.candidates.clone(),
+                lambda: run.lambda,
+                packets_per_sec: run.packets_per_sec,
+                baseline_packets_per_sec: base.packets_per_sec,
+                speedup: run.packets_per_sec / base.packets_per_sec,
+                phases,
             })
-            .collect();
-        rows.push(serde_json::Value::Object(vec![
-            ("n".to_string(), run["n"].clone()),
-            ("threads".to_string(), run["threads"].clone()),
-            (
-                "threads_resolved".to_string(),
-                run["threads_resolved"].clone(),
-            ),
-            ("candidates".to_string(), run["candidates"].clone()),
-            ("lambda".to_string(), run["lambda"].clone()),
-            ("packets_per_sec".to_string(), pps.to_value()),
-            ("baseline_packets_per_sec".to_string(), base_pps.to_value()),
-            ("speedup".to_string(), (pps / base_pps).to_value()),
-            ("phases".to_string(), serde_json::Value::Array(phases)),
-        ]));
-    }
-    rows
+        })
+        .collect()
+}
+
+/// The scaling rows that missed a `--gate-thread-scaling` floor.
+#[derive(Debug, Default)]
+struct ScalingMisses {
+    /// Points at `n ≥` [`SCALING_GATE_MIN_N`]: the gate fails.
+    failures: Vec<String>,
+    /// Smaller points: expected oversubscription, reported only.
+    warnings: Vec<String>,
 }
 
 /// `--gate-thread-scaling`: every multi-thread point at `n ≥`
@@ -381,14 +473,10 @@ fn thread_scaling_rows(runs: &[serde_json::Value]) -> Vec<serde_json::Value> {
 /// pkt/s. Smaller points only *warn* when they miss the floor — below
 /// ~10k nodes the per-round fan-out cannot amortize worker wakeups, so
 /// oversubscription inversion (more threads, fewer pkt/s) is expected,
-/// not a regression. `Ok` carries `(failures, warnings)` (empty
-/// failures = gate passes); `Err` means the sweep produced no gateable
-/// point at all, which would otherwise pass vacuously.
-#[allow(clippy::type_complexity)]
-fn gate_thread_scaling(
-    rows: &[serde_json::Value],
-    floor: f64,
-) -> Result<(Vec<String>, Vec<String>), String> {
+/// not a regression. No failures = gate passes; `Err` means the sweep
+/// produced no gateable point at all, which would otherwise pass
+/// vacuously.
+fn gate_thread_scaling(rows: &[ThreadScalingRow], floor: f64) -> Result<ScalingMisses, String> {
     if rows.is_empty() {
         return Err(
             "nothing to gate: the sweep needs a threads = 1 point and a multi-thread point \
@@ -396,42 +484,29 @@ fn gate_thread_scaling(
                 .into(),
         );
     }
-    if !rows
-        .iter()
-        .any(|row| row["n"].as_u64().unwrap_or(0) >= SCALING_GATE_MIN_N)
-    {
+    if !rows.iter().any(|row| row.n >= SCALING_GATE_MIN_N) {
         return Err(format!(
             "nothing to gate: the floor only applies at N >= {SCALING_GATE_MIN_N} (smaller \
              sweeps oversubscribe and only warn); add a size at or above it"
         ));
     }
-    let describe = |row: &serde_json::Value, verdict: &str| {
-        format!(
+    let mut misses = ScalingMisses::default();
+    for row in rows.iter().filter(|row| row.speedup < floor) {
+        let (list, verdict) = if row.n >= SCALING_GATE_MIN_N {
+            (&mut misses.failures, "below")
+        } else {
+            (
+                &mut misses.warnings,
+                "below (expected small-N oversubscription, not gated by)",
+            )
+        };
+        list.push(format!(
             "N={} threads={}: {:.2}x pkt/s vs threads=1 ({:.0} vs {:.0}), {verdict} the \
              {floor:.2}x floor",
-            row["n"].as_u64().unwrap_or(0),
-            row["threads"].as_u64().unwrap_or(0),
-            row["speedup"].as_f64().unwrap_or(0.0),
-            row["packets_per_sec"].as_f64().unwrap_or(0.0),
-            row["baseline_packets_per_sec"].as_f64().unwrap_or(0.0),
-        )
-    };
-    let mut failures = Vec::new();
-    let mut warnings = Vec::new();
-    for row in rows {
-        if row["speedup"].as_f64().unwrap_or(0.0) >= floor {
-            continue;
-        }
-        if row["n"].as_u64().unwrap_or(0) >= SCALING_GATE_MIN_N {
-            failures.push(describe(row, "below"));
-        } else {
-            warnings.push(describe(
-                row,
-                "below (expected small-N oversubscription, not gated by)",
-            ));
-        }
+            row.n, row.threads, row.speedup, row.packets_per_sec, row.baseline_packets_per_sec,
+        ));
     }
-    Ok((failures, warnings))
+    Ok(misses)
 }
 
 /// The artifact spelling of a candidate policy (also the `--candidates`
@@ -444,48 +519,53 @@ fn policy_label(policy: CandidatePolicy) -> String {
     }
 }
 
-fn run_size(
+/// The coordinates of one sweep point.
+#[derive(Debug, Clone, Copy)]
+struct SweepPoint {
     n: usize,
     rounds: u32,
     candidates: CandidatePolicy,
     threads: usize,
     lambda: f64,
     seed: u64,
-) -> ScaleRun {
-    let k = (n / 20).max(2);
-    let mut spec = RunSpec::builder(lambda)
-        .nodes(n)
-        .k(k)
-        .rounds(rounds)
-        .seeds(vec![seed])
-        .build();
-    spec.sim.threads = threads;
-    let net = spec.network(seed);
-    let sink = Arc::new(Mutex::new(MemorySink::new()));
+}
+
+impl SweepPoint {
+    /// Cluster count: N/20, the paper's N = 100 → k = 5.
+    fn k(&self) -> usize {
+        (self.n / 20).max(2)
+    }
+
+    /// Run the point's QLEC simulation under `obs`. Returns the report
+    /// and the wall seconds of the run itself (set-up excluded).
+    fn simulate(&self, obs: &ObserverSet) -> (SimReport, f64) {
+        let mut spec = RunSpec::builder(self.lambda)
+            .nodes(self.n)
+            .k(self.k())
+            .rounds(self.rounds)
+            .seeds(vec![self.seed])
+            .build();
+        spec.sim.threads = self.threads;
+        let net = spec.network(self.seed);
+        let params = QlecParams {
+            candidates: self.candidates,
+            ..spec.qlec_params()
+        };
+        let mut protocol = ProtocolKind::Qlec.build_observed(&params, obs);
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x9E37_79B9_7F4A_7C15);
+        let start = Instant::now();
+        let report = Simulator::builder(net)
+            .config(spec.sim)
+            .observers(obs.clone())
+            .build()
+            .run(protocol.as_mut(), &mut rng);
+        (report, start.elapsed().as_secs_f64())
+    }
+}
+
+fn run_size(point: SweepPoint) -> ScaleRun {
     let profiler = Arc::new(PhaseProfiler::new());
-    let mut obs = ObserverSet::new().with_profiler(profiler.clone());
-    obs.attach(sink.clone());
-    let params = QlecParams {
-        candidates,
-        ..spec.qlec_params()
-    };
-    let mut protocol = ProtocolKind::Qlec.build_observed(&params, &obs);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-    let start = Instant::now();
-    let report = Simulator::builder(net)
-        .config(spec.sim)
-        .observers(obs)
-        .build()
-        .run(protocol.as_mut(), &mut rng);
-    let wall_s = start.elapsed().as_secs_f64();
-    let sink = sink.lock().expect("metrics sink poisoned");
-    let phase_wall = Phase::ALL
-        .iter()
-        .map(|&p| PhaseWall {
-            phase: p.name().to_string(),
-            mean_wall_ns: sink.phase_wall_ns(p) as f64,
-        })
-        .collect();
+    let (report, wall_s) = point.simulate(&ObserverSet::new().with_profiler(profiler.clone()));
     let profile = profiler.report();
     let phase_threads = profile
         .phases
@@ -499,35 +579,43 @@ fn run_size(
         })
         .collect();
     let counter = |name: &str| profile.counter(name).unwrap_or(0);
-    let merge_wall_ns = profile
-        .phases
-        .iter()
-        .find(|row| row.path == "transmission/merge")
-        .map_or(0, |row| row.wall_ns);
     ScaleRun {
-        n,
-        k,
-        rounds,
-        threads,
+        n: point.n,
+        k: point.k(),
+        rounds: point.rounds,
+        threads: point.threads,
         threads_resolved: report.threads,
-        candidates: policy_label(candidates),
-        lambda,
+        candidates: policy_label(point.candidates),
+        lambda: point.lambda,
         wall_s,
         packets: report.totals.generated,
         packets_per_sec: report.totals.generated as f64 / wall_s.max(1e-9),
         pdr: report.pdr(),
-        alive_end: report.rounds.last().map_or(n, |r| r.alive_end),
+        alive_end: report.rounds.last().map_or(point.n, |r| r.alive_end),
         peak_rss_bytes: peak_rss_bytes(),
-        phase_wall,
+        phase_wall: phase_walls(&profile),
         phase_threads,
         merge_conflicts: counter("merge.conflicts"),
         merge_retargets: counter("merge.retargets"),
-        merge_share: merge_wall_ns as f64 / (wall_s * 1e9).max(1.0),
+        merge_share: profile.wall_ns("transmission/merge") as f64 / (wall_s * 1e9).max(1.0),
         round_p50_ns: profile.round_latency.p50_ns,
         round_p90_ns: profile.round_latency.p90_ns,
         round_p99_ns: profile.round_latency.p99_ns,
-        events_pipeline: Vec::new(),
+        events_pipeline: None,
     }
+}
+
+/// Run `point` with `sink` measured as its only observer, then flush.
+fn measured_run<S: SimObserver + 'static>(
+    point: SweepPoint,
+    sink: S,
+) -> Arc<Mutex<MeasuredSink<S>>> {
+    let measured = Arc::new(Mutex::new(MeasuredSink::new(sink)));
+    let mut obs = ObserverSet::new();
+    obs.attach(measured.clone());
+    point.simulate(&obs);
+    obs.flush().expect("events pipeline flush");
+    measured
 }
 
 /// Re-run one sweep point once per requested sink pipeline with a
@@ -535,403 +623,69 @@ fn run_size(
 /// sink costs the *hot* simulation thread. Block backpressure keeps the
 /// async stream complete, so the two rows describe identical event
 /// loads.
-fn run_events_pipeline(
-    n: usize,
-    rounds: u32,
-    candidates: CandidatePolicy,
-    threads: usize,
-    lambda: f64,
-    seed: u64,
-    kinds: &[String],
-) -> Vec<EventsPipelineRow> {
-    enum Handle {
-        Sync(Arc<Mutex<MeasuredSink<JsonLinesSink<std::io::Sink>>>>),
-        Async(Arc<Mutex<MeasuredSink<AsyncJsonLinesSink>>>),
-    }
+fn run_events_pipeline(point: SweepPoint, kinds: &[SinkKind]) -> Vec<EventsPipelineRow> {
     kinds
         .iter()
-        .map(|kind| {
-            let k = (n / 20).max(2);
-            let mut spec = RunSpec::builder(lambda)
-                .nodes(n)
-                .k(k)
-                .rounds(rounds)
-                .seeds(vec![seed])
-                .build();
-            spec.sim.threads = threads;
-            let net = spec.network(seed);
+        .map(|&kind| {
             let inner = JsonLinesSink::new(std::io::sink()).expect("bit bucket accepts header");
-            let mut obs = ObserverSet::new();
-            let handle = match kind.as_str() {
-                "sync" => {
-                    let s = Arc::new(Mutex::new(MeasuredSink::new(inner)));
-                    obs.attach(s.clone());
-                    Handle::Sync(s)
+            match kind {
+                SinkKind::Sync => {
+                    let sink = measured_run(point, inner);
+                    let g = sink.lock().expect("measured sink poisoned");
+                    EventsPipelineRow::new(kind, g.events(), g.hot_ns(), None)
                 }
-                "async" => {
-                    let s = Arc::new(Mutex::new(MeasuredSink::new(AsyncJsonLinesSink::new(
-                        inner,
-                    ))));
-                    obs.attach(s.clone());
-                    Handle::Async(s)
-                }
-                other => die(&format!("--events-sink takes sync or async, got `{other}`")),
-            };
-            let params = QlecParams {
-                candidates,
-                ..spec.qlec_params()
-            };
-            let mut protocol = ProtocolKind::Qlec.build_observed(&params, &obs);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-            let _ = Simulator::builder(net)
-                .config(spec.sim)
-                .observers(obs.clone())
-                .build()
-                .run(protocol.as_mut(), &mut rng);
-            obs.flush().expect("events pipeline flush");
-            match handle {
-                Handle::Sync(s) => {
-                    let g = s.lock().expect("measured sink poisoned");
-                    EventsPipelineRow {
-                        sink: "sync".to_string(),
-                        events: g.events(),
-                        hot_ns: g.hot_ns(),
-                        queue: None,
-                    }
-                }
-                Handle::Async(s) => {
-                    let g = s.lock().expect("measured sink poisoned");
+                SinkKind::Async => {
+                    let sink = measured_run(point, AsyncJsonLinesSink::new(inner));
+                    let g = sink.lock().expect("measured sink poisoned");
                     let stats = g.get_ref().stats();
-                    EventsPipelineRow {
-                        sink: "async".to_string(),
-                        events: g.events(),
-                        hot_ns: g.hot_ns(),
-                        queue: Some(stats),
-                    }
+                    EventsPipelineRow::new(kind, g.events(), g.hot_ns(), Some(stats))
                 }
             }
         })
         .collect()
 }
 
-/// Check a `BENCH_scale.json` text against the current schema. Returns a
-/// description of the first problem found.
-fn validate_scale_json(text: &str) -> Result<(), String> {
-    let v: serde_json::Value = serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    if v["schema"].as_str() != Some(SCALE_SCHEMA) {
-        return Err(format!(
-            "schema must be {SCALE_SCHEMA:?}, got {:?}",
-            v["schema"]
-        ));
-    }
-    for key in ["lambda", "seed"] {
-        if v[key].as_f64().is_none() {
-            return Err(format!("missing numeric field {key:?}"));
-        }
-    }
-    let runs = v["runs"]
-        .as_array()
-        .ok_or_else(|| "runs must be an array".to_string())?;
-    if runs.is_empty() {
-        return Err("runs must be non-empty".into());
-    }
-    // v5: the thread-scaling summary is always present — an empty array
-    // when the sweep had no threads = 1 baseline, never a missing key.
-    let scaling = v["thread_scaling"].as_array().ok_or_else(|| {
-        "thread_scaling must be an array (empty when the sweep has no baseline)".to_string()
-    })?;
-    for (i, row) in scaling.iter().enumerate() {
-        for key in [
-            "n",
-            "threads",
-            "threads_resolved",
-            "lambda",
-            "packets_per_sec",
-            "baseline_packets_per_sec",
-            "speedup",
-        ] {
-            if row[key].as_f64().is_none() {
-                return Err(format!("thread_scaling[{i}] missing numeric field {key:?}"));
-            }
-        }
-        let phases = row["phases"]
-            .as_array()
-            .ok_or_else(|| format!("thread_scaling[{i}].phases must be an array"))?;
-        for p in phases {
-            if p["phase"].as_str().is_none() || p["speedup"].as_f64().is_none() {
-                return Err(format!(
-                    "thread_scaling[{i}] phase entries need a phase name and a numeric speedup"
-                ));
-            }
-        }
-    }
-    let phases: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
-    for (i, run) in runs.iter().enumerate() {
-        for key in [
-            "n",
-            "k",
-            "rounds",
-            "threads",
-            "threads_resolved",
-            "lambda",
-            "wall_s",
-            "packets",
-            "packets_per_sec",
-            "pdr",
-            "alive_end",
-            "merge_conflicts",
-            "merge_retargets",
-            "merge_share",
-            "round_p50_ns",
-            "round_p90_ns",
-            "round_p99_ns",
-        ] {
-            if run[key].as_f64().is_none() {
-                return Err(format!("runs[{i}] missing numeric field {key:?}"));
-            }
-        }
-        if !(0.0..=1.0).contains(&run["merge_share"].as_f64().unwrap_or(-1.0)) {
-            return Err(format!("runs[{i}].merge_share must lie in [0, 1]"));
-        }
-        // "auto" resolves to a concrete worker count before the first
-        // round, so a recorded 0 means the run never resolved it.
-        if run["threads_resolved"].as_u64() == Some(0) {
-            return Err(format!("runs[{i}].threads_resolved must be >= 1"));
-        }
-        match run["candidates"].as_str() {
-            Some(c) if CandidatePolicy::parse(c).is_ok() => {}
-            _ => {
-                return Err(format!(
-                    "runs[{i}].candidates must be auto, full or a positive integer"
-                ))
-            }
-        }
-        // peak_rss_bytes is optional, but when present it must be a
-        // number — v3 forbids the old explicit null.
-        if let Some(rss) = run.get("peak_rss_bytes") {
-            if rss.as_u64().is_none() {
-                return Err(format!(
-                    "runs[{i}].peak_rss_bytes must be a non-negative integer when present"
-                ));
-            }
-        }
-        let walls = run["phase_wall"]
-            .as_array()
-            .ok_or_else(|| format!("runs[{i}].phase_wall must be an array"))?;
-        let mut seen: Vec<&str> = Vec::new();
-        for w in walls {
-            let name = w["phase"]
-                .as_str()
-                .ok_or_else(|| format!("runs[{i}] phase_wall entry without a phase name"))?;
-            if w["mean_wall_ns"].as_f64().is_none() {
-                return Err(format!("runs[{i}] phase {name:?} missing mean_wall_ns"));
-            }
-            seen.push(name);
-        }
-        for p in &phases {
-            if !seen.contains(p) {
-                return Err(format!("runs[{i}] missing phase {p:?}"));
-            }
-        }
-        let spans = run["phase_threads"]
-            .as_array()
-            .ok_or_else(|| format!("runs[{i}].phase_threads must be an array"))?;
-        for s in spans {
-            if s["phase"].as_str().is_none() {
-                return Err(format!(
-                    "runs[{i}] phase_threads entry without a phase path"
-                ));
-            }
-            for key in ["thread", "busy_ns"] {
-                if s[key].as_u64().is_none() {
-                    return Err(format!(
-                        "runs[{i}] phase_threads entry missing numeric {key:?}"
-                    ));
-                }
-            }
-        }
-        // events_pipeline is optional (only measured runs carry it);
-        // when present the rows must be well-formed.
-        if let Some(pipeline) = run.get("events_pipeline") {
-            let rows = pipeline
-                .as_array()
-                .ok_or_else(|| format!("runs[{i}].events_pipeline must be an array"))?;
-            for row in rows {
-                match row["sink"].as_str() {
-                    Some("sync") | Some("async") => {}
-                    _ => {
-                        return Err(format!(
-                            "runs[{i}] events_pipeline sink must be sync or async"
-                        ))
-                    }
-                }
-                for key in ["events", "hot_ns", "hot_ns_per_event"] {
-                    if row[key].as_f64().is_none() {
-                        return Err(format!(
-                            "runs[{i}] events_pipeline row missing numeric {key:?}"
-                        ));
-                    }
-                }
-                if row["sink"].as_str() == Some("async") {
-                    for key in ["enqueued", "processed", "dropped", "blocked", "max_depth"] {
-                        if row["queue"][key].as_u64().is_none() {
-                            return Err(format!(
-                                "runs[{i}] async events_pipeline row missing queue.{key}"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The fields every appended-onto row must carry so the compare/baseline
-/// key `(n, threads, candidates, lambda, rounds)` stays meaningful and
-/// every row reports its serial fraction. A pre-v8 row is missing some of
-/// these: its `lambda` would never match downstream comparisons, and its
-/// `merge_share` would silently zero-fill.
-const APPEND_KEY_FIELDS: [&str; 6] = [
-    "n",
-    "threads",
-    "rounds",
-    "lambda",
-    "merge_share",
-    "packets_per_sec",
-];
-
-/// Per-run fields of retired knobs. A row carrying one predates v9: it
-/// was measured under a mode the key no longer distinguishes, so two such
-/// rows could collide on one coordinate.
-const RETIRED_FIELDS: [&str; 2] = ["head_index", "q_rows"];
-
-/// The append/compare coordinate: `(n, threads, candidates,
-/// lambda-bits, rounds)`.
-type AppendKey = (u64, u64, String, u64, u64);
-
-/// The dedup/compare key of one run row, or `Err` naming the first
-/// v9 field the row is missing or the first retired field it carries.
-fn append_key(row: &serde_json::Value) -> Result<AppendKey, String> {
-    for key in APPEND_KEY_FIELDS {
-        if row[key].as_f64().is_none() {
-            return Err(format!("missing numeric field {key:?}"));
-        }
-    }
-    if let Some(key) = RETIRED_FIELDS.iter().find(|&&k| row.get(k).is_some()) {
-        return Err(format!("carries the retired field {key:?}"));
-    }
-    let text = |key: &str| -> Result<String, String> {
-        row[key]
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("missing string field {key:?}"))
-    };
-    // Coordinate integers must be exact u64s: a fractional or negative
-    // `n` passes the as_f64 gate above but would collapse to a shared
-    // sentinel under unwrap_or(0), making distinct malformed rows
-    // "duplicates" of each other instead of errors.
-    let uint = |key: &str| -> Result<u64, String> {
-        row[key]
-            .as_u64()
-            .ok_or_else(|| format!("non-integer field {key:?} (got {:?})", row[key]))
-    };
-    Ok((
-        uint("n")?,
-        uint("threads")?,
-        text("candidates")?,
-        // Gated non-null by the APPEND_KEY_FIELDS loop above.
-        row["lambda"].as_f64().map(f64::to_bits).unwrap_or(0),
-        uint("rounds")?,
-    ))
-}
-
 /// Fold fresh sweep rows into the rows of an existing artifact
-/// (`--append`). Two failure modes are rejected up front instead of
-/// corrupting the merged artifact silently:
-///
-/// - a prior row that predates [`SCALE_SCHEMA`] (missing `lambda` or
-///   `merge_share`, or carrying a retired `head_index`/`q_rows` field)
-///   would slip past the compare key — matched by the wrong baseline or
-///   by nothing — so it is a structured error naming the schema, not a
-///   carry-through;
-/// - a fresh row whose coordinate already exists in the prior
-///   set would make every later baseline lookup pick one of the two at
-///   random (`find` order), so duplicates are an error naming the
-///   coordinate — re-run without `--append` to replace a point.
-fn append_runs(
-    prior: &[serde_json::Value],
-    fresh: Vec<serde_json::Value>,
-) -> Result<Vec<serde_json::Value>, String> {
-    let mut seen = std::collections::BTreeSet::new();
-    for (i, row) in prior.iter().enumerate() {
-        let key = append_key(row).map_err(|e| {
-            format!(
-                "existing runs[{i}] predates {SCALE_SCHEMA}: {e}; \
-                 re-run the full sweep instead of appending onto a stale artifact"
-            )
-        })?;
-        // Prior rows are trusted pairwise-distinct (this function
-        // rejected duplicates when they were appended); record them so
-        // fresh rows cannot collide with any.
-        seen.insert(key);
-    }
-    let mut merged = prior.to_vec();
-    for (i, row) in fresh.into_iter().enumerate() {
-        let key = append_key(&row)
-            .map_err(|e| format!("fresh runs[{i}] is not a {SCALE_SCHEMA} row: {e}"))?;
-        if !seen.insert(key.clone()) {
+/// (`--append`). The prior rows passed [`parse_scale_report`], so they
+/// are current-schema rows. A fresh row whose coordinate already exists
+/// would make every later baseline lookup pick one of the two at random
+/// (`find` order), so duplicates are an error naming the coordinate —
+/// re-run without `--append` to replace a point.
+fn append_runs(prior: Vec<ScaleRun>, fresh: Vec<ScaleRun>) -> Result<Vec<ScaleRun>, String> {
+    let mut merged = prior;
+    for run in fresh {
+        if merged.iter().any(|r| r.key() == run.key()) {
             return Err(format!(
                 "--append would duplicate the point n={} threads={} candidates={} \
                  lambda={} rounds={}: the artifact already records it; drop --append to \
                  replace the artifact",
-                key.0,
-                key.1,
-                key.2,
-                f64::from_bits(key.3),
-                key.4,
+                run.n, run.threads, run.candidates, run.lambda, run.rounds,
             ));
         }
-        merged.push(row);
+        merged.push(run);
     }
     Ok(merged)
 }
 
-/// Compare a fresh sweep against a committed baseline artifact.
+/// Compare a fresh sweep against the runs of a committed baseline
+/// artifact.
 ///
-/// Points are matched on `(n, threads, candidates, lambda, rounds)`; `Ok` carries one message per matched point whose
-/// `packets_per_sec` fell more than [`REGRESSION_TOLERANCE`] below the
-/// baseline, or — at `n ≥` [`RSS_GATE_MIN_N`], when both sides carry
-/// the counter —
-/// whose `peak_rss_bytes` grew more than [`RSS_TOLERANCE`] past it
-/// (empty = gate passes). `Err` means the comparison itself is
-/// impossible — unreadable or schema-stale baseline, or no point in
-/// common.
-fn compare_against_baseline(
-    fresh: &[ScaleRun],
-    baseline_text: &str,
-) -> Result<Vec<String>, String> {
-    validate_scale_json(baseline_text).map_err(|e| format!("baseline invalid: {e}"))?;
-    let base: serde_json::Value =
-        serde_json::from_str(baseline_text).expect("validated baseline parses");
-    let base_runs = base["runs"]
-        .as_array()
-        .expect("validated baseline has runs");
+/// Points are matched on [`ScaleRun::key`]; `Ok` carries one message per
+/// matched point whose `packets_per_sec` fell more than
+/// [`REGRESSION_TOLERANCE`] below the baseline, or — at `n ≥`
+/// [`RSS_GATE_MIN_N`], when both sides carry the counter — whose
+/// `peak_rss_bytes` grew more than [`RSS_TOLERANCE`] past it (empty =
+/// gate passes). `Err` means the comparison itself is impossible: no
+/// point in common.
+fn compare_against_baseline(fresh: &[ScaleRun], base: &[ScaleRun]) -> Result<Vec<String>, String> {
     let mut regressions = Vec::new();
     let mut matched = 0usize;
     for run in fresh {
-        let Some(b) = base_runs.iter().find(|b| {
-            b["n"].as_u64() == Some(run.n as u64)
-                && b["threads"].as_u64() == Some(run.threads as u64)
-                && b["candidates"].as_str() == Some(run.candidates.as_str())
-                && b["lambda"].as_f64().map(f64::to_bits) == Some(run.lambda.to_bits())
-                && b["rounds"].as_u64() == Some(run.rounds as u64)
-        }) else {
+        let Some(b) = base.iter().find(|b| b.key() == run.key()) else {
             continue;
         };
         matched += 1;
-        let base_pps = b["packets_per_sec"].as_f64().expect("validated numeric");
-        let floor = base_pps * (1.0 - REGRESSION_TOLERANCE);
+        let floor = b.packets_per_sec * (1.0 - REGRESSION_TOLERANCE);
         if run.packets_per_sec < floor {
             regressions.push(format!(
                 "N={} threads={} candidates={}: {:.0} packets/s vs baseline {:.0} (below \
@@ -940,14 +694,13 @@ fn compare_against_baseline(
                 run.threads,
                 run.candidates,
                 run.packets_per_sec,
-                base_pps,
+                b.packets_per_sec,
                 (1.0 - REGRESSION_TOLERANCE) * 100.0,
                 floor,
             ));
         }
         if run.n >= RSS_GATE_MIN_N {
-            if let (Some(rss), Some(base_rss)) = (run.peak_rss_bytes, b["peak_rss_bytes"].as_u64())
-            {
+            if let (Some(rss), Some(base_rss)) = (run.peak_rss_bytes, b.peak_rss_bytes) {
                 let ceiling = base_rss as f64 * (1.0 + RSS_TOLERANCE);
                 if rss as f64 > ceiling {
                     regressions.push(format!(
@@ -1034,12 +787,9 @@ fn main() {
             .unwrap_or_else(|_| die(&format!("--seed takes an integer, got `{s}`")))
     });
     let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_scale.json".into());
-    let events_sinks: Option<Vec<String>> = flag_value(&args, "--events-sink").map(|text| {
+    let events_sinks: Option<Vec<SinkKind>> = flag_value(&args, "--events-sink").map(|text| {
         text.split(',')
-            .map(|s| match s.trim() {
-                kind @ ("sync" | "async") => kind.to_string(),
-                other => die(&format!("--events-sink takes sync or async, got `{other}`")),
-            })
+            .map(|s| SinkKind::parse(s).unwrap_or_else(|e| die(&e)))
             .collect()
     });
 
@@ -1051,34 +801,36 @@ fn main() {
             )),
         });
 
-    let mut report = ScaleReport {
-        schema: SCALE_SCHEMA.to_string(),
-        lambda,
-        seed,
-        thread_scaling: Vec::new(),
-        runs: Vec::new(),
-    };
+    let mut fresh = Vec::new();
     let mut rows = Vec::new();
     for &n in &sizes {
         for &threads in &threads_list {
-            let mut run = run_size(n, rounds, candidates, threads, lambda, seed);
+            let point = SweepPoint {
+                n,
+                rounds,
+                candidates,
+                threads,
+                lambda,
+                seed,
+            };
+            let mut run = run_size(point);
             eprintln!(
                 "N = {n:>6} × {threads} thread(s): {:.2}s wall, {:.0} packets/s",
                 run.wall_s, run.packets_per_sec
             );
             if let Some(kinds) = &events_sinks {
-                run.events_pipeline =
-                    run_events_pipeline(n, rounds, candidates, threads, lambda, seed, kinds);
-                for row in &run.events_pipeline {
+                let pipeline = run_events_pipeline(point, kinds);
+                for row in &pipeline {
                     eprintln!(
                         "    events via {:<5}: {:>9} events, {:.1} ms on the hot thread \
                          ({:.0} ns/event)",
                         row.sink,
                         row.events,
                         row.hot_ns as f64 / 1e6,
-                        row.hot_ns as f64 / row.events.max(1) as f64,
+                        row.hot_ns_per_event,
                     );
                 }
+                run.events_pipeline = Some(pipeline);
             }
             rows.push(vec![
                 run.n.to_string(),
@@ -1091,7 +843,7 @@ fn main() {
                 run.peak_rss_bytes
                     .map_or("n/a".into(), |b| format!("{:.1}", b as f64 / 1e6)),
             ]);
-            report.runs.push(run);
+            fresh.push(run);
         }
     }
     print_table(
@@ -1117,50 +869,39 @@ fn main() {
     // N = 100k points without re-running the whole sweep). The
     // thread-scaling summary is recomputed over the merged run set, so
     // appended points pick up baselines from the prior rows too.
-    let fresh: Vec<serde_json::Value> = report.runs.iter().map(|r| r.to_value()).collect();
-    let all_runs = if args.iter().any(|a| a == "--append") {
+    let runs = if args.iter().any(|a| a == "--append") {
         match std::fs::read_to_string(&out) {
             Ok(existing) => {
-                if let Err(e) = validate_scale_json(&existing) {
-                    die(&format!("--append: existing {out} is invalid: {e}"));
-                }
-                let prior: serde_json::Value =
-                    serde_json::from_str(&existing).expect("validated artifact parses");
-                match append_runs(prior["runs"].as_array().expect("validated"), fresh) {
-                    Ok(merged) => merged,
-                    Err(e) => die(&format!("--append: {e}")),
-                }
+                let prior = parse_scale_report(&existing)
+                    .unwrap_or_else(|e| die(&format!("--append: existing {out} is invalid: {e}")));
+                append_runs(prior.runs, fresh.clone())
+                    .unwrap_or_else(|e| die(&format!("--append: {e}")))
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => fresh,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => fresh.clone(),
             Err(e) => die(&format!("--append: cannot read {out}: {e}")),
         }
     } else {
-        fresh
+        fresh.clone()
     };
-    let scaling = thread_scaling_rows(&all_runs);
-    for row in &scaling {
+    let report = ScaleReport {
+        schema: SCALE_SCHEMA.to_string(),
+        lambda,
+        seed,
+        thread_scaling: thread_scaling_rows(&runs),
+        runs,
+    };
+    for row in &report.thread_scaling {
         eprintln!(
             "thread scaling: N = {:>6} × {} thread(s): {:.2}x pkt/s vs threads = 1",
-            row["n"].as_u64().unwrap_or(0),
-            row["threads"].as_u64().unwrap_or(0),
-            row["speedup"].as_f64().unwrap_or(0.0),
+            row.n, row.threads, row.speedup,
         );
     }
-    write_json(
-        &out,
-        &ScaleReportValue {
-            schema: SCALE_SCHEMA.to_string(),
-            lambda,
-            seed,
-            thread_scaling: scaling.clone(),
-            runs: all_runs,
-        },
-    );
+    write_json(&out, &report.to_artifact());
 
     if args.iter().any(|a| a == "--validate") {
         let text = std::fs::read_to_string(&out).expect("artifact just written");
-        match validate_scale_json(&text) {
-            Ok(()) => println!("[{out} validates against {SCALE_SCHEMA}]"),
+        match parse_scale_report(&text) {
+            Ok(_) => println!("[{out} validates against {SCALE_SCHEMA}]"),
             Err(e) => {
                 eprintln!("error: {out} failed schema validation: {e}");
                 std::process::exit(1);
@@ -1169,15 +910,15 @@ fn main() {
     }
 
     if let Some(floor) = gate_floor {
-        match gate_thread_scaling(&scaling, floor) {
-            Ok((failures, warnings)) => {
-                for w in &warnings {
+        match gate_thread_scaling(&report.thread_scaling, floor) {
+            Ok(misses) => {
+                for w in &misses.warnings {
                     eprintln!("warning: thread scaling: {w}");
                 }
-                if failures.is_empty() {
+                if misses.failures.is_empty() {
                     println!("[thread-scaling gate passes at {floor:.2}x]");
                 } else {
-                    for f in &failures {
+                    for f in &misses.failures {
                         eprintln!("error: thread scaling: {f}");
                     }
                     std::process::exit(1);
@@ -1190,7 +931,10 @@ fn main() {
     if let Some(baseline) = flag_value(&args, "--compare") {
         let text = std::fs::read_to_string(&baseline)
             .unwrap_or_else(|e| panic!("--compare {baseline}: {e}"));
-        match compare_against_baseline(&report.runs, &text) {
+        let compared = parse_scale_report(&text)
+            .map_err(|e| format!("baseline invalid: {e}"))
+            .and_then(|base| compare_against_baseline(&fresh, &base.runs));
+        match compared {
             Ok(regressions) if regressions.is_empty() => {
                 println!("[no packets/s regression vs {baseline}]");
             }
@@ -1211,52 +955,53 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
-    fn tiny_run(threads: usize) -> ScaleRun {
-        run_size(30, 2, CandidatePolicy::Fixed(4), threads, 8.0, 7)
+    fn tiny_point(threads: usize) -> SweepPoint {
+        SweepPoint {
+            n: 30,
+            rounds: 2,
+            candidates: CandidatePolicy::Fixed(4),
+            threads,
+            lambda: 8.0,
+            seed: 7,
+        }
     }
 
-    type Fields = Vec<(String, serde_json::Value)>;
+    fn tiny_run(threads: usize) -> ScaleRun {
+        run_size(tiny_point(threads))
+    }
 
-    /// A one-run artifact built from `base`'s row after `mutate` edits it.
-    fn render(base: &ScaleRun, mutate: &dyn Fn(&mut Fields)) -> String {
-        let mut fields = match base.to_value() {
-            serde_json::Value::Object(fields) => fields,
-            _ => unreachable!("runs serialize to objects"),
-        };
-        mutate(&mut fields);
-        serde_json::to_string(&ScaleReportValue {
+    fn report_of(runs: Vec<ScaleRun>) -> ScaleReport {
+        ScaleReport {
             schema: SCALE_SCHEMA.to_string(),
             lambda: 8.0,
             seed: 7,
-            thread_scaling: Vec::new(),
-            runs: vec![serde_json::Value::Object(fields)],
-        })
-        .unwrap()
+            thread_scaling: thread_scaling_rows(&runs),
+            runs,
+        }
+    }
+
+    fn artifact_text(report: &ScaleReport) -> String {
+        serde_json::to_string_pretty(&report.to_artifact()).unwrap()
     }
 
     #[test]
     fn a_tiny_run_produces_a_valid_artifact() {
-        let run = tiny_run(1);
-        let report = ScaleReport {
-            schema: SCALE_SCHEMA.to_string(),
-            lambda: 8.0,
-            seed: 7,
-            thread_scaling: Vec::new(),
-            runs: vec![run],
-        };
-        let text = serde_json::to_string_pretty(&report).unwrap();
-        validate_scale_json(&text).expect("fresh artifact must validate");
-        let r = &report.runs[0];
+        let report = report_of(vec![tiny_run(1)]);
+        let back = parse_scale_report(&artifact_text(&report)).expect("fresh artifact validates");
+        let r = &back.runs[0];
         assert!(r.wall_s > 0.0);
         assert!(r.packets > 0);
         assert_eq!(r.threads, 1);
         assert_eq!(r.threads_resolved, 1);
         assert_eq!(r.candidates, "4");
-        let row = r.to_value();
+        assert_eq!(r.key(), report.runs[0].key());
+        let row = &report.to_artifact()["runs"][0];
         for retired in RETIRED_FIELDS {
             assert!(row.get(retired).is_none(), "{retired} is retired in v9");
         }
+        assert!(row.get("events_pipeline").is_none(), "unmeasured: omitted");
         assert_eq!(r.phase_wall.len(), Phase::ALL.len());
         assert!(
             r.phase_threads
@@ -1267,18 +1012,38 @@ mod tests {
         );
         assert!(r.round_p50_ns > 0.0);
         assert!(r.round_p99_ns >= r.round_p50_ns);
+        // The walk is part of every run, so its share is measured.
+        assert!(
+            r.merge_share > 0.0 && r.merge_share < 1.0,
+            "{}",
+            r.merge_share
+        );
+    }
+
+    /// The committed baseline reads into the typed report, passes the
+    /// validator, and writes back to the same JSON value.
+    #[test]
+    fn the_committed_baseline_round_trips() {
+        let text = include_str!("../../../../results/BENCH_scale.json");
+        let report = parse_scale_report(text).expect("committed baseline validates");
+        let parsed: Value = serde_json::from_str(text).unwrap();
+        assert_eq!(report.to_artifact(), parsed);
+        assert_eq!(
+            serde_json::to_string_pretty(&report.to_artifact()).unwrap(),
+            text.trim_end()
+        );
     }
 
     #[test]
     fn events_pipeline_rows_measure_both_sinks() {
-        let kinds = ["sync".to_string(), "async".to_string()];
-        let rows = run_events_pipeline(30, 2, CandidatePolicy::Fixed(4), 1, 8.0, 7, &kinds);
+        let rows = run_events_pipeline(tiny_point(1), &[SinkKind::Sync, SinkKind::Async]);
         assert_eq!(rows.len(), 2);
         let sync = &rows[0];
         let asynk = &rows[1];
         assert_eq!(sync.sink, "sync");
         assert!(sync.events > 0);
         assert!(sync.queue.is_none());
+        assert!(sync.hot_ns_per_event > 0.0);
         assert_eq!(asynk.sink, "async");
         // Identical simulation, identical event load.
         assert_eq!(asynk.events, sync.events);
@@ -1286,23 +1051,194 @@ mod tests {
         assert_eq!(queue.enqueued, asynk.events);
         assert_eq!(queue.processed, asynk.events);
         assert_eq!(queue.dropped, 0);
-        // Serialized, only the async row has a queue object.
-        assert!(sync.to_value().get("queue").is_none());
-        assert!(asynk.to_value().get("queue").is_some());
-        assert!(sync.to_value()["hot_ns_per_event"].as_f64().unwrap() > 0.0);
+        // Written out, only the async row has a queue object, and the
+        // pair validates.
+        let mut run = tiny_run(1);
+        run.events_pipeline = Some(rows);
+        let report = report_of(vec![run]);
+        let pipeline = &report.to_artifact()["runs"][0]["events_pipeline"];
+        assert!(pipeline[0].get("queue").is_none());
+        assert!(pipeline[1].get("queue").is_some());
+        parse_scale_report(&artifact_text(&report)).expect("well-formed pipeline rows validate");
     }
 
     #[test]
     fn peak_rss_is_omitted_when_unavailable() {
         let mut run = tiny_run(1);
         run.peak_rss_bytes = None;
-        let v = run.to_value();
+        let report = report_of(vec![run]);
         assert!(
-            v.get("peak_rss_bytes").is_none(),
+            report.to_artifact()["runs"][0]
+                .get("peak_rss_bytes")
+                .is_none(),
             "absent RSS must drop the field, not write null"
         );
+        let back = parse_scale_report(&artifact_text(&report)).unwrap();
+        assert_eq!(back.runs[0].peak_rss_bytes, None);
+        let mut run = back.runs[0].clone();
         run.peak_rss_bytes = Some(123);
-        assert_eq!(run.to_value()["peak_rss_bytes"].as_u64(), Some(123));
+        let report = report_of(vec![run]);
+        assert_eq!(
+            report.to_artifact()["runs"][0]["peak_rss_bytes"].as_u64(),
+            Some(123)
+        );
+    }
+
+    /// Every rejection the validator makes, one case each: where to edit
+    /// a valid one-run artifact (an object path, `/`-separated), which
+    /// key to set (`None` value = remove it), and a substring the error
+    /// must carry.
+    #[test]
+    fn validator_rejects_every_broken_artifact() {
+        let valid = report_of(vec![tiny_run(1)]).to_artifact();
+        parse_scale_report(&serde_json::to_string(&valid).unwrap()).expect("untouched validates");
+        let mut cases: Vec<(&str, String, Option<&str>, String)> = vec![
+            (
+                "",
+                "schema".into(),
+                Some("\"qlec-bench-scale/v8\""),
+                "schema must be".into(),
+            ),
+            (
+                "",
+                "runs".into(),
+                Some("[]"),
+                "runs must be non-empty".into(),
+            ),
+            ("", "thread_scaling".into(), None, "thread_scaling".into()),
+            (
+                "",
+                "thread_scaling".into(),
+                Some("[{\"n\":30}]"),
+                "thread_scaling[0]".into(),
+            ),
+            (
+                "runs/0",
+                "merge_share".into(),
+                Some("1.5"),
+                "merge_share".into(),
+            ),
+            (
+                "runs/0",
+                "threads_resolved".into(),
+                Some("0"),
+                "threads_resolved".into(),
+            ),
+            (
+                "runs/0",
+                "candidates".into(),
+                Some("\"legacy-auto\""),
+                "candidates".into(),
+            ),
+            (
+                "runs/0",
+                "peak_rss_bytes".into(),
+                Some("null"),
+                "peak_rss_bytes".into(),
+            ),
+            (
+                "runs/0",
+                "phase_wall".into(),
+                Some("[{\"phase\":\"election\",\"mean_wall_ns\":1.0}]"),
+                "every phase".into(),
+            ),
+            (
+                "runs/0",
+                "phase_threads".into(),
+                Some("[{\"phase\":\"traffic\",\"thread\":0}]"),
+                "phase_threads[0]".into(),
+            ),
+            (
+                "runs/0",
+                "events_pipeline".into(),
+                Some("[{\"sink\":\"file\",\"events\":1,\"hot_ns\":1,\"hot_ns_per_event\":1.0}]"),
+                "events_pipeline rows must be sync, or async".into(),
+            ),
+            (
+                "runs/0",
+                "events_pipeline".into(),
+                Some("[{\"sink\":\"async\",\"events\":1,\"hot_ns\":1,\"hot_ns_per_event\":1.0}]"),
+                "async with queue counters".into(),
+            ),
+            (
+                "runs/0",
+                "head_index".into(),
+                Some("\"incremental\""),
+                format!("retired field \"head_index\": it predates {SCALE_SCHEMA}"),
+            ),
+            (
+                "runs/0",
+                "q_rows".into(),
+                Some("\"sparse\""),
+                format!("retired field \"q_rows\": it predates {SCALE_SCHEMA}"),
+            ),
+            // A non-integer or negative coordinate is its own row's
+            // error, never folded into a shared key.
+            ("runs/0", "n".into(), Some("24.5"), "runs[0].n".into()),
+            ("runs/0", "n".into(), Some("-24"), "runs[0].n".into()),
+        ];
+        for key in [
+            "n",
+            "k",
+            "rounds",
+            "threads",
+            "threads_resolved",
+            "candidates",
+            "lambda",
+            "wall_s",
+            "packets",
+            "packets_per_sec",
+            "pdr",
+            "alive_end",
+            "phase_wall",
+            "phase_threads",
+            "merge_conflicts",
+            "merge_retargets",
+            "merge_share",
+            "round_p50_ns",
+            "round_p90_ns",
+            "round_p99_ns",
+        ] {
+            cases.push((
+                "runs/0",
+                key.into(),
+                None,
+                format!("runs[0]: missing field `{key}`"),
+            ));
+        }
+        for key in ["lambda", "seed"] {
+            cases.push(("", key.into(), None, format!("missing field `{key}`")));
+        }
+        for (path, key, value, expected) in &cases {
+            let mut artifact = valid.clone();
+            let mut target = &mut artifact;
+            for step in path.split('/').filter(|s| !s.is_empty()) {
+                target = match target {
+                    Value::Object(fields) => {
+                        &mut fields.iter_mut().find(|(k, _)| k == step).unwrap().1
+                    }
+                    Value::Array(items) => &mut items[step.parse::<usize>().unwrap()],
+                    _ => unreachable!("paths walk objects and arrays"),
+                };
+            }
+            let Value::Object(fields) = target else {
+                unreachable!("edits land in objects")
+            };
+            fields.retain(|(k, _)| k != key);
+            if let Some(text) = value {
+                fields.push((key.clone(), serde_json::from_str(text).unwrap()));
+            }
+            let err = parse_scale_report(&serde_json::to_string(&artifact).unwrap())
+                .expect_err(&format!("{path}/{key} = {value:?} must be rejected"));
+            assert!(err.contains(expected.as_str()), "{key}: {err}");
+            assert!(!err.contains("duplicate"), "{key}: {err}");
+        }
+        for text in ["not json", "{\"schema\":\"other/v0\"}"] {
+            assert!(parse_scale_report(text).is_err(), "{text}");
+        }
+        assert!(parse_scale_report("not json")
+            .unwrap_err()
+            .contains("not JSON"));
     }
 
     #[test]
@@ -1310,16 +1246,9 @@ mod tests {
         let run = tiny_run(1);
         let pps = run.packets_per_sec;
         let baseline = |base_pps: f64| {
-            let mut base_run = tiny_run(1);
+            let mut base_run = run.clone();
             base_run.packets_per_sec = base_pps;
-            serde_json::to_string(&ScaleReport {
-                schema: SCALE_SCHEMA.to_string(),
-                lambda: 8.0,
-                seed: 7,
-                thread_scaling: Vec::new(),
-                runs: vec![base_run],
-            })
-            .unwrap()
+            vec![base_run]
         };
         let fresh = std::slice::from_ref(&run);
         // Fresh matches (or beats) the baseline: no regression.
@@ -1337,175 +1266,14 @@ mod tests {
             .is_empty());
         // No matching point (threads or — v7 — λ differ) → a hard
         // error, not a silent pass.
-        let other_lambda = {
-            let mut r = tiny_run(1);
-            r.lambda = 9.0;
-            r
-        };
-        for other_run in [tiny_run(2), other_lambda] {
-            let other = serde_json::to_string(&ScaleReport {
-                schema: SCALE_SCHEMA.to_string(),
-                lambda: 8.0,
-                seed: 7,
-                thread_scaling: Vec::new(),
-                runs: vec![other_run],
-            })
-            .unwrap();
-            assert!(compare_against_baseline(fresh, &other).is_err());
+        let mut other_threads = run.clone();
+        other_threads.threads = 2;
+        let mut other_lambda = run.clone();
+        other_lambda.lambda = 9.0;
+        for other_run in [other_threads, other_lambda] {
+            let err = compare_against_baseline(fresh, &[other_run]).unwrap_err();
+            assert!(err.contains("no (n, threads"), "{err}");
         }
-        // Stale-schema baselines are rejected outright.
-        assert!(compare_against_baseline(fresh, "{\"schema\":\"qlec-bench-scale/v2\"}").is_err());
-    }
-
-    #[test]
-    fn validator_rejects_broken_artifacts() {
-        assert!(validate_scale_json("not json").is_err());
-        assert!(validate_scale_json("{\"schema\":\"other/v0\"}").is_err());
-        let no_runs =
-            format!("{{\"schema\":\"{SCALE_SCHEMA}\",\"lambda\":5.0,\"seed\":1,\"runs\":[]}}");
-        assert!(validate_scale_json(&no_runs).is_err());
-        let bad_run = format!(
-            "{{\"schema\":\"{SCALE_SCHEMA}\",\"lambda\":5.0,\"seed\":1,\
-             \"thread_scaling\":[],\"runs\":[{{\"n\":10}}]}}"
-        );
-        let err = validate_scale_json(&bad_run).unwrap_err();
-        assert!(err.contains("missing numeric field"), "{err}");
-    }
-
-    #[test]
-    fn validator_enforces_v3_fields() {
-        // A row with an explicit null peak_rss_bytes is rejected.
-        let base = tiny_run(1);
-        let null_rss = render(&base, &|fields| {
-            fields.retain(|(k, _)| k != "peak_rss_bytes");
-            fields.push(("peak_rss_bytes".into(), serde_json::Value::Null));
-        });
-        let err = validate_scale_json(&null_rss).unwrap_err();
-        assert!(err.contains("peak_rss_bytes"), "{err}");
-    }
-
-    #[test]
-    fn validator_enforces_v4_fields() {
-        let base = tiny_run(1);
-        for missing in [
-            "phase_threads",
-            "merge_conflicts",
-            "merge_retargets",
-            "round_p50_ns",
-            "round_p99_ns",
-        ] {
-            let text = render(&base, &|fields| fields.retain(|(k, _)| k != missing));
-            let err = validate_scale_json(&text).unwrap_err();
-            assert!(err.contains(missing), "{missing}: {err}");
-        }
-        // An events_pipeline row that claims async must carry counters.
-        let bad_pipeline = render(&base, &|fields| {
-            fields.push((
-                "events_pipeline".into(),
-                serde_json::to_value(&vec![EventsPipelineRow {
-                    sink: "async".into(),
-                    events: 10,
-                    hot_ns: 100,
-                    queue: None,
-                }])
-                .unwrap(),
-            ));
-        });
-        let err = validate_scale_json(&bad_pipeline).unwrap_err();
-        assert!(err.contains("queue"), "{err}");
-        // A well-formed pipeline pair passes.
-        let good_pipeline = render(&base, &|fields| {
-            fields.push((
-                "events_pipeline".into(),
-                serde_json::to_value(&vec![
-                    EventsPipelineRow {
-                        sink: "sync".into(),
-                        events: 10,
-                        hot_ns: 100,
-                        queue: None,
-                    },
-                    EventsPipelineRow {
-                        sink: "async".into(),
-                        events: 10,
-                        hot_ns: 50,
-                        queue: Some(SinkStats {
-                            enqueued: 10,
-                            processed: 10,
-                            dropped: 0,
-                            blocked: 0,
-                            max_depth: 3,
-                            written_lines: 10,
-                        }),
-                    },
-                ])
-                .unwrap(),
-            ));
-        });
-        validate_scale_json(&good_pipeline).expect("well-formed pipeline rows validate");
-    }
-
-    #[test]
-    fn validator_enforces_v5_fields() {
-        let base = tiny_run(1);
-        for missing in ["threads_resolved", "merge_conflicts", "merge_retargets"] {
-            let text = render(&base, &|fields| fields.retain(|(k, _)| k != missing));
-            let err = validate_scale_json(&text).unwrap_err();
-            assert!(err.contains(missing), "{missing}: {err}");
-        }
-        // A recorded 0 means the run never resolved `auto` — rejected.
-        let zero = render(&base, &|fields| {
-            fields.retain(|(k, _)| k != "threads_resolved");
-            fields.push(("threads_resolved".into(), 0u64.to_value()));
-        });
-        let err = validate_scale_json(&zero).unwrap_err();
-        assert!(err.contains("threads_resolved"), "{err}");
-        // The thread_scaling key itself is mandatory, even when empty.
-        let valid = render(&base, &|_| {});
-        let mut v: serde_json::Value = serde_json::from_str(&valid).unwrap();
-        if let serde_json::Value::Object(top) = &mut v {
-            top.retain(|(k, _)| k != "thread_scaling");
-        }
-        let err = validate_scale_json(&serde_json::to_string(&v).unwrap()).unwrap_err();
-        assert!(err.contains("thread_scaling"), "{err}");
-        // A malformed scaling row (no speedup) is rejected.
-        let mut v: serde_json::Value = serde_json::from_str(&valid).unwrap();
-        if let serde_json::Value::Object(top) = &mut v {
-            top.retain(|(k, _)| k != "thread_scaling");
-            top.push((
-                "thread_scaling".into(),
-                serde_json::Value::Array(vec![serde_json::Value::Object(vec![(
-                    "n".into(),
-                    30u64.to_value(),
-                )])]),
-            ));
-        }
-        let err = validate_scale_json(&serde_json::to_string(&v).unwrap()).unwrap_err();
-        assert!(err.contains("thread_scaling[0]"), "{err}");
-    }
-
-    #[test]
-    fn validator_enforces_v8_fields() {
-        let base = tiny_run(1);
-        // Every v8 row carries its own λ and its serial fraction.
-        for missing in ["lambda", "merge_share"] {
-            let text = render(&base, &|fields| fields.retain(|(k, _)| k != missing));
-            let err = validate_scale_json(&text).unwrap_err();
-            assert!(err.contains(missing), "{missing}: {err}");
-        }
-        // merge_share is a fraction of the run's wall.
-        let out_of_range = render(&base, &|fields| {
-            fields.retain(|(k, _)| k != "merge_share");
-            fields.push(("merge_share".into(), 1.5f64.to_value()));
-        });
-        let err = validate_scale_json(&out_of_range).unwrap_err();
-        assert!(err.contains("merge_share"), "{err}");
-        validate_scale_json(&render(&base, &|_| {})).expect("untouched row validates");
-        // The walk is part of every run, so its share is measured.
-        assert!(
-            base.merge_share > 0.0 && base.merge_share < 1.0,
-            "{}",
-            base.merge_share
-        );
     }
 
     /// The v6 peak-RSS gate: at `n ≥ 100 000` a matched point whose
@@ -1517,48 +1285,42 @@ mod tests {
         let mut run = tiny_run(1);
         run.n = RSS_GATE_MIN_N;
         run.peak_rss_bytes = Some(1_000_000_000);
-        let with_rss = |rss: Option<u64>| {
-            render(&run, &move |fields| {
-                fields.retain(|(k, _)| k != "peak_rss_bytes");
-                if let Some(b) = rss {
-                    fields.push(("peak_rss_bytes".into(), b.to_value()));
-                }
-            })
+        let with_rss = |run: &ScaleRun, rss: Option<u64>| {
+            let mut base = run.clone();
+            base.peak_rss_bytes = rss;
+            vec![base]
         };
         let fresh = std::slice::from_ref(&run);
         // Identical RSS: passes.
         assert!(
-            compare_against_baseline(fresh, &with_rss(Some(1_000_000_000)))
+            compare_against_baseline(fresh, &with_rss(&run, Some(1_000_000_000)))
                 .unwrap()
                 .is_empty()
         );
         // +11 % growth (baseline 0.9 GB): inside the 25 % ceiling.
         assert!(
-            compare_against_baseline(fresh, &with_rss(Some(900_000_000)))
+            compare_against_baseline(fresh, &with_rss(&run, Some(900_000_000)))
                 .unwrap()
                 .is_empty()
         );
         // +43 % growth (baseline 0.7 GB): gate fires with the point named.
-        let msgs = compare_against_baseline(fresh, &with_rss(Some(700_000_000))).unwrap();
+        let msgs = compare_against_baseline(fresh, &with_rss(&run, Some(700_000_000))).unwrap();
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("peak RSS"), "{}", msgs[0]);
         assert!(msgs[0].contains("candidates=4"), "{}", msgs[0]);
         // A baseline without the counter cannot gate — skip, not fail.
-        assert!(compare_against_baseline(fresh, &with_rss(None))
+        assert!(compare_against_baseline(fresh, &with_rss(&run, None))
             .unwrap()
             .is_empty());
         // Below the gate's n floor the same growth is allocator noise.
-        let mut small = tiny_run(1);
-        small.peak_rss_bytes = Some(1_000_000_000);
-        let small_base = render(&small, &|fields| {
-            fields.retain(|(k, _)| k != "peak_rss_bytes");
-            fields.push(("peak_rss_bytes".into(), 700_000_000u64.to_value()));
-        });
-        assert!(
-            compare_against_baseline(std::slice::from_ref(&small), &small_base)
-                .unwrap()
-                .is_empty()
-        );
+        let mut small = run.clone();
+        small.n = 30;
+        assert!(compare_against_baseline(
+            std::slice::from_ref(&small),
+            &with_rss(&small, Some(700_000_000))
+        )
+        .unwrap()
+        .is_empty());
     }
 
     #[test]
@@ -1567,24 +1329,23 @@ mod tests {
         let mut fast = tiny_run(2);
         // Pin the headline numbers so the speedup is exact.
         fast.packets_per_sec = base.packets_per_sec * 2.0;
-        let rows = thread_scaling_rows(&[base.to_value(), fast.to_value()]);
+        let rows = thread_scaling_rows(&[base.clone(), fast]);
         assert_eq!(rows.len(), 1, "one scaled point, one row");
         let row = &rows[0];
-        assert_eq!(row["n"].as_u64(), Some(30));
-        assert_eq!(row["threads"].as_u64(), Some(2));
-        assert_eq!(row["threads_resolved"].as_u64(), Some(2));
-        let speedup = row["speedup"].as_f64().unwrap();
-        assert!((speedup - 2.0).abs() < 1e-9, "{speedup}");
-        let phases = row["phases"].as_array().unwrap();
-        assert!(!phases.is_empty(), "both runs spent time in some phase");
-        for p in phases {
-            assert!(p["speedup"].as_f64().unwrap() > 0.0);
-        }
+        assert_eq!(row.n, 30);
+        assert_eq!(row.threads, 2);
+        assert_eq!(row.threads_resolved, 2);
+        assert!((row.speedup - 2.0).abs() < 1e-9, "{}", row.speedup);
+        assert!(!row.phases.is_empty(), "both runs spent time in some phase");
+        assert!(row.phases.iter().all(|p| p.speedup > 0.0));
         // v7: λ is part of the pairing key — a scaled point whose only
         // threads = 1 partner ran at a different congestion level has no
         // baseline at all and contributes nothing.
-        let other_lambda = run_size(30, 2, CandidatePolicy::Fixed(4), 2, 9.0, 7);
-        assert!(thread_scaling_rows(&[base.to_value(), other_lambda.to_value()]).is_empty());
+        let other_lambda = run_size(SweepPoint {
+            lambda: 9.0,
+            ..tiny_point(2)
+        });
+        assert!(thread_scaling_rows(&[base, other_lambda]).is_empty());
         // The gate refuses to pass vacuously on an empty summary, and —
         // v7 — on a summary with no row at the N >= 10k gate floor.
         assert!(gate_thread_scaling(&[], 1.3).is_err());
@@ -1592,127 +1353,51 @@ mod tests {
         assert!(err.contains("10000"), "{err}");
         // At gateable N the floor fails points below it and passes
         // points above; a small-N point missing the floor only warns.
-        let resize = |row: &serde_json::Value, n: u64| {
-            let mut fields = match row.clone() {
-                serde_json::Value::Object(fields) => fields,
-                _ => unreachable!("scaling rows serialize to objects"),
-            };
-            fields.retain(|(k, _)| k != "n");
-            fields.push(("n".into(), n.to_value()));
-            serde_json::Value::Object(fields)
+        let resize = |n: usize| ThreadScalingRow {
+            n,
+            ..rows[0].clone()
         };
-        let gated: Vec<serde_json::Value> = rows.iter().map(|r| resize(r, 10_000)).collect();
-        let (failures, warnings) = gate_thread_scaling(&gated, 1.5).unwrap();
-        assert_eq!(failures, Vec::<String>::new());
-        assert_eq!(warnings, Vec::<String>::new());
-        let (failures, warnings) = gate_thread_scaling(&gated, 2.5).unwrap();
-        assert_eq!(failures.len(), 1);
+        let gated = [resize(10_000)];
+        let misses = gate_thread_scaling(&gated, 1.5).unwrap();
+        assert_eq!(misses.failures, Vec::<String>::new());
+        assert_eq!(misses.warnings, Vec::<String>::new());
+        let misses = gate_thread_scaling(&gated, 2.5).unwrap();
+        assert_eq!(misses.failures.len(), 1);
         assert!(
-            failures[0].contains("below the 2.50x floor"),
+            misses.failures[0].contains("below the 2.50x floor"),
             "{}",
-            failures[0]
+            misses.failures[0]
         );
-        assert!(warnings.is_empty());
+        assert!(misses.warnings.is_empty());
         // Mixed sweep: the small point warns, the large one gates.
-        let mixed: Vec<serde_json::Value> = vec![resize(&rows[0], 100), resize(&rows[0], 10_000)];
-        let (failures, warnings) = gate_thread_scaling(&mixed, 2.5).unwrap();
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("oversubscription"), "{}", warnings[0]);
-    }
-
-    /// The `--append` merge on a mixed-schema artifact: rows that
-    /// predate v9 (no `lambda` or `merge_share`, or a retired
-    /// `head_index`/`q_rows` field) must be a structured error naming
-    /// the schema, not a silent carry-through that a later lookup would
-    /// mismatch.
-    #[test]
-    fn append_rejects_pre_v9_rows_with_the_schema_named() {
-        let fresh = vec![tiny_run(1).to_value()];
-        let row = || match tiny_run(2).to_value() {
-            serde_json::Value::Object(fields) => fields,
-            _ => unreachable!("runs serialize to objects"),
-        };
-        let strip = |key: &str| {
-            let mut fields = row();
-            fields.retain(|(k, _)| k != key);
-            serde_json::Value::Object(fields)
-        };
-        let with = |key: &str, value: &str| {
-            let mut fields = row();
-            fields.push((key.to_string(), value.to_value()));
-            serde_json::Value::Object(fields)
-        };
-        for (key, stale) in [
-            ("lambda", strip("lambda")),
-            ("merge_share", strip("merge_share")),
-            ("head_index", with("head_index", "incremental")),
-            ("q_rows", with("q_rows", "sparse")),
-        ] {
-            let err = append_runs(&[stale], fresh.clone()).unwrap_err();
-            assert!(err.contains(SCALE_SCHEMA), "{key}: {err}");
-            assert!(err.contains(key), "{key}: {err}");
-            assert!(err.contains("runs[0]"), "{key}: {err}");
-        }
-        // The same stripped row arriving as a *fresh* run is equally
-        // rejected (a hand-edited artifact fed back through --append).
-        let err = append_runs(&[], vec![strip("lambda")]).unwrap_err();
-        assert!(err.contains("fresh runs[0]"), "{err}");
-    }
-
-    /// A coordinate field that is numeric but not an exact u64 — a
-    /// fractional or negative `n` — passes the as_f64 schema gate, and
-    /// used to collapse to 0 in the dedup key, so two distinct
-    /// malformed rows were reported as duplicates of each other. They
-    /// must instead be rejected individually, naming the bad field.
-    #[test]
-    fn append_rejects_non_integer_coordinates() {
-        let with_n = |n: serde_json::Value| {
-            let mut fields = match tiny_run(2).to_value() {
-                serde_json::Value::Object(fields) => fields,
-                _ => unreachable!("runs serialize to objects"),
-            };
-            fields.retain(|(k, _)| k != "n");
-            fields.push(("n".into(), n));
-            serde_json::Value::Object(fields)
-        };
-        for bad in [serde_json::Value::Float(24.5), serde_json::Value::Int(-24)] {
-            let err = append_runs(&[with_n(bad.clone())], vec![]).unwrap_err();
-            assert!(err.contains("non-integer field \"n\""), "{bad:?}: {err}");
-            assert!(err.contains(SCALE_SCHEMA), "{bad:?}: {err}");
-        }
-        // Two differently-malformed rows are two schema errors, not a
-        // "duplicate coordinate" report at the collapsed (n=0) point.
-        let err = append_runs(
-            &[],
-            vec![
-                with_n(serde_json::Value::Float(24.5)),
-                with_n(serde_json::Value::Float(99.5)),
-            ],
-        )
-        .unwrap_err();
-        assert!(err.contains("non-integer field \"n\""), "{err}");
-        assert!(!err.contains("duplicate"), "{err}");
+        let misses = gate_thread_scaling(&[resize(100), resize(10_000)], 2.5).unwrap();
+        assert_eq!(misses.failures.len(), 1, "{:?}", misses.failures);
+        assert_eq!(misses.warnings.len(), 1, "{:?}", misses.warnings);
+        assert!(
+            misses.warnings[0].contains("oversubscription"),
+            "{}",
+            misses.warnings[0]
+        );
     }
 
     #[test]
     fn append_merges_distinct_points_and_rejects_duplicates() {
-        let prior = tiny_run(1).to_value();
-        let other = tiny_run(2).to_value();
+        let prior = tiny_run(1);
+        let mut other = prior.clone();
+        other.threads = 2;
         // Distinct coordinates merge, prior rows first.
-        let merged = append_runs(std::slice::from_ref(&prior), vec![other.clone()])
-            .expect("distinct points append");
+        let merged = append_runs(vec![prior.clone()], vec![other]).expect("distinct points append");
         assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0]["threads"].as_u64(), Some(1));
-        assert_eq!(merged[1]["threads"].as_u64(), Some(2));
+        assert_eq!(merged[0].threads, 1);
+        assert_eq!(merged[1].threads, 2);
         // Appending the same coordinate again is an error that
         // names the point instead of silently double-counting it.
-        let err = append_runs(&merged, vec![prior.clone()]).unwrap_err();
+        let err = append_runs(merged, vec![prior.clone()]).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
         assert!(err.contains("n=30 threads=1"), "{err}");
         assert!(err.contains("lambda=8"), "{err}");
         // A duplicate inside the fresh batch itself is caught too.
-        let err = append_runs(&[], vec![prior.clone(), prior]).unwrap_err();
+        let err = append_runs(vec![], vec![prior.clone(), prior]).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
     }
 
@@ -1725,5 +1410,9 @@ mod tests {
         assert_eq!(flag_value(&args, "--sizes").as_deref(), Some("100,200"));
         assert_eq!(flag_value(&args, "--rounds").as_deref(), Some("3"));
         assert_eq!(flag_value(&args, "--out"), None);
+        assert_eq!(SinkKind::parse(" async"), Ok(SinkKind::Async));
+        assert!(SinkKind::parse("file")
+            .unwrap_err()
+            .contains("--events-sink"));
     }
 }

@@ -8,15 +8,15 @@ use qlec_core::params::QlecParams;
 use qlec_fault::{FaultDriver, FaultPlan};
 use qlec_geom::stats::Welford;
 use qlec_net::{Network, NetworkBuilder, Protocol, SimConfig, SimReport, Simulator};
-use qlec_obs::{MemorySink, ObserverSet, Phase};
+use qlec_obs::{ObserverSet, Phase, PhaseProfiler, ProfileReport};
 use qlec_radio::link::{AnyLink, DistanceLossLink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The protocols the paper's figures compare (plus the extra baselines
 /// this reproduction adds).
@@ -280,12 +280,24 @@ impl ScenarioBuilder {
 
 /// Mean wall time one simulation phase cost per run (from the
 /// [`qlec_obs`] phase spans, averaged over seeds).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PhaseWall {
     /// Phase name (`election`, `broadcast`, `qrouting`, …).
     pub phase: String,
     /// Mean total wall nanoseconds per run.
     pub mean_wall_ns: f64,
+}
+
+/// One run's wall per [`Phase`], read from its profile: the wall at
+/// [`Phase::path`], labelled by [`Phase::name`], in [`Phase::ALL`] order.
+pub fn phase_walls(profile: &ProfileReport) -> Vec<PhaseWall> {
+    Phase::ALL
+        .iter()
+        .map(|p| PhaseWall {
+            phase: p.name().to_string(),
+            mean_wall_ns: profile.wall_ns(p.path()) as f64,
+        })
+        .collect()
 }
 
 /// Seed-aggregated metrics for one experiment cell.
@@ -312,17 +324,16 @@ pub struct CellResult {
 }
 
 /// Run one protocol over every seed of a spec (in parallel) and
-/// aggregate. Each run carries a [`MemorySink`] so the JSON artifacts
+/// aggregate. Each run carries a [`PhaseProfiler`] so the JSON artifacts
 /// record where the wall time went, phase by phase.
 pub fn run_cell(kind: ProtocolKind, spec: &RunSpec) -> CellResult {
-    let results: Vec<(SimReport, Vec<u64>)> = spec
+    let results: Vec<(SimReport, Vec<PhaseWall>)> = spec
         .seeds
         .par_iter()
         .map(|&seed| {
             let net = spec.network(seed);
-            let sink = Arc::new(Mutex::new(MemorySink::new()));
-            let mut obs = ObserverSet::new();
-            obs.attach(sink.clone());
+            let profiler = Arc::new(PhaseProfiler::new());
+            let obs = ObserverSet::new().with_profiler(profiler.clone());
             let mut protocol = kind.build_observed(&spec.qlec_params(), &obs);
             // Offset the protocol RNG from the deployment RNG.
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
@@ -332,9 +343,7 @@ pub fn run_cell(kind: ProtocolKind, spec: &RunSpec) -> CellResult {
                 sim = sim.faults(driver);
             }
             let report = sim.build().run(protocol.as_mut(), &mut rng);
-            let sink = sink.lock().expect("metrics sink poisoned");
-            let walls = Phase::ALL.iter().map(|&p| sink.phase_wall_ns(p)).collect();
-            (report, walls)
+            (report, phase_walls(&profiler.report()))
         })
         .collect();
     let reports: Vec<SimReport> = results.iter().map(|(r, _)| r.clone()).collect();
@@ -345,7 +354,7 @@ pub fn run_cell(kind: ProtocolKind, spec: &RunSpec) -> CellResult {
         .enumerate()
         .map(|(i, p)| PhaseWall {
             phase: p.name().to_string(),
-            mean_wall_ns: results.iter().map(|(_, w)| w[i] as f64).sum::<f64>() / runs,
+            mean_wall_ns: results.iter().map(|(_, w)| w[i].mean_wall_ns).sum::<f64>() / runs,
         })
         .collect();
     cell

@@ -103,9 +103,6 @@ pub struct QlecProtocol {
     retarget_slot: Vec<(u32, u32)>,
     /// Head ids of every ranking cached this round, nearest first.
     retarget_ids: Vec<u32>,
-    /// Resolved engine thread count (see [`Protocol::configure_threads`]);
-    /// sizes the batched head V refreshes.
-    threads: usize,
 }
 
 /// Per-thread query and kernel buffers, reused across every node a
@@ -291,7 +288,6 @@ impl QlecBuilder {
             candidate_buf: Vec::new(),
             retarget_slot: Vec::new(),
             retarget_ids: Vec::new(),
-            threads: 1,
         }
     }
 }
@@ -548,8 +544,7 @@ impl Protocol for QlecProtocol {
         // values instead of stale ones.
         if self.q_routing {
             if let Some(router) = self.router.as_mut() {
-                let deltas =
-                    router.head_update_batch(net, &heads, self.aggregate_share, self.threads);
+                let deltas = router.head_update_batch(net, &heads, self.aggregate_share);
                 if let Some(store) = self.q_rows_store.as_mut() {
                     for &h in &heads {
                         store.record(h.0, u32::MAX, router.v_of(h));
@@ -636,7 +631,7 @@ impl Protocol for QlecProtocol {
         // BS-hop Q after data fusion.
         if let Some(router) = self.router.as_mut() {
             let start_ns = self.obs.now_ns();
-            let deltas = router.head_update_batch(net, heads, self.aggregate_share, self.threads);
+            let deltas = router.head_update_batch(net, heads, self.aggregate_share);
             if let Some(store) = self.q_rows_store.as_mut() {
                 for &h in heads {
                     store.record(h.0, u32::MAX, router.v_of(h));
@@ -699,10 +694,6 @@ impl Protocol for QlecProtocol {
                 });
             }
         }
-    }
-
-    fn configure_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 }
 

@@ -400,9 +400,9 @@ impl QRouter {
         action
     }
 
-    /// Commit the outcome of a planning pass that ran
-    /// [`QRouter::send_data_core`] (possibly several times, one per
-    /// packet) on a local `V*` copy: write the final value back, fold in
+    /// Commit the outcome of a planning pass that ran the side-effect-free
+    /// `Send-Data` fixed point (possibly several times, one per packet)
+    /// on a local `V*` copy: write the final value back, fold in
     /// the elementary-update count, and replay the per-packet signed
     /// deltas through the convergence tracker in packet order — exactly
     /// the bookkeeping the in-place path does per call.
@@ -452,40 +452,23 @@ impl QRouter {
         r_t + p.gamma * (1.0 - p_ok) * self.v[head.index()]
     }
 
-    /// [`QRouter::head_update`] over a whole head roster: Q-values are
-    /// computed (in parallel when `threads > 1` — each depends only on
-    /// its own head's state) and then applied sequentially in roster
-    /// order, which reproduces the one-at-a-time loop exactly. Returns
-    /// the per-head signed deltas in roster order for event emission.
+    /// [`QRouter::head_update`] over a whole head roster, in roster
+    /// order. Returns the per-head signed deltas in roster order for
+    /// event emission.
     pub fn head_update_batch(
         &mut self,
         net: &Network,
         heads: &[NodeId],
         aggregate_share: f64,
-        threads: usize,
     ) -> Vec<f64> {
         assert!(
             (0.0..=1.0).contains(&aggregate_share),
             "aggregate_share must be in [0,1], got {aggregate_share}"
         );
-        let qs: Vec<f64> = if threads > 1 && heads.len() > 1 {
-            use rayon::prelude::*;
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool");
-            pool.install(|| {
-                heads
-                    .par_iter()
-                    .map(|&h| self.head_q(net, h, aggregate_share))
-                    .collect()
-            })
-        } else {
-            heads
-                .iter()
-                .map(|&h| self.head_q(net, h, aggregate_share))
-                .collect()
-        };
+        let qs: Vec<f64> = heads
+            .iter()
+            .map(|&h| self.head_q(net, h, aggregate_share))
+            .collect();
         let mut deltas = Vec::with_capacity(heads.len());
         for (&h, &q) in heads.iter().zip(&qs) {
             self.updates.bump();

@@ -40,7 +40,7 @@ use crate::event::Event;
 use crate::json_sink::JsonLinesSink;
 use crate::observer::SimObserver;
 use crate::ObsError;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
@@ -93,7 +93,7 @@ struct SharedStats {
 }
 
 /// A snapshot of the pipeline's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SinkStats {
     /// Events accepted onto the queue.
     pub enqueued: u64,

@@ -6,7 +6,7 @@
 //! `PacketCounters` exactly (both are driven by the same emission
 //! sites), which is what the integration tests assert.
 
-use crate::event::{Event, PacketFate, Phase};
+use crate::event::{Event, PacketFate};
 use crate::observer::SimObserver;
 use crate::registry::Registry;
 use std::fmt::Write as _;
@@ -33,13 +33,6 @@ impl MemorySink {
     /// Alive-node count at the end of each completed round.
     pub fn alive_curve(&self) -> &[(u32, usize)] {
         &self.alive_curve
-    }
-
-    /// Total wall nanoseconds spent in a phase.
-    pub fn phase_wall_ns(&self, phase: Phase) -> u64 {
-        self.registry
-            .histogram(&format!("phase.{}.wall_ns", phase.name()))
-            .map_or(0, |h| h.sum() as u64)
     }
 
     /// Packet delivery rate implied by the event stream.
@@ -119,6 +112,7 @@ impl SimObserver for MemorySink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Phase;
 
     fn feed(sink: &mut MemorySink, events: &[Event]) {
         for e in events {
@@ -233,8 +227,16 @@ mod tests {
                 },
             ],
         );
-        assert_eq!(sink.phase_wall_ns(Phase::Election), 250);
-        assert_eq!(sink.phase_wall_ns(Phase::Transmission), 0);
+        let election = sink
+            .registry()
+            .histogram("phase.election.wall_ns")
+            .expect("election was timed");
+        assert_eq!(election.count(), 2);
+        assert_eq!(election.sum(), 250.0);
+        assert!(sink
+            .registry()
+            .histogram("phase.transmission.wall_ns")
+            .is_none());
     }
 
     #[test]

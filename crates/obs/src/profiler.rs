@@ -278,6 +278,16 @@ fn ms(ns: u64) -> f64 {
 }
 
 impl ProfileReport {
+    /// Total wall ns recorded at a phase path (0 when the path never
+    /// ran). At a [`crate::Phase::path`] this is the sum of that phase's
+    /// [`crate::Event::PhaseTimed`] walls.
+    pub fn wall_ns(&self, path: &str) -> u64 {
+        self.phases
+            .iter()
+            .find(|row| row.path == path)
+            .map_or(0, |row| row.wall_ns)
+    }
+
     /// Look up a counter by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
@@ -449,6 +459,18 @@ mod tests {
         assert!(text.contains("merge.retargets"), "{text}");
         assert!(text.contains("thread utilization"), "{text}");
         assert!(text.contains("t1"), "{text}");
+    }
+
+    #[test]
+    fn wall_looks_up_by_path() {
+        let (_, prof) = manual();
+        prof.record_wall("transmission/merge", 30);
+        prof.record_wall("transmission/merge", 40);
+        prof.record_busy("transmission/plan", 0, 5);
+        let report = prof.report();
+        assert_eq!(report.wall_ns("transmission/merge"), 70);
+        assert_eq!(report.wall_ns("transmission/plan"), 0, "busy is not wall");
+        assert_eq!(report.wall_ns("nope"), 0);
     }
 
     #[test]

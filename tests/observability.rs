@@ -6,7 +6,7 @@
 
 use qlec::core::QlecProtocol;
 use qlec::net::{NetworkBuilder, SimConfig, Simulator};
-use qlec::obs::{read_events, Event, JsonLinesSink, MemorySink, ObserverSet, Phase};
+use qlec::obs::{read_events, Event, JsonLinesSink, MemorySink, ObserverSet, Phase, PhaseProfiler};
 use qlec::radio::link::{AnyLink, DistanceLossLink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +25,8 @@ fn event_stream_replays_the_simulation_report() {
 
     let json_sink = Arc::new(Mutex::new(JsonLinesSink::new(Vec::new()).unwrap()));
     let memory_sink = Arc::new(Mutex::new(MemorySink::new()));
-    let mut obs = ObserverSet::new();
+    let profiler = Arc::new(PhaseProfiler::new());
+    let mut obs = ObserverSet::new().with_profiler(profiler.clone());
     obs.attach(json_sink.clone());
     obs.attach(memory_sink.clone());
 
@@ -134,6 +135,28 @@ fn event_stream_replays_the_simulation_report() {
             .iter()
             .any(|e| matches!(e, Event::PhaseTimed { phase: p, .. } if *p == phase));
         assert!(timed, "no PhaseTimed event for {}", phase.name());
+    }
+
+    // One timing source: the profiler's wall at each phase's path is the
+    // sum of that phase's PhaseTimed walls in the stream.
+    let profile = profiler.report();
+    for phase in Phase::ALL {
+        let streamed: u64 = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::PhaseTimed {
+                    phase: p, wall_ns, ..
+                } if *p == phase => Some(*wall_ns),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(
+            profile.wall_ns(phase.path()),
+            streamed,
+            "profiler wall at {} vs the stream's {} spans",
+            phase.path(),
+            phase.name()
+        );
     }
     let rounds_started = events
         .iter()
