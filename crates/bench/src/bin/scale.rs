@@ -95,7 +95,14 @@ use std::time::Instant;
 /// the `--compare`/append/thread-scaling keys shrink to `(n, threads,
 /// candidates, lambda, rounds)`; `legacy-auto` is no longer a
 /// candidates spelling.
-const SCALE_SCHEMA: &str = "qlec-bench-scale/v9";
+/// v10: one phase taxonomy. `phase_wall` rows are labelled by the
+/// profile path (`election/broadcast`, `transmission/merge`, …; the
+/// overlapping `qrouting` span is gone, `traffic`, `transmission/plan`
+/// and `transmission/merge` join) and carry `wall_ns` (the run total)
+/// instead of the misnamed `mean_wall_ns`; the `thread_scaling` phase
+/// speedups use the same labels. Profile-only runs no longer build
+/// events, so the rows measure less observer overhead than v9's.
+const SCALE_SCHEMA: &str = "qlec-bench-scale/v10";
 
 /// `--compare` fails on a `packets_per_sec` drop of more than this
 /// fraction below the baseline at any matching point.
@@ -127,6 +134,9 @@ const SCALING_GATE_MIN_N: usize = 10_000;
 /// was measured under a mode the key no longer distinguishes, so two such
 /// rows could collide on one coordinate.
 const RETIRED_FIELDS: [&str; 2] = ["head_index", "q_rows"];
+
+/// The `phase_wall` field a pre-v10 row carries in place of `wall_ns`.
+const RETIRED_PHASE_WALL_FIELD: &str = "mean_wall_ns";
 
 /// One (size, threads) point of the sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -164,8 +174,8 @@ struct ScaleRun {
     /// dominates. Omitted from the JSON on platforms without the
     /// counter.
     peak_rss_bytes: Option<u64>,
-    /// Wall nanoseconds per simulation phase: the profiler's wall at
-    /// each [`Phase::path`], labelled by [`Phase::name`].
+    /// Wall nanoseconds per simulation phase over the run: the
+    /// profiler's wall for each [`Phase`], labelled by [`Phase::path`].
     phase_wall: Vec<PhaseWall>,
     /// Busy nanoseconds per (phase path, worker slot), from the
     /// profiler — reveals fan-out imbalance the wall numbers hide.
@@ -353,7 +363,7 @@ const RUN_CHECKS: [RunCheck; 5] = [
     ("phase_wall must name every phase", |r| {
         Phase::ALL
             .iter()
-            .all(|p| r.phase_wall.iter().any(|w| w.phase == p.name()))
+            .all(|p| r.phase_wall.iter().any(|w| w.phase == p.path()))
     }),
     (
         "events_pipeline rows must be sync, or async with queue counters",
@@ -380,6 +390,29 @@ fn parse_scale_report(text: &str) -> Result<ScaleReport, String> {
             tag.schema
         ));
     }
+    // The rules the types cannot express, checked before the typed
+    // parse so an old row is named as such, not by its first missing
+    // field: the derive ignores unknown keys and reads an explicit `null`
+    // as an absent value.
+    for (i, row) in v["runs"].as_array().into_iter().flatten().enumerate() {
+        let old_wall = row["phase_wall"]
+            .as_array()
+            .into_iter()
+            .flatten()
+            .any(|w| w.get(RETIRED_PHASE_WALL_FIELD).is_some());
+        let retired = RETIRED_FIELDS.iter().find(|&&k| row.get(k).is_some());
+        if let Some(key) = retired.or(old_wall.then_some(&RETIRED_PHASE_WALL_FIELD)) {
+            return Err(format!(
+                "runs[{i}] carries the retired field {key:?}: it predates {SCALE_SCHEMA}; \
+                 re-run the sweep"
+            ));
+        }
+        if row.get("peak_rss_bytes").is_some_and(|rss| rss.is_null()) {
+            return Err(format!(
+                "runs[{i}].peak_rss_bytes must be omitted, not null, when unavailable"
+            ));
+        }
+    }
     let report = ScaleReport::from_value(&v).map_err(|e| e.to_string())?;
     if report.runs.is_empty() {
         return Err("runs must be non-empty".into());
@@ -387,21 +420,6 @@ fn parse_scale_report(text: &str) -> Result<ScaleReport, String> {
     for (i, run) in report.runs.iter().enumerate() {
         if let Some((rule, _)) = RUN_CHECKS.iter().find(|(_, holds)| !holds(run)) {
             return Err(format!("runs[{i}]: {rule}"));
-        }
-    }
-    // The two rules the types cannot express: the derive reads an
-    // explicit `null` as an absent value, and ignores unknown keys.
-    for (i, row) in v["runs"].as_array().into_iter().flatten().enumerate() {
-        if row.get("peak_rss_bytes").is_some_and(|rss| rss.is_null()) {
-            return Err(format!(
-                "runs[{i}].peak_rss_bytes must be omitted, not null, when unavailable"
-            ));
-        }
-        if let Some(key) = RETIRED_FIELDS.iter().find(|&&k| row.get(k).is_some()) {
-            return Err(format!(
-                "runs[{i}] carries the retired field {key:?}: it predates {SCALE_SCHEMA}; \
-                 re-run the sweep"
-            ));
         }
     }
     Ok(report)
@@ -422,8 +440,8 @@ fn thread_scaling_rows(runs: &[ScaleRun]) -> Vec<ThreadScalingRow> {
     let wall = |r: &ScaleRun, p: Phase| {
         r.phase_wall
             .iter()
-            .find(|w| w.phase == p.name())
-            .map_or(0.0, |w| w.mean_wall_ns)
+            .find(|w| w.phase == p.path())
+            .map_or(0.0, |w| w.wall_ns)
     };
     runs.iter()
         .filter(|run| run.threads != 1)
@@ -439,7 +457,7 @@ fn thread_scaling_rows(runs: &[ScaleRun]) -> Vec<ThreadScalingRow> {
                 .filter_map(|&p| {
                     let (b, s) = (wall(base, p), wall(run, p));
                     (b > 0.0 && s > 0.0).then(|| PhaseSpeedup {
-                        phase: p.name().to_string(),
+                        phase: p.path().to_string(),
                         speedup: b / s,
                     })
                 })
@@ -597,7 +615,7 @@ fn run_size(point: SweepPoint) -> ScaleRun {
         phase_threads,
         merge_conflicts: counter("merge.conflicts"),
         merge_retargets: counter("merge.retargets"),
-        merge_share: profile.wall_ns("transmission/merge") as f64 / (wall_s * 1e9).max(1.0),
+        merge_share: profile.wall_ns(Phase::Merge) as f64 / (wall_s * 1e9).max(1.0),
         round_p50_ns: profile.round_latency.p50_ns,
         round_p90_ns: profile.round_latency.p90_ns,
         round_p99_ns: profile.round_latency.p99_ns,
@@ -1006,7 +1024,7 @@ mod tests {
         assert!(
             r.phase_threads
                 .iter()
-                .any(|s| s.phase == "transmission/plan"),
+                .any(|s| s.phase == Phase::Plan.path()),
             "profiler spans must reach the artifact: {:?}",
             r.phase_threads
         );
@@ -1096,7 +1114,7 @@ mod tests {
             (
                 "",
                 "schema".into(),
-                Some("\"qlec-bench-scale/v8\""),
+                Some("\"qlec-bench-scale/v9\""),
                 "schema must be".into(),
             ),
             (
@@ -1139,8 +1157,14 @@ mod tests {
             (
                 "runs/0",
                 "phase_wall".into(),
-                Some("[{\"phase\":\"election\",\"mean_wall_ns\":1.0}]"),
+                Some("[{\"phase\":\"election\",\"wall_ns\":1.0}]"),
                 "every phase".into(),
+            ),
+            (
+                "runs/0",
+                "phase_wall".into(),
+                Some("[{\"phase\":\"election\",\"mean_wall_ns\":1.0}]"),
+                format!("retired field \"mean_wall_ns\": it predates {SCALE_SCHEMA}"),
             ),
             (
                 "runs/0",

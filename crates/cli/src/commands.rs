@@ -59,8 +59,9 @@ NOTES:
   instead embed the plan inline under its `faults` key (what the soak
   harness writes for its reproducers); combining an inline plan with
   --faults is an error.
-  --events - streams the event log to stdout with wall-clock timings
-  suppressed, so identical seeds and plans give byte-identical streams.
+  --events - streams the event log to stdout instead of a file. No
+  stream carries wall-clock timings (those go to --profile), so
+  identical seeds and plans give byte-identical streams.
   --events-mode sample:R keeps roughly the fraction R of the per-packet
   events (counter-based, still deterministic); aggregate replaces them
   with one RoundSummary digest per round.
@@ -351,22 +352,17 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
     }
     let mut events_pipeline = None;
     if let Some(path) = file_arg("events")? {
-        if path == "-" {
-            // Stdout stream: suppress the wall-clock-bearing events so the
-            // same seed (and fault plan) yields a byte-identical stream.
-            let sink = JsonLinesSink::new(std::io::stdout())
-                .map_err(|e| format!("cannot write events to stdout: {e}"))?
-                .deterministic()
-                .with_mode(events_mode);
-            events_pipeline = attach_events_sink(&mut obs, sink, sink_kind);
+        let out: Box<dyn std::io::Write + Send> = if path == "-" {
+            Box::new(std::io::stdout())
         } else {
             let file =
                 std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            let sink = JsonLinesSink::new(std::io::BufWriter::new(file))
-                .map_err(|e| format!("cannot write {path}: {e}"))?
-                .with_mode(events_mode);
-            events_pipeline = attach_events_sink(&mut obs, sink, sink_kind);
-        }
+            Box::new(file)
+        };
+        let sink = JsonLinesSink::new(std::io::BufWriter::new(out))
+            .map_err(|e| format!("cannot write events to {path}: {e}"))?
+            .with_mode(events_mode);
+        events_pipeline = attach_events_sink(&mut obs, sink, sink_kind);
     }
     let metrics_sink = match file_arg("metrics")? {
         Some(_) => {
@@ -1167,11 +1163,6 @@ mod artifact_tests {
 
     #[test]
     fn async_sink_stream_matches_sync_stream() {
-        // File streams carry real wall-clock PhaseTimed events, so two
-        // runs are compared modulo timings here; *byte* identity of the
-        // deterministic `--events -` stream is asserted where the same
-        // sink objects can be driven in-process (the corpus
-        // `equivalence/sink` cell).
         let dir = std::env::temp_dir();
         let sync_path = dir.join("qlec_test_sink_sync.jsonl");
         let async_path = dir.join("qlec_test_sink_async.jsonl");
@@ -1192,26 +1183,18 @@ mod artifact_tests {
             let mut line: Vec<&str> = base.to_vec();
             line.extend_from_slice(&["--events", path_s, "--sink", sink]);
             run(&line).unwrap();
-            let text = std::fs::read_to_string(path).unwrap();
-            qlec_obs::read_events(&text).expect("stream parses")
+            std::fs::read(path).unwrap()
         };
-        let timeless = |events: Vec<qlec_obs::Event>| -> Vec<qlec_obs::Event> {
-            events
-                .into_iter()
-                .filter(|e| !matches!(e, qlec_obs::Event::PhaseTimed { .. }))
-                .collect()
-        };
-        let sync_events = with(&sync_path, "sync");
-        let async_events = with(&async_path, "async");
-        assert_eq!(sync_events.len(), async_events.len());
-        assert_eq!(
-            timeless(sync_events),
-            timeless(async_events),
-            "block-mode pipeline must not change the stream"
+        let sync_bytes = with(&sync_path, "sync");
+        assert!(!sync_bytes.is_empty());
+        assert!(
+            sync_bytes == with(&async_path, "async"),
+            "block-mode pipeline must not change a byte of the stream"
         );
         // Drop mode with the default (large) queue sheds nothing at this
         // size, but only a parse check is part of its contract.
-        let drop_events = with(&drop_path, "async:drop");
+        let drop_text = String::from_utf8(with(&drop_path, "async:drop")).unwrap();
+        let drop_events = qlec_obs::read_events(&drop_text).expect("stream parses");
         assert!(!drop_events.is_empty());
         for p in [sync_path, async_path, drop_path] {
             let _ = std::fs::remove_file(p);
@@ -1247,10 +1230,13 @@ mod artifact_tests {
         assert_eq!(v["round_latency"]["rounds"].as_u64(), Some(3));
         assert!(v["round_latency"]["p50_ns"].as_f64().unwrap() > 0.0);
         assert!(v["round_latency"]["p99_ns"].as_f64().unwrap() > 0.0);
+        // One row per phase, each timed on this QLEC run.
         let phases = v["phases"].as_array().unwrap();
         let paths: Vec<&str> = phases.iter().map(|p| p["path"].as_str().unwrap()).collect();
-        for expect in ["election", "transmission/plan", "transmission/merge"] {
-            assert!(paths.contains(&expect), "missing {expect} in {paths:?}");
+        let expected: Vec<&str> = qlec_obs::Phase::ALL.iter().map(|p| p.path()).collect();
+        assert_eq!(paths, expected);
+        for row in phases {
+            assert!(row["wall_ns"].as_u64().unwrap() > 0, "{row:?}");
         }
         for name in ["merge.conflicts", "merge.retargets"] {
             assert!(

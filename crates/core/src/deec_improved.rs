@@ -215,7 +215,7 @@ pub fn select_heads_from_roster(
     } else {
         elected
     };
-    obs.span_end(broadcast_span, round, Phase::Broadcast);
+    obs.span_end(broadcast_span, Phase::Broadcast);
     if obs.is_active() {
         for &w in &withdrawn_ids {
             obs.emit(Event::HeadWithdrawn { round, node: w.0 });

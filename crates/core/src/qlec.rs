@@ -52,15 +52,13 @@ pub struct QlecProtocol {
     aggregate_share: f64,
     name: String,
     /// Structured-event observer (inert by default). Emits
-    /// [`Event::QUpdate`] per V change, [`Event::HeadWithdrawn`] from the
-    /// redundancy reduction, and a per-round [`Phase::QRouting`] span.
+    /// [`Event::QUpdate`] per V change and [`Event::HeadWithdrawn`] from
+    /// the redundancy reduction, and times the [`Phase::Broadcast`] and
+    /// [`Phase::IndexMaintenance`] spans.
     obs: ObserverSet,
     /// Round currently in flight (protocol hooks that lack a round
     /// argument stamp their events with it).
     current_round: u32,
-    /// Wall time spent in `Send-Data` this round (accumulated across
-    /// `choose_target` calls, flushed as one span at the round end).
-    qrouting_ns: u64,
     /// k-d tree over this round's head positions, built in
     /// `on_round_start`; tree point `i` is head `head_ids[i]`. Only
     /// queried while `candidates_active`.
@@ -276,7 +274,6 @@ impl QlecBuilder {
             name: self.name,
             obs: self.obs,
             current_round: 0,
-            qrouting_ns: 0,
             head_tree: KdTree::default(),
             head_ids: Vec::new(),
             candidates_active: false,
@@ -484,18 +481,16 @@ impl Protocol for QlecProtocol {
     ) -> Vec<NodeId> {
         self.ensure_initialized(net);
         self.current_round = round;
-        self.qrouting_ns = 0;
         if let Some(store) = self.q_rows_store.as_mut() {
             store.begin_round(round);
         }
         let k = self.k.expect("initialized above");
         // Index maintenance, part 1: the Algorithm 3 node grid. Timed
-        // into the round's IndexMaintenance span (which nests inside the
-        // simulator's Election span — this all happens in
-        // `on_round_start`).
-        let grid_start_ns = self.obs.now_ns();
+        // as IndexMaintenance, which nests inside the simulator's
+        // Election span (this all happens in `on_round_start`).
+        let grid_span = self.obs.span_start();
         self.maintain_grid(net);
-        let mut index_ns = self.obs.now_ns().saturating_sub(grid_start_ns);
+        self.obs.span_end(grid_span, Phase::IndexMaintenance);
         let grid = self.grid.as_ref().expect("maintained above");
         let outcome = select_heads_from_roster(
             net,
@@ -519,23 +514,15 @@ impl Protocol for QlecProtocol {
         self.retarget_ids.clear();
         if let Some(c) = self.params.candidates.budget(k) {
             if self.q_routing && heads.len() > c {
-                let head_start_ns = self.obs.now_ns();
+                let index_span = self.obs.span_start();
                 self.head_tree = KdTree::build(heads.iter().map(|&h| net.node(h).pos).collect());
                 self.head_ids.clear();
                 self.head_ids.extend(heads.iter().map(|h| h.0));
                 self.candidate_budget = c;
                 self.candidates_active = true;
                 self.retarget_slot.resize(net.len(), UNRANKED);
-                index_ns += self.obs.now_ns().saturating_sub(head_start_ns);
+                self.obs.span_end(index_span, Phase::IndexMaintenance);
             }
-        }
-        if self.obs.is_active() {
-            self.obs.emit(Event::PhaseTimed {
-                round,
-                phase: Phase::IndexMaintenance,
-                wall_ns: index_ns,
-                sim_time: self.obs.sim_time(),
-            });
         }
         // Refresh each head's V at promotion: a node's V from its member
         // days values a different action set; the head's state is "hold
@@ -597,7 +584,6 @@ impl Protocol for QlecProtocol {
         } else {
             heads
         };
-        let start_ns = self.obs.now_ns();
         let router = self
             .router
             .as_mut()
@@ -607,7 +593,6 @@ impl Protocol for QlecProtocol {
             store.record(src.0, overlay_key(target), router.v_of(src));
         }
         if self.obs.is_active() {
-            self.qrouting_ns += self.obs.now_ns().saturating_sub(start_ns);
             self.obs.emit(Event::QUpdate {
                 round: self.current_round,
                 node: src.0,
@@ -630,7 +615,6 @@ impl Protocol for QlecProtocol {
         // Algorithm 1 line 15: heads refresh their own V values from the
         // BS-hop Q after data fusion.
         if let Some(router) = self.router.as_mut() {
-            let start_ns = self.obs.now_ns();
             let deltas = router.head_update_batch(net, heads, self.aggregate_share);
             if let Some(store) = self.q_rows_store.as_mut() {
                 for &h in heads {
@@ -651,20 +635,6 @@ impl Protocol for QlecProtocol {
             // that died this round (they are never consulted again, so
             // this cannot change behaviour — only the table's footprint).
             router.prune_dead_links(net);
-            if self.obs.is_active() {
-                // One span for the round's whole Send-Data workload: the
-                // per-packet time accumulated in `choose_target` (or
-                // planned and absorbed by the parallel engine) plus the
-                // line-15 head refresh above.
-                let wall_ns = self.qrouting_ns + self.obs.now_ns().saturating_sub(start_ns);
-                self.obs.emit(Event::PhaseTimed {
-                    round,
-                    phase: Phase::QRouting,
-                    wall_ns,
-                    sim_time: self.obs.sim_time(),
-                });
-                self.qrouting_ns = 0;
-            }
         }
     }
 
@@ -684,7 +654,6 @@ impl Protocol for QlecProtocol {
                 store.record(src.0, key, q);
             }
         }
-        self.qrouting_ns += s.ns;
         if self.obs.is_active() {
             for &delta in &s.deltas {
                 self.obs.emit(Event::QUpdate {
@@ -706,8 +675,7 @@ impl Protocol for QlecProtocol {
 /// merge time, through the usual `on_hop_result` replay, so cross-node
 /// learning lands between rounds regardless of thread count); `deltas`
 /// and `updates` are the bookkeeping that [`QlecProtocol::absorb_plan`]
-/// commits, and `ns` is the plan-time Send-Data wall clock folded into
-/// the round's Q-routing span.
+/// commits.
 struct QlecPlanScratch {
     v_src: f64,
     /// Pending link-belief updates, keyed by destination (`u32::MAX` =
@@ -730,7 +698,6 @@ struct QlecPlanScratch {
     decisions: Vec<(u32, f64)>,
     /// Elementary Q computations performed while planning.
     updates: u64,
-    ns: u64,
 }
 
 fn overlay_key(t: Target) -> u32 {
@@ -751,7 +718,6 @@ impl RoutePlanner for QlecProtocol {
             deltas: Vec::new(),
             decisions: Vec::new(),
             updates: 0,
-            ns: 0,
         })
     }
 
@@ -789,7 +755,6 @@ impl RoutePlanner for QlecProtocol {
             deltas,
             decisions,
             updates,
-            ns,
         } = s;
         THREAD_BUFS.with_borrow_mut(|bufs| {
             // Same pruned-candidate query as `choose_target`, computed once
@@ -819,7 +784,6 @@ impl RoutePlanner for QlecProtocol {
             } else {
                 heads
             };
-            let start_ns = self.obs.now_ns();
             let overlay_ref: &HashMap<u32, f64> = overlay;
             let p_base = |t: Target| -> f64 {
                 match overlay_ref.get(&overlay_key(t)) {
@@ -840,9 +804,6 @@ impl RoutePlanner for QlecProtocol {
             );
             deltas.push(*v_src - v_before);
             decisions.push((overlay_key(target), *v_src));
-            if self.obs.is_active() {
-                *ns += self.obs.now_ns().saturating_sub(start_ns);
-            }
             target
         })
     }
@@ -1212,9 +1173,8 @@ mod tests {
     #[test]
     fn event_stream_is_thread_invariant_under_the_example_fault_plan() {
         // The `qlec-sim run --n 1000 --faults examples/faults.json
-        // --events -` stream (deterministic sink; 9 rounds reach the
-        // plan's drain, crash, link degradation and region blackout) at
-        // threads 1, 2 and 4.
+        // --events -` stream (9 rounds reach the plan's drain, crash,
+        // link degradation and region blackout) at threads 1, 2 and 4.
         use qlec_net::{FaultDriver, FaultPlan};
         use qlec_obs::JsonLinesSink;
         use std::io::Write;
@@ -1242,9 +1202,7 @@ mod tests {
             let buf = SharedBuf::default();
             let mut obs = ObserverSet::new();
             obs.attach(Arc::new(Mutex::new(
-                JsonLinesSink::new(buf.clone())
-                    .expect("sink")
-                    .deterministic(),
+                JsonLinesSink::new(buf.clone()).expect("sink"),
             )));
             let mut cfg = SimConfig::paper(5.0);
             cfg.rounds = 9;

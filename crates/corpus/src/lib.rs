@@ -19,7 +19,7 @@
 //!   pair in one process: thread counts (on the planner path and on the
 //!   `choose_target` fallback of a protocol without a planner, with and
 //!   without faults), sync vs async sink (full and aggregate event
-//!   modes), and the `--spec`-JSON round trip.
+//!   modes), profiler attached vs not, and the `--spec`-JSON round trip.
 //!
 //! Every cell runs through [`qlec_cli::commands::run_spec`] — the same
 //! construction path `qlec-sim run` executes — so a diff here is a diff
@@ -33,7 +33,10 @@ use qlec_cli::commands::run_spec;
 use qlec_cli::spec::SimSpec;
 use qlec_geom::{Aabb, Vec3};
 use qlec_net::{FaultEvent, FaultPlan, MergeOutcome, SimReport};
-use qlec_obs::{read_events, AsyncJsonLinesSink, Event, EventsMode, JsonLinesSink, ObserverSet};
+use qlec_obs::{
+    read_events, AsyncJsonLinesSink, Event, EventsMode, JsonLinesSink, ObserverSet, Phase,
+    PhaseProfiler,
+};
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -69,7 +72,7 @@ impl std::io::Write for SharedBuf {
 /// One observed run of a spec: the deterministic event stream, the
 /// report, and the whole-run merge totals.
 pub struct CellRun {
-    /// Deterministic JSON-lines event stream (wall-clock suppressed).
+    /// The JSON-lines event stream.
     pub stream: String,
     /// The run's report.
     pub report: SimReport,
@@ -77,20 +80,24 @@ pub struct CellRun {
     pub outcome: MergeOutcome,
 }
 
-/// Run one spec with the deterministic event stream captured in memory
-/// — the in-process equivalent of `qlec-sim run --events -`, optionally
-/// through the async (block-backpressure) pipeline.
+/// Run one spec with the event stream captured in memory — the
+/// in-process equivalent of `qlec-sim run --events -`, optionally
+/// through the async (block-backpressure) pipeline and with a
+/// [`PhaseProfiler`] attached (the `--profile` set-up).
 pub fn run_cell(
     spec: &SimSpec,
     events_mode: EventsMode,
     async_sink: bool,
+    profiler: Option<Arc<PhaseProfiler>>,
 ) -> Result<CellRun, String> {
     let buf = SharedBuf::default();
     let sink = JsonLinesSink::new(buf.clone())
         .map_err(|e| format!("in-memory sink: {e}"))?
-        .deterministic()
         .with_mode(events_mode);
     let mut obs = ObserverSet::new();
+    if let Some(profiler) = profiler {
+        obs = obs.with_profiler(profiler);
+    }
     if async_sink {
         obs.attach(Arc::new(Mutex::new(AsyncJsonLinesSink::new(sink))));
     } else {
@@ -161,7 +168,8 @@ pub enum Axis {
     /// `--threads 1` vs 2 vs 4.
     Threads,
     /// `--sink sync` vs `async` (block backpressure), in full and in
-    /// aggregate event mode, at threads 1 and 2.
+    /// aggregate event mode, at threads 1 and 2; plus `--profile` on vs
+    /// off.
     Sink,
     /// Spec → JSON → spec round trip reproduces the run.
     SpecJson,
@@ -463,7 +471,7 @@ fn golden_path(dir: &Path, name: &str) -> PathBuf {
 }
 
 fn run_golden_cell(cell: &Cell, dir: &Path, mode: GoldenMode) -> Result<(), String> {
-    let run = run_cell(&cell.spec, EventsMode::Full, false)?;
+    let run = run_cell(&cell.spec, EventsMode::Full, false, None)?;
     let violations = check_run(&cell.spec, &run);
     if !violations.is_empty() {
         return Err(format!("invariants violated: {}", violations.join("; ")));
@@ -539,7 +547,7 @@ fn expect_identical(label: &str, base: &CellRun, variant: &CellRun) -> Result<()
 }
 
 fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
-    let base = run_cell(&cell.spec, EventsMode::Full, false)?;
+    let base = run_cell(&cell.spec, EventsMode::Full, false, None)?;
     let violations = check_run(&cell.spec, &base);
     if !violations.is_empty() {
         return Err(format!("invariants violated: {}", violations.join("; ")));
@@ -555,7 +563,7 @@ fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
                     threads,
                     ..cell.spec.clone()
                 };
-                let run = run_cell(&spec, EventsMode::Full, false)?;
+                let run = run_cell(&spec, EventsMode::Full, false, None)?;
                 expect_identical(&format!("threads 1 vs {threads}"), &base, &run)?;
                 let v = check_run(&spec, &run);
                 if !v.is_empty() {
@@ -568,14 +576,23 @@ fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
             Ok(())
         }
         CellKind::Equivalence(Axis::Sink) => {
-            let run = run_cell(&cell.spec, EventsMode::Full, true)?;
+            let run = run_cell(&cell.spec, EventsMode::Full, true, None)?;
             expect_identical("sync vs async sink", &base, &run)?;
+            // Profiling is out-of-band: attaching a profiler may not
+            // change a byte. It must also have timed something, or the
+            // comparison proves nothing.
+            let profiler = Arc::new(PhaseProfiler::new());
+            let run = run_cell(&cell.spec, EventsMode::Full, false, Some(profiler.clone()))?;
+            expect_identical("profiler attached vs not", &base, &run)?;
+            if profiler.report().wall_ns(Phase::Election) == 0 {
+                return Err("the profiled pass recorded no election wall".to_string());
+            }
             let seq = SimSpec {
                 threads: 1,
                 ..cell.spec.clone()
             };
-            let seq_sync = run_cell(&seq, EventsMode::Full, false)?;
-            let seq_async = run_cell(&seq, EventsMode::Full, true)?;
+            let seq_sync = run_cell(&seq, EventsMode::Full, false, None)?;
+            let seq_async = run_cell(&seq, EventsMode::Full, true, None)?;
             expect_identical("sync vs async sink (threads 1)", &seq_sync, &seq_async)?;
             // Aggregate mode: the events-mode filter may not depend on
             // the writer pipeline or the thread count either.
@@ -584,7 +601,7 @@ fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
                     threads,
                     ..cell.spec.clone()
                 };
-                run_cell(&spec, EventsMode::Aggregate, async_sink)
+                run_cell(&spec, EventsMode::Aggregate, async_sink, None)
             };
             let agg = aggregate(1, false)?;
             check_aggregate_stream(&agg.stream)?;
@@ -600,7 +617,7 @@ fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
             if back != cell.spec {
                 return Err("spec JSON round trip changed the spec".to_string());
             }
-            let run = run_cell(&back, EventsMode::Full, false)?;
+            let run = run_cell(&back, EventsMode::Full, false, None)?;
             expect_identical("spec vs spec-JSON round trip", &base, &run)?;
             Ok(())
         }
@@ -627,7 +644,7 @@ fn check_aggregate_stream(stream: &str) -> Result<(), String> {
 }
 
 fn run_property_cell(cell: &Cell) -> Result<(), String> {
-    let run = run_cell(&cell.spec, EventsMode::Full, false)?;
+    let run = run_cell(&cell.spec, EventsMode::Full, false, None)?;
     let violations = check_run(&cell.spec, &run);
     if !violations.is_empty() {
         return Err(format!("invariants violated: {}", violations.join("; ")));
@@ -695,7 +712,7 @@ mod tests {
             .iter()
             .find(|c| c.name == "property/qlec-blackout-everything")
             .expect("cell exists");
-        let run = run_cell(&cell.spec, EventsMode::Full, false).unwrap();
+        let run = run_cell(&cell.spec, EventsMode::Full, false, None).unwrap();
         assert_eq!(run.report.totals.generated, 0, "total blackout");
         assert_eq!(run.report.pdr(), 1.0, "idle network loses nothing");
         assert_eq!(run.outcome, MergeOutcome::default(), "nothing to merge");

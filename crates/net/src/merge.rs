@@ -620,9 +620,7 @@ mod tests {
             .link(AnyLink::DistanceLoss(DistanceLossLink::for_cube(200.0)))
             .uniform_cube(&mut rng, 60, 200.0, 5.0);
         let buf = SharedBuf::default();
-        let sink = JsonLinesSink::new(buf.clone())
-            .expect("in-memory sink")
-            .deterministic();
+        let sink = JsonLinesSink::new(buf.clone()).expect("in-memory sink");
         let mut obs = ObserverSet::new();
         obs.attach(Arc::new(Mutex::new(sink)));
         let mut cfg = SimConfig::paper(1.0);

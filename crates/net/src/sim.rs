@@ -380,12 +380,19 @@ impl Simulator {
         round: u32,
     ) -> (RoundMetrics, Welford) {
         let cfg = self.cfg;
-        // Out-of-band phase profiling: busy/wall accounting goes to the
-        // shared profiler directly, never into the event stream, so the
-        // deterministic `--events` bytes are identical with and without
-        // a profiler attached.
+        // Out-of-band phase profiling: spans record their wall into the
+        // shared profiler and busy time goes there directly, never into
+        // the event stream, so the `--events` bytes are identical with
+        // and without a profiler attached.
         let prof = self.obs.profiler().cloned();
         let round_t0 = prof.as_ref().map(|p| p.now_ns());
+        // A phase that runs on the simulation thread is busy for its
+        // whole wall, on worker slot 0.
+        let serial_busy = |phase: Phase, wall_ns: u64| {
+            if let Some(p) = &prof {
+                p.record_busy(phase, 0, wall_ns);
+            }
+        };
 
         // ---- Phase 0: scheduled fault injection ----------------------
         // Applied before anything else so crashed/blacked-out nodes are
@@ -424,7 +431,6 @@ impl Simulator {
         // unobserved run never constructs an event (or the alive bitmap).
         self.scratch.alive_before.clear();
         if self.obs.is_active() {
-            self.obs.set_sim_time(round_start);
             self.obs.emit(Event::RoundStarted {
                 round,
                 alive: self.net.alive_count(),
@@ -444,11 +450,10 @@ impl Simulator {
         self.net.reset_roles();
         let election_span = self.obs.span_start();
         let heads = protocol.on_round_start(&mut self.net, round, rng);
-        let election_wall = self.obs.span_end(election_span, round, Phase::Election);
-        if let Some(p) = &prof {
-            // Election runs on the simulation thread: busy == wall.
-            p.record_busy("election", 0, election_wall);
-        }
+        serial_busy(
+            Phase::Election,
+            self.obs.span_end(election_span, Phase::Election),
+        );
         if self.obs.is_active() {
             for &h in &heads {
                 self.obs.emit(Event::HeadElected {
@@ -481,7 +486,7 @@ impl Simulator {
         // iteration order and thread count. Members with arrivals get a
         // plan slot for stage 1 below; heads' own packets skip planning
         // and are resolved live during the merge.
-        let traffic_t0 = prof.as_ref().map(|p| p.now_ns());
+        let traffic_span = self.obs.span_start();
         let traffic = PoissonTraffic::new(cfg.mean_interarrival);
         let mut events = std::mem::take(&mut self.scratch.events);
         events.clear();
@@ -523,11 +528,10 @@ impl Simulator {
             }
         }
         events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        if let (Some(p), Some(t0)) = (&prof, traffic_t0) {
-            let dt = p.now_ns().saturating_sub(t0);
-            p.record_wall("traffic", dt);
-            p.record_busy("traffic", 0, dt);
-        }
+        serial_busy(
+            Phase::Traffic,
+            self.obs.span_end(traffic_span, Phase::Traffic),
+        );
 
         // ---- Phase 2: member hops and head queues --------------------
         //
@@ -562,7 +566,7 @@ impl Simulator {
         let tx_span = self.obs.span_start();
         let has_planner = protocol.planner().is_some();
         let prof_ref = prof.as_deref();
-        let plan_t0 = prof_ref.map(|p| p.now_ns());
+        let plan_span = self.obs.span_start();
         {
             let net = &self.net;
             let head_slot = self.scratch.head_slot.as_slice();
@@ -623,7 +627,7 @@ impl Simulator {
                     };
                     let chunk_len = n_jobs.div_ceil(workers.max(1)).max(1);
                     for (i, (_, _, busy_ns)) in results.iter().enumerate() {
-                        p.record_busy("transmission/plan", i / chunk_len, *busy_ns);
+                        p.record_busy(Phase::Plan, i / chunk_len, *busy_ns);
                     }
                 }
                 for (pn, (packets, scratch, _)) in planned.iter_mut().zip(results) {
@@ -650,14 +654,11 @@ impl Simulator {
                 }
             }
         }
-        if let (Some(p), Some(t0)) = (&prof, plan_t0) {
-            let dt = p.now_ns().saturating_sub(t0);
-            p.record_wall("transmission/plan", dt);
-            if !has_planner {
-                // The choose_target fallback plans on the simulation
-                // thread; the planner path recorded per-job busy above.
-                p.record_busy("transmission/plan", 0, dt);
-            }
+        let plan_wall = self.obs.span_end(plan_span, Phase::Plan);
+        if !has_planner {
+            // The choose_target fallback plans on the simulation thread;
+            // the planner path recorded per-job busy above.
+            serial_busy(Phase::Plan, plan_wall);
         }
 
         // ---- Stage 2: the merge (crate::merge) -----------------------
@@ -666,7 +667,7 @@ impl Simulator {
         // the profiler and the equivalence tests consume (MergeOutcome).
         // One ordered walk at every thread count, so the event stream is
         // byte-identical by construction.
-        let merge_t0 = prof.as_ref().map(|p| p.now_ns());
+        let merge_span = self.obs.span_start();
         let outcome = {
             let mplan = MergePlan {
                 events: &events,
@@ -693,10 +694,8 @@ impl Simulator {
 
         self.merge_totals.accumulate(&outcome);
 
-        if let (Some(p), Some(t0)) = (&prof, merge_t0) {
-            let dt = p.now_ns().saturating_sub(t0);
-            p.record_wall("transmission/merge", dt);
-            p.record_busy("transmission/merge", 0, dt);
+        serial_busy(Phase::Merge, self.obs.span_end(merge_span, Phase::Merge));
+        if let Some(p) = &prof {
             p.inc("merge.conflicts", outcome.conflicts);
             p.inc("merge.retargets", outcome.retargets);
             p.inc("merge.conflict_dead_head", outcome.conflict_dead_head);
@@ -711,7 +710,7 @@ impl Simulator {
                 protocol.absorb_plan(pn.src, scratch);
             }
         }
-        self.obs.span_end(tx_span, round, Phase::Transmission);
+        self.obs.span_end(tx_span, Phase::Transmission);
 
         // ---- Phase 2: data fusion and aggregate forwarding -----------
         // A relay head's buffer pressure carries over to forwarded
@@ -720,7 +719,6 @@ impl Simulator {
         // overflow ratio ("limited storage caches of cluster heads",
         // §4.2 — this is the congestion mechanism behind the FCM
         // baseline's multi-hop losses in Fig. 3(a)).
-        self.obs.set_sim_time(deadline);
         let agg_span = self.obs.span_start();
         let mut relay_overflow = std::mem::take(&mut self.scratch.relay_overflow);
         relay_overflow.clear();
@@ -864,11 +862,10 @@ impl Simulator {
                 }
             }
         }
-        let agg_wall = self.obs.span_end(agg_span, round, Phase::Aggregation);
-        if let Some(p) = &prof {
-            // Aggregation runs on the simulation thread: busy == wall.
-            p.record_busy("aggregation", 0, agg_wall);
-        }
+        serial_busy(
+            Phase::Aggregation,
+            self.obs.span_end(agg_span, Phase::Aggregation),
+        );
 
         protocol.on_round_end(&mut self.net, round, &heads);
 

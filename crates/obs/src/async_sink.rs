@@ -341,7 +341,7 @@ impl std::fmt::Debug for AsyncJsonLinesSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{PacketFate, Phase};
+    use crate::event::PacketFate;
     use crate::json_sink::{read_events, EventsMode};
     use std::sync::{Condvar, Mutex};
 
@@ -423,12 +423,6 @@ mod tests {
                 },
             });
         }
-        events.push(Event::PhaseTimed {
-            round: 0,
-            phase: Phase::Transmission,
-            wall_ns: 123,
-            sim_time: 1.0,
-        });
         events.push(Event::RoundEnded {
             round: 0,
             alive: 10,
@@ -454,31 +448,19 @@ mod tests {
             EventsMode::Aggregate,
             EventsMode::Sample { stride: 7 },
         ] {
-            for deterministic in [false, true] {
-                let build = |buf: SharedVec| {
-                    let sink = JsonLinesSink::new(buf).unwrap().with_mode(mode);
-                    if deterministic {
-                        sink.deterministic()
-                    } else {
-                        sink
-                    }
-                };
-                let sync_buf = SharedVec::default();
-                drive(build(sync_buf.clone()), &events).unwrap();
-                let async_buf = SharedVec::default();
-                // Tiny capacity so the block path actually engages.
-                let async_sink = AsyncJsonLinesSink::with_capacity(
-                    build(async_buf.clone()),
-                    2,
-                    Backpressure::Block,
-                );
-                drive(async_sink, &events).unwrap();
-                assert_eq!(
-                    *sync_buf.0.lock().unwrap(),
-                    *async_buf.0.lock().unwrap(),
-                    "streams diverged (mode {mode:?}, deterministic {deterministic})"
-                );
-            }
+            let build = |buf: SharedVec| JsonLinesSink::new(buf).unwrap().with_mode(mode);
+            let sync_buf = SharedVec::default();
+            drive(build(sync_buf.clone()), &events).unwrap();
+            let async_buf = SharedVec::default();
+            // Tiny capacity so the block path actually engages.
+            let async_sink =
+                AsyncJsonLinesSink::with_capacity(build(async_buf.clone()), 2, Backpressure::Block);
+            drive(async_sink, &events).unwrap();
+            assert_eq!(
+                *sync_buf.0.lock().unwrap(),
+                *async_buf.0.lock().unwrap(),
+                "streams diverged (mode {mode:?})"
+            );
         }
     }
 
@@ -616,7 +598,7 @@ mod tests {
             }
         }
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        // 10 packets + RoundStarted + PhaseTimed + RoundEnded.
-        assert_eq!(read_events(&text).unwrap().len(), 13);
+        // 10 packets + RoundStarted + RoundEnded.
+        assert_eq!(read_events(&text).unwrap().len(), 12);
     }
 }

@@ -1,9 +1,10 @@
 //! Caller-supplied wall clocks for phase-timing spans.
 //!
 //! The simulator never reads the system clock directly: spans ask the
-//! [`Clock`] installed on the [`crate::ObserverSet`]. Production code
-//! uses [`WallClock`]; tests use [`ManualClock`] for deterministic
-//! durations.
+//! [`Clock`] of the [`crate::PhaseProfiler`] attached to the
+//! [`crate::ObserverSet`], and read nothing when none is attached.
+//! Production code uses [`WallClock`]; tests pass a [`ManualClock`] to
+//! [`crate::PhaseProfiler::with_clock`] for deterministic durations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -3,8 +3,9 @@
 //! Every observable thing the simulator or a protocol does is one
 //! [`Event`] variant. Events are plain data — node ids are raw `u32`s
 //! (this crate sits *below* `qlec-net` in the dependency graph), times
-//! are simulation slots, energies are joules, wall durations are
-//! nanoseconds from the run's [`crate::Clock`].
+//! are simulation slots, energies are joules. No event carries a wall
+//! clock reading — phase timings go to the [`crate::PhaseProfiler`]
+//! alone — so a stream is a pure function of the simulation.
 //!
 //! The serialized form (see [`crate::JsonLinesSink`]) is versioned by
 //! [`SCHEMA`]; any field addition or semantic change must bump it.
@@ -14,70 +15,12 @@ use serde::{Deserialize, Serialize};
 /// Version tag written as the first line of every serialized event
 /// stream. v2 added [`Event::FaultInjected`] and [`Event::PacketRetried`];
 /// v3 added [`Event::RoundSummary`] (written by aggregate-mode sinks in
-/// place of the per-packet events) and, later, the
-/// [`Phase::IndexMaintenance`] span (a new enum value inside an existing
-/// field — readers of v3 streams tolerate it, so no bump).
+/// place of the per-packet events). The one variant that carried wall
+/// time, a per-phase timing, was later removed without a bump: no
+/// deterministic stream ever held it, so every stream compared for
+/// byte identity is unchanged, and this header line is hashed into the
+/// benchmark's golden digests and the corpus ledgers.
 pub const SCHEMA: &str = "qlec-obs/v3";
-
-/// The simulator phases that get timing spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Phase {
-    /// Cluster-head selection (`Protocol::on_round_start`).
-    Election,
-    /// The Algorithm 3 HELLO redundancy-reduction broadcast (inside the
-    /// improved-DEEC selection; emitted by `qlec-core`).
-    Broadcast,
-    /// Q-routing decisions, accumulated over a round's `choose_target`
-    /// calls (emitted by `qlec-core`).
-    QRouting,
-    /// Member packet transmission (the sim's per-packet hop loop).
-    Transmission,
-    /// Data fusion and aggregate forwarding to the BS.
-    Aggregation,
-    /// Spatial-index maintenance: the per-round grid upkeep and head
-    /// kd-index rebuild/sync (emitted by `qlec-core`; nested inside the
-    /// Election span, since it runs during `on_round_start`).
-    IndexMaintenance,
-}
-
-impl Phase {
-    /// Stable lowercase name (used in metric keys).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Phase::Election => "election",
-            Phase::Broadcast => "broadcast",
-            Phase::QRouting => "qrouting",
-            Phase::Transmission => "transmission",
-            Phase::Aggregation => "aggregation",
-            Phase::IndexMaintenance => "index",
-        }
-    }
-
-    /// Hierarchical profile-tree path. Phases that run nested inside
-    /// another span (the HELLO broadcast and index maintenance inside
-    /// election, Q-routing inside transmission) render as children of
-    /// that span in the [`crate::PhaseProfiler`] report.
-    pub fn path(&self) -> &'static str {
-        match self {
-            Phase::Election => "election",
-            Phase::Broadcast => "election/broadcast",
-            Phase::QRouting => "transmission/qrouting",
-            Phase::Transmission => "transmission",
-            Phase::Aggregation => "aggregation",
-            Phase::IndexMaintenance => "election/index",
-        }
-    }
-
-    /// All phases, for exhaustive reporting.
-    pub const ALL: [Phase; 6] = [
-        Phase::Election,
-        Phase::Broadcast,
-        Phase::QRouting,
-        Phase::Transmission,
-        Phase::Aggregation,
-        Phase::IndexMaintenance,
-    ];
-}
 
 /// Terminal outcome of one generated packet. Mirrors
 /// `qlec-net::PacketCounters`: every generated packet gets exactly one
@@ -184,15 +127,6 @@ pub enum Event {
         /// Q-routing value updates that settled.
         q_updates: u64,
     },
-    /// A timed span closed.
-    PhaseTimed {
-        round: u32,
-        phase: Phase,
-        /// Wall-clock duration from the run's [`crate::Clock`].
-        wall_ns: u64,
-        /// Simulation time (slots) when the span ran.
-        sim_time: f64,
-    },
     /// A round finished (after `Protocol::on_round_end`).
     RoundEnded {
         round: u32,
@@ -220,7 +154,6 @@ impl Event {
             | Event::FaultInjected { round, .. }
             | Event::PacketRetried { round, .. }
             | Event::RoundSummary { round, .. }
-            | Event::PhaseTimed { round, .. }
             | Event::RoundEnded { round, .. } => *round,
         }
     }
@@ -280,12 +213,6 @@ mod tests {
                 retries: 6,
                 q_updates: 80,
             },
-            Event::PhaseTimed {
-                round: 2,
-                phase: Phase::Transmission,
-                wall_ns: 12_345,
-                sim_time: 200.0,
-            },
             Event::RoundEnded {
                 round: 2,
                 alive: 99,
@@ -343,27 +270,6 @@ mod tests {
             .round(),
             5
         );
-    }
-
-    #[test]
-    fn phase_names_are_distinct() {
-        let names: std::collections::BTreeSet<_> = Phase::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(names.len(), Phase::ALL.len());
-    }
-
-    #[test]
-    fn phase_paths_are_distinct_and_nest_under_real_parents() {
-        let paths: std::collections::BTreeSet<_> = Phase::ALL.iter().map(|p| p.path()).collect();
-        assert_eq!(paths.len(), Phase::ALL.len());
-        for p in Phase::ALL {
-            if let Some((parent, _)) = p.path().rsplit_once('/') {
-                assert!(
-                    Phase::ALL.iter().any(|q| q.path() == parent),
-                    "{} nests under unknown parent {parent}",
-                    p.path()
-                );
-            }
-        }
     }
 
     #[test]

@@ -96,7 +96,6 @@ fn is_high_volume(event: &Event) -> bool {
 pub struct JsonLinesSink<W: Write + Send> {
     out: W,
     error: Option<ObsError>,
-    deterministic: bool,
     mode: EventsMode,
     /// High-volume events seen so far (drives [`EventsMode::Sample`]).
     hv_seen: u64,
@@ -116,7 +115,6 @@ impl<W: Write + Send> JsonLinesSink<W> {
         Ok(JsonLinesSink {
             out,
             error: None,
-            deterministic: false,
             mode: EventsMode::Full,
             hv_seen: 0,
             agg: RoundAgg::default(),
@@ -130,14 +128,12 @@ impl<W: Write + Send> JsonLinesSink<W> {
         self
     }
 
-    /// Make the stream a pure function of the simulation: skip
-    /// [`Event::PhaseTimed`], the only variant carrying wall-clock
-    /// measurements. With this set, the same deployment + seed (+ fault
-    /// plan) writes byte-identical streams on every run — the guarantee
-    /// the CLI's `--events` artifact relies on. Wall timings remain
-    /// available through the metrics summary.
-    pub fn deterministic(mut self) -> Self {
-        self.deterministic = true;
+    /// Does nothing. It used to drop the one event variant that carried
+    /// wall-clock time; no event carries one now, so every stream is a
+    /// pure function of the simulation. It stays only because the
+    /// benchmark package (`qlecbench/src/run.rs`), which is frozen
+    /// between benchmark revisions, still calls it.
+    pub fn deterministic(self) -> Self {
         self
     }
 
@@ -167,9 +163,6 @@ impl<W: Write + Send> JsonLinesSink<W> {
 impl<W: Write + Send> SimObserver for JsonLinesSink<W> {
     fn on_event(&mut self, event: &Event) {
         if self.error.is_some() {
-            return;
-        }
-        if self.deterministic && matches!(event, Event::PhaseTimed { .. }) {
             return;
         }
         match self.mode {
@@ -294,23 +287,6 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1 + 3);
         assert!(lines[0].contains("qlec-obs/v3"));
-    }
-
-    #[test]
-    fn deterministic_mode_skips_phase_timings() {
-        let mut sink = JsonLinesSink::new(Vec::new()).unwrap().deterministic();
-        sink.on_event(&Event::PhaseTimed {
-            round: 0,
-            phase: crate::event::Phase::Election,
-            wall_ns: 123,
-            sim_time: 0.0,
-        });
-        for e in sample_events() {
-            sink.on_event(&e);
-        }
-        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
-        let events = read_events(&text).unwrap();
-        assert_eq!(events, sample_events(), "wall-clock events filtered out");
     }
 
     #[test]

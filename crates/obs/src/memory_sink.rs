@@ -89,9 +89,6 @@ impl SimObserver for MemorySink {
             // Aggregate-mode digests of events this sink already counts
             // live — replaying one into a MemorySink must not double-count.
             Event::RoundSummary { .. } => {}
-            Event::PhaseTimed { phase, wall_ns, .. } => {
-                r.observe(&format!("phase.{}.wall_ns", phase.name()), *wall_ns as f64);
-            }
             Event::RoundEnded {
                 round,
                 alive,
@@ -112,7 +109,6 @@ impl SimObserver for MemorySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Phase;
 
     fn feed(sink: &mut MemorySink, events: &[Event]) {
         for e in events {
@@ -205,38 +201,6 @@ mod tests {
         assert_eq!(r.gauge("alive.last"), Some(9.0));
         assert_eq!(sink.alive_curve(), &[(0, 9)]);
         assert_eq!(r.histogram("heads.per_round").unwrap().mean(), Some(2.0));
-    }
-
-    #[test]
-    fn phase_timings_accumulate() {
-        let mut sink = MemorySink::new();
-        feed(
-            &mut sink,
-            &[
-                Event::PhaseTimed {
-                    round: 0,
-                    phase: Phase::Election,
-                    wall_ns: 100,
-                    sim_time: 0.0,
-                },
-                Event::PhaseTimed {
-                    round: 1,
-                    phase: Phase::Election,
-                    wall_ns: 150,
-                    sim_time: 100.0,
-                },
-            ],
-        );
-        let election = sink
-            .registry()
-            .histogram("phase.election.wall_ns")
-            .expect("election was timed");
-        assert_eq!(election.count(), 2);
-        assert_eq!(election.sum(), 250.0);
-        assert!(sink
-            .registry()
-            .histogram("phase.transmission.wall_ns")
-            .is_none());
     }
 
     #[test]

@@ -3,19 +3,18 @@
 //! The design goal is *zero cost when disabled*: the simulator and the
 //! protocols hold an [`ObserverSet`] by value and guard every emission
 //! site with [`ObserverSet::is_active`] — a single branch on an empty
-//! `Vec` when nothing is attached; no event is even constructed.
+//! `Vec` when no sink is attached; no event is even constructed.
 //!
-//! An `ObserverSet` is `Clone`: clones share their sinks, the wall
-//! [`Clock`], and the *simulation-time hint* — the simulator advances
-//! the hint at phase boundaries so that spans emitted from lower layers
-//! (e.g. the Q-router inside `qlec-core`, which does not know the slot
-//! length) still stamp the correct absolute simulation time.
+//! The set also carries the run's optional [`PhaseProfiler`]. Timing
+//! spans ([`ObserverSet::span_start`] / [`ObserverSet::span_end`]) read
+//! the profiler's clock and record straight into it, never into the
+//! event stream; without a profiler they read no clock at all.
+//!
+//! An `ObserverSet` is `Clone`: clones share their sinks and profiler.
 
-use crate::clock::{Clock, WallClock};
-use crate::event::{Event, Phase};
-use crate::profiler::PhaseProfiler;
+use crate::event::Event;
+use crate::profiler::{Phase, PhaseProfiler};
 use crate::ObsError;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A consumer of simulation events. Implementations must be `Send` so
@@ -34,53 +33,30 @@ pub trait SimObserver: Send {
 
 /// An open span; close it with [`ObserverSet::span_end`].
 #[derive(Debug, Clone, Copy)]
-#[must_use = "a span only produces an event when closed with span_end"]
+#[must_use = "a span only records its wall when closed with span_end"]
 pub struct SpanToken {
     start_ns: u64,
 }
 
-/// Fan-out to any number of shared sinks, plus the run's clock and
-/// simulation-time hint. The default set is empty and inert.
-#[derive(Clone)]
+/// Fan-out to any number of shared sinks, plus the run's optional phase
+/// profiler. The default set is empty and inert.
+#[derive(Clone, Default)]
 pub struct ObserverSet {
     sinks: Vec<Arc<Mutex<dyn SimObserver>>>,
-    clock: Arc<dyn Clock>,
-    /// Current simulation time in slots, shared across clones
-    /// (bit-cast `f64`).
-    sim_time_bits: Arc<AtomicU64>,
-    /// Out-of-band phase profiler; every [`Event::PhaseTimed`] that
-    /// passes through [`ObserverSet::emit`] also lands here, and the
+    /// Out-of-band phase profiler: spans record their wall here, and the
     /// simulator records per-worker busy times into it directly.
     profiler: Option<Arc<PhaseProfiler>>,
 }
 
-impl Default for ObserverSet {
-    fn default() -> Self {
-        ObserverSet::new()
-    }
-}
-
 impl ObserverSet {
-    /// An empty, inert set with a [`WallClock`].
+    /// An empty, inert set.
     pub fn new() -> Self {
-        ObserverSet {
-            sinks: Vec::new(),
-            clock: Arc::new(WallClock::new()),
-            sim_time_bits: Arc::new(AtomicU64::new(0.0f64.to_bits())),
-            profiler: None,
-        }
+        ObserverSet::default()
     }
 
-    /// Replace the wall clock (deterministic tests).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// Attach a shared [`PhaseProfiler`]. The set becomes active (spans
-    /// are timed and events constructed) even with no sinks, so a
-    /// profile-only run still measures every phase; the profiler never
-    /// writes to the event stream itself.
+    /// Attach a shared [`PhaseProfiler`]. Spans are then timed on its
+    /// clock and recorded into it. The profiler consumes no events, so a
+    /// profile-only set stays inactive and the run builds none.
     pub fn with_profiler(mut self, profiler: Arc<PhaseProfiler>) -> Self {
         self.profiler = Some(profiler);
         self
@@ -97,35 +73,15 @@ impl ObserverSet {
         self.sinks.push(sink);
     }
 
-    /// Whether any sink or profiler is attached. Emission sites branch
-    /// on this so a run without observers never constructs an event; a
-    /// profiler counts because it consumes the `PhaseTimed` emissions.
+    /// Whether any sink is attached. Emission sites branch on this so a
+    /// run without sinks never constructs an event.
     #[inline]
     pub fn is_active(&self) -> bool {
-        !self.sinks.is_empty() || self.profiler.is_some()
+        !self.sinks.is_empty()
     }
 
-    /// Number of attached sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether the set is empty (inert).
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-
-    /// Fan an event out to every sink. No-op when inactive. Phase
-    /// timings additionally feed the attached profiler's wall
-    /// accumulator (keyed by [`Phase::path`]), so sub-phase spans
-    /// emitted by lower layers show up in the profile tree without
-    /// those layers knowing about the profiler.
+    /// Fan an event out to every sink. No-op when inactive.
     pub fn emit(&self, event: Event) {
-        if let Some(prof) = &self.profiler {
-            if let Event::PhaseTimed { phase, wall_ns, .. } = &event {
-                prof.record_wall(phase.path(), *wall_ns);
-            }
-        }
         for sink in &self.sinks {
             sink.lock()
                 .expect("observer sink poisoned")
@@ -133,50 +89,25 @@ impl ObserverSet {
         }
     }
 
-    /// Set the shared simulation-time hint (slots). The simulator calls
-    /// this at phase boundaries; protocol-layer emitters read it back.
-    pub fn set_sim_time(&self, slots: f64) {
-        self.sim_time_bits.store(slots.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current simulation-time hint (slots).
-    pub fn sim_time(&self) -> f64 {
-        f64::from_bits(self.sim_time_bits.load(Ordering::Relaxed))
-    }
-
-    /// Current wall time; 0 when inactive (the clock is not consulted).
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        if self.is_active() {
-            self.clock.now_ns()
-        } else {
-            0
-        }
-    }
-
-    /// Open a timing span (reads the clock only when active).
+    /// Open a timing span: reads the profiler's clock, or nothing when
+    /// no profiler is attached.
     #[inline]
     pub fn span_start(&self) -> SpanToken {
         SpanToken {
-            start_ns: self.now_ns(),
+            start_ns: self.profiler.as_ref().map_or(0, |p| p.now_ns()),
         }
     }
 
-    /// Close a span: emits [`Event::PhaseTimed`] with the elapsed wall
-    /// time and the current simulation-time hint, and returns that wall
-    /// time so callers can attribute it as busy time without a second
-    /// clock read. No-op (returning 0) when inactive.
-    pub fn span_end(&self, token: SpanToken, round: u32, phase: Phase) -> u64 {
-        if !self.is_active() {
+    /// Close a span: records the elapsed wall under `phase` in the
+    /// profiler and returns it, so callers can attribute it as busy time
+    /// without a second clock read. No-op (returning 0) without a
+    /// profiler.
+    pub fn span_end(&self, token: SpanToken, phase: Phase) -> u64 {
+        let Some(profiler) = &self.profiler else {
             return 0;
-        }
-        let wall_ns = self.clock.now_ns().saturating_sub(token.start_ns);
-        self.emit(Event::PhaseTimed {
-            round,
-            phase,
-            wall_ns,
-            sim_time: self.sim_time(),
-        });
+        };
+        let wall_ns = profiler.now_ns().saturating_sub(token.start_ns);
+        profiler.record_wall(phase, wall_ns);
         wall_ns
     }
 
@@ -193,7 +124,6 @@ impl std::fmt::Debug for ObserverSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObserverSet")
             .field("sinks", &self.sinks.len())
-            .field("sim_time", &self.sim_time())
             .field("profiler", &self.profiler.is_some())
             .finish()
     }
@@ -284,10 +214,9 @@ mod tests {
     fn empty_set_is_inert() {
         let obs = ObserverSet::new();
         assert!(!obs.is_active());
-        assert!(obs.is_empty());
-        assert_eq!(obs.now_ns(), 0, "inactive sets never read the clock");
         obs.emit(Event::NodeDied { round: 0, node: 0 }); // must not panic
-        obs.span_end(obs.span_start(), 0, Phase::Election); // no-op
+        let wall = obs.span_end(obs.span_start(), Phase::Election);
+        assert_eq!(wall, 0, "no profiler, no clock");
         assert!(obs.flush().is_ok());
     }
 
@@ -298,7 +227,6 @@ mod tests {
         let mut obs = ObserverSet::new();
         obs.attach(a.clone());
         obs.attach(b.clone());
-        assert_eq!(obs.len(), 2);
         obs.emit(Event::NodeDied { round: 1, node: 5 });
         obs.flush().unwrap();
         for sink in [&a, &b] {
@@ -309,57 +237,25 @@ mod tests {
     }
 
     #[test]
-    fn spans_use_the_supplied_clock_and_sim_time_hint() {
+    fn a_profile_only_set_is_inactive_and_still_records_spans() {
         let clock = Arc::new(ManualClock::new());
-        let sink = Arc::new(Mutex::new(Collector::default()));
-        let mut obs = ObserverSet::new().with_clock(clock.clone());
-        obs.attach(sink.clone());
-        obs.set_sim_time(300.0);
-        let token = obs.span_start();
-        clock.advance(1_500);
-        obs.span_end(token, 3, Phase::QRouting);
-        let events = &sink.lock().unwrap().events;
-        assert_eq!(
-            events[0],
-            Event::PhaseTimed {
-                round: 3,
-                phase: Phase::QRouting,
-                wall_ns: 1_500,
-                sim_time: 300.0
-            }
-        );
-    }
-
-    #[test]
-    fn a_profiler_activates_the_set_and_receives_span_walls() {
-        let clock = Arc::new(ManualClock::new());
-        let prof = Arc::new(crate::PhaseProfiler::with_clock(clock.clone()));
-        let obs = ObserverSet::new()
-            .with_clock(clock.clone())
-            .with_profiler(prof.clone());
-        // No sinks, but the profiler makes the set active: spans are
-        // timed and their walls land in the profiler.
-        assert!(obs.is_active());
-        assert!(obs.is_empty(), "no sinks attached");
-        let token = obs.span_start();
-        clock.advance(250);
-        let wall = obs.span_end(token, 0, Phase::Transmission);
+        let prof = Arc::new(PhaseProfiler::with_clock(clock.clone()));
+        let obs = ObserverSet::new().with_profiler(prof.clone());
+        // No sinks: emission sites build no events, but spans are timed
+        // on the profiler's clock and land in the profiler.
+        assert!(!obs.is_active());
+        let outer = obs.span_start();
+        clock.advance(100);
+        let inner = obs.span_start();
+        clock.advance(40);
+        assert_eq!(obs.span_end(inner, Phase::IndexMaintenance), 40);
+        clock.advance(110);
+        let wall = obs.span_end(outer, Phase::Election);
         assert_eq!(wall, 250, "span_end returns the measured wall");
-        // Hand-rolled PhaseTimed emissions (the qlec-core style) are
-        // routed to the profiler too, under the hierarchical path.
-        obs.emit(Event::PhaseTimed {
-            round: 0,
-            phase: Phase::IndexMaintenance,
-            wall_ns: 40,
-            sim_time: 0.0,
-        });
         let report = prof.report();
-        let paths: Vec<(&str, u64)> = report
-            .phases
-            .iter()
-            .map(|p| (p.path.as_str(), p.wall_ns))
-            .collect();
-        assert_eq!(paths, vec![("election/index", 40), ("transmission", 250)]);
+        assert_eq!(report.wall_ns(Phase::Election), 250);
+        assert_eq!(report.wall_ns(Phase::IndexMaintenance), 40);
+        assert_eq!(report.wall_ns(Phase::Transmission), 0);
     }
 
     #[test]
@@ -375,13 +271,11 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_sinks_and_sim_time() {
+    fn clones_share_sinks() {
         let sink = Arc::new(Mutex::new(Collector::default()));
         let mut obs = ObserverSet::new();
         obs.attach(sink.clone());
         let clone = obs.clone();
-        obs.set_sim_time(42.0);
-        assert_eq!(clone.sim_time(), 42.0);
         clone.emit(Event::NodeDied { round: 0, node: 1 });
         assert_eq!(sink.lock().unwrap().events.len(), 1);
     }

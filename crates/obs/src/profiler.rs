@@ -4,10 +4,10 @@
 //! [`crate::ObserverSet::with_profiler`] and collects, out-of-band from
 //! the event stream:
 //!
-//! * **wall** time per hierarchical phase path (`"transmission/merge"`),
-//!   fed automatically from every [`crate::Event::PhaseTimed`] emission
-//!   and from explicit [`PhaseProfiler::record_wall`] calls,
-//! * **busy** time per `(phase path, worker slot)` pair — the simulator
+//! * **wall** time per [`Phase`], fed by every
+//!   [`crate::ObserverSet::span_end`] and reported at the phase's
+//!   hierarchical [`Phase::path`] (`"transmission/merge"`),
+//! * **busy** time per `(phase, worker slot)` pair — the simulator
 //!   measures each parallel plan job on its worker and attributes it to
 //!   the worker slot, so `busy` reveals fan-out imbalance that a single
 //!   wall number hides,
@@ -18,9 +18,9 @@
 //! Everything is aggregated in place (one mutex-guarded accumulator
 //! state, a handful of updates per round), so profiling a 100k-node run
 //! costs clock reads, not memory proportional to rounds × nodes. The
-//! profiler deliberately does **not** write events: the event stream
-//! stays a pure function of the simulation, so `--events -` bytes are
-//! identical with and without `--profile`.
+//! profiler is the only consumer of wall-clock time: no event carries
+//! one, so the event stream stays a pure function of the simulation and
+//! `--events` bytes are identical with and without `--profile`.
 
 use crate::clock::{Clock, WallClock};
 use crate::registry::Histogram;
@@ -32,15 +32,71 @@ use std::sync::{Arc, Mutex};
 /// Version tag of the serialized [`ProfileReport`].
 pub const PROFILE_SCHEMA: &str = "qlec-profile/v1";
 
+/// The simulator phases the profiler times. Each has exactly one name,
+/// its profile-tree [`Phase::path`]; a nested phase runs inside its
+/// parent's span (the path prefix), so a child's wall is part of its
+/// parent's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Phase {
+    /// Cluster-head selection (`Protocol::on_round_start`).
+    Election,
+    /// The Algorithm 3 HELLO redundancy-reduction broadcast (timed by
+    /// `qlec-core` inside the improved-DEEC selection).
+    Broadcast,
+    /// Spatial-index upkeep: the per-round grid maintenance and the
+    /// Send-Data head kd-tree build (timed by `qlec-core`).
+    IndexMaintenance,
+    /// Per-node Poisson packet generation.
+    Traffic,
+    /// Member packet transmission: planning, the merge, and absorbing
+    /// the planners' scratch.
+    Transmission,
+    /// Stage 1: member packets routed against the frozen post-election
+    /// network, fanned out over the worker pool.
+    Plan,
+    /// Stage 2: the ordered merge walk.
+    Merge,
+    /// Data fusion and aggregate forwarding to the BS.
+    Aggregation,
+}
+
+impl Phase {
+    /// Every phase, parents before their children.
+    pub const ALL: [Phase; 8] = [
+        Phase::Election,
+        Phase::Broadcast,
+        Phase::IndexMaintenance,
+        Phase::Traffic,
+        Phase::Transmission,
+        Phase::Plan,
+        Phase::Merge,
+        Phase::Aggregation,
+    ];
+
+    /// The `/`-separated profile-tree path, the phase's one name.
+    pub fn path(self) -> &'static str {
+        match self {
+            Phase::Election => "election",
+            Phase::Broadcast => "election/broadcast",
+            Phase::IndexMaintenance => "election/index",
+            Phase::Traffic => "traffic",
+            Phase::Transmission => "transmission",
+            Phase::Plan => "transmission/plan",
+            Phase::Merge => "transmission/merge",
+            Phase::Aggregation => "aggregation",
+        }
+    }
+}
+
 /// Accumulator state behind the profiler's mutex.
 #[derive(Debug, Default)]
 struct ProfilerState {
     /// Worker slots the run fanned out over (1 = sequential).
     threads: usize,
-    /// Phase path → total wall ns.
-    wall: BTreeMap<String, u64>,
-    /// (phase path, worker slot) → total busy ns.
-    busy: BTreeMap<(String, usize), u64>,
+    /// Total wall ns per phase, indexed by `Phase as usize`.
+    wall: [u64; Phase::ALL.len()],
+    /// (phase, worker slot) → total busy ns.
+    busy: BTreeMap<(Phase, usize), u64>,
     /// Named counters (`merge.conflicts`, `merge.retargets`, …).
     counters: BTreeMap<String, u64>,
     /// One sample per round: the round's wall ns.
@@ -92,16 +148,14 @@ impl PhaseProfiler {
         self.lock().threads = threads.max(1);
     }
 
-    /// Add wall time to a phase path.
-    pub fn record_wall(&self, path: &str, wall_ns: u64) {
-        let mut s = self.lock();
-        *s.wall.entry(path.to_string()).or_insert(0) += wall_ns;
+    /// Add wall time to a phase.
+    pub fn record_wall(&self, phase: Phase, wall_ns: u64) {
+        self.lock().wall[phase as usize] += wall_ns;
     }
 
-    /// Add busy time to a `(phase path, worker slot)` pair.
-    pub fn record_busy(&self, path: &str, thread: usize, busy_ns: u64) {
-        let mut s = self.lock();
-        *s.busy.entry((path.to_string(), thread)).or_insert(0) += busy_ns;
+    /// Add busy time to a `(phase, worker slot)` pair.
+    pub fn record_busy(&self, phase: Phase, thread: usize, busy_ns: u64) {
+        *self.lock().busy.entry((phase, thread)).or_insert(0) += busy_ns;
     }
 
     /// Add to a named counter.
@@ -130,24 +184,14 @@ impl PhaseProfiler {
             p99_ns: h.p99().unwrap_or(0.0),
             max_ns: h.max().unwrap_or(0.0),
         };
-        // Merge wall and busy keys so a phase with only one kind of
-        // measurement still gets a row.
-        let mut paths: Vec<&String> = s.wall.keys().collect();
-        for (path, _) in s.busy.keys() {
-            if !s.wall.contains_key(path) {
-                paths.push(path);
-            }
-        }
-        paths.sort();
-        paths.dedup();
-        let phases: Vec<PhaseRow> = paths
+        let phases: Vec<PhaseRow> = Phase::ALL
             .iter()
-            .map(|&path| PhaseRow {
-                path: path.clone(),
-                wall_ns: s.wall.get(path).copied().unwrap_or(0),
+            .map(|&phase| PhaseRow {
+                path: phase.path().to_string(),
+                wall_ns: s.wall[phase as usize],
                 busy: s
                     .busy
-                    .range((path.clone(), 0)..=(path.clone(), usize::MAX))
+                    .range((phase, 0)..=(phase, usize::MAX))
                     .map(|(&(_, thread), &busy_ns)| ThreadBusy { thread, busy_ns })
                     .collect(),
             })
@@ -163,8 +207,8 @@ impl PhaseProfiler {
         // Thread utilization: each slot's total busy over the total
         // round wall. Busy is only ever recorded for mutually exclusive
         // spans (wall-only phases like `transmission` or
-        // `transmission/qrouting` overlap their children and contribute
-        // nothing here), so a plain sum does not double-count.
+        // `election/broadcast` overlap their parent or children and
+        // contribute nothing here), so a plain sum does not double-count.
         let mut busy_by_thread: BTreeMap<usize, u64> = BTreeMap::new();
         for ((_, thread), busy_ns) in s.busy.iter() {
             *busy_by_thread.entry(*thread).or_insert(0) += busy_ns;
@@ -204,7 +248,6 @@ impl std::fmt::Debug for PhaseProfiler {
         let s = self.lock();
         f.debug_struct("PhaseProfiler")
             .field("threads", &s.threads)
-            .field("phases", &s.wall.len())
             .field("rounds", &s.round_wall.count())
             .finish()
     }
@@ -223,9 +266,10 @@ pub struct ThreadBusy {
 /// One phase of the hierarchical profile tree.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhaseRow {
-    /// `/`-separated phase path (`"transmission/merge"`).
+    /// The phase's [`Phase::path`] (`"transmission/merge"`).
     pub path: String,
-    /// Total wall ns across rounds (0 when only busy was recorded).
+    /// Total wall ns across rounds (0 when the phase never ran or only
+    /// busy was recorded).
     pub wall_ns: u64,
     /// Per-worker-slot busy breakdown, ascending by slot.
     pub busy: Vec<ThreadBusy>,
@@ -278,13 +322,11 @@ fn ms(ns: u64) -> f64 {
 }
 
 impl ProfileReport {
-    /// Total wall ns recorded at a phase path (0 when the path never
-    /// ran). At a [`crate::Phase::path`] this is the sum of that phase's
-    /// [`crate::Event::PhaseTimed`] walls.
-    pub fn wall_ns(&self, path: &str) -> u64 {
+    /// Total wall ns recorded for a phase (0 when it never ran).
+    pub fn wall_ns(&self, phase: Phase) -> u64 {
         self.phases
             .iter()
-            .find(|row| row.path == path)
+            .find(|row| row.path == phase.path())
             .map_or(0, |row| row.wall_ns)
     }
 
@@ -371,12 +413,12 @@ mod tests {
     fn aggregates_wall_busy_counters_and_rounds() {
         let (_, prof) = manual();
         prof.set_threads(2);
-        prof.record_wall("transmission", 100);
-        prof.record_wall("transmission", 50);
-        prof.record_wall("transmission/merge", 90);
-        prof.record_busy("transmission/plan", 0, 30);
-        prof.record_busy("transmission/plan", 1, 40);
-        prof.record_busy("transmission", 0, 150);
+        prof.record_wall(Phase::Transmission, 100);
+        prof.record_wall(Phase::Transmission, 50);
+        prof.record_wall(Phase::Merge, 90);
+        prof.record_busy(Phase::Plan, 0, 30);
+        prof.record_busy(Phase::Plan, 1, 40);
+        prof.record_busy(Phase::Transmission, 0, 150);
         prof.inc("merge.conflicts", 3);
         prof.inc("merge.conflicts", 1);
         prof.record_round(200);
@@ -391,15 +433,15 @@ mod tests {
         let tx = report
             .phases
             .iter()
-            .find(|p| p.path == "transmission")
+            .find(|p| p.path == Phase::Transmission.path())
             .unwrap();
         assert_eq!(tx.wall_ns, 150);
         let plan = report
             .phases
             .iter()
-            .find(|p| p.path == "transmission/plan")
+            .find(|p| p.path == Phase::Plan.path())
             .unwrap();
-        assert_eq!(plan.wall_ns, 0, "busy-only phase still gets a row");
+        assert_eq!(plan.wall_ns, 0, "busy is not wall");
         assert_eq!(
             plan.busy,
             vec![
@@ -426,10 +468,10 @@ mod tests {
     fn utilization_sums_busy_across_phases_per_slot() {
         let (_, prof) = manual();
         prof.set_threads(2);
-        prof.record_busy("transmission/merge", 0, 70);
-        prof.record_busy("transmission/plan", 0, 10);
-        prof.record_busy("transmission/plan", 1, 20);
-        prof.record_wall("transmission", 95); // wall-only: no effect
+        prof.record_busy(Phase::Merge, 0, 70);
+        prof.record_busy(Phase::Plan, 0, 10);
+        prof.record_busy(Phase::Plan, 1, 20);
+        prof.record_wall(Phase::Transmission, 95); // wall-only: no effect
         prof.record_round(100);
         let report = prof.report();
         assert_eq!(report.utilization.len(), 2);
@@ -443,10 +485,10 @@ mod tests {
     fn render_shows_tree_counters_and_utilization() {
         let (_, prof) = manual();
         prof.set_threads(2);
-        prof.record_wall("transmission", 2_000_000);
-        prof.record_wall("transmission/merge", 1_500_000);
-        prof.record_busy("transmission/plan", 0, 200_000);
-        prof.record_busy("transmission/plan", 1, 300_000);
+        prof.record_wall(Phase::Transmission, 2_000_000);
+        prof.record_wall(Phase::Merge, 1_500_000);
+        prof.record_busy(Phase::Plan, 0, 200_000);
+        prof.record_busy(Phase::Plan, 1, 300_000);
         prof.inc("merge.retargets", 7);
         prof.record_round(2_500_000);
         let text = prof.report().render();
@@ -462,15 +504,15 @@ mod tests {
     }
 
     #[test]
-    fn wall_looks_up_by_path() {
+    fn wall_looks_up_by_phase() {
         let (_, prof) = manual();
-        prof.record_wall("transmission/merge", 30);
-        prof.record_wall("transmission/merge", 40);
-        prof.record_busy("transmission/plan", 0, 5);
+        prof.record_wall(Phase::Merge, 30);
+        prof.record_wall(Phase::Merge, 40);
+        prof.record_busy(Phase::Plan, 0, 5);
         let report = prof.report();
-        assert_eq!(report.wall_ns("transmission/merge"), 70);
-        assert_eq!(report.wall_ns("transmission/plan"), 0, "busy is not wall");
-        assert_eq!(report.wall_ns("nope"), 0);
+        assert_eq!(report.wall_ns(Phase::Merge), 70);
+        assert_eq!(report.wall_ns(Phase::Plan), 0, "busy is not wall");
+        assert_eq!(report.wall_ns(Phase::Election), 0, "never ran");
     }
 
     #[test]
@@ -490,7 +532,13 @@ mod tests {
         assert_eq!(report.threads, 1);
         assert_eq!(report.round_latency.rounds, 0);
         assert_eq!(report.round_latency.p50_ns, 0.0);
-        assert!(report.phases.is_empty());
+        let paths: Vec<&str> = report.phases.iter().map(|p| p.path.as_str()).collect();
+        let expected: Vec<&str> = Phase::ALL.iter().map(|p| p.path()).collect();
+        assert_eq!(paths, expected, "one row per phase, parents first");
+        assert!(report
+            .phases
+            .iter()
+            .all(|p| p.wall_ns == 0 && p.busy.is_empty()));
         assert!(report.counters.is_empty());
         assert_eq!(report.utilization.len(), 1);
         assert_eq!(report.utilization[0].share, 0.0);
@@ -501,13 +549,29 @@ mod tests {
     #[test]
     fn report_serializes_with_ordered_fields() {
         let (_, prof) = manual();
-        prof.record_wall("election", 10);
+        prof.record_wall(Phase::Election, 10);
         prof.record_round(10);
         let json = serde_json::to_string(&prof.report()).unwrap();
         assert!(json.contains("\"schema\":\"qlec-profile/v1\""), "{json}");
         assert!(json.contains("\"round_latency\""), "{json}");
         assert!(json.contains("\"phases\""), "{json}");
         assert!(json.contains("\"utilization\""), "{json}");
+    }
+
+    #[test]
+    fn phase_paths_are_distinct_and_nest_under_real_parents() {
+        let paths: std::collections::BTreeSet<_> = Phase::ALL.iter().map(|p| p.path()).collect();
+        assert_eq!(paths.len(), Phase::ALL.len());
+        for (i, p) in Phase::ALL.iter().enumerate() {
+            assert_eq!(*p as usize, i, "ALL is in declaration order");
+            if let Some((parent, _)) = p.path().rsplit_once('/') {
+                assert!(
+                    Phase::ALL[..i].iter().any(|q| q.path() == parent),
+                    "{} nests under {parent}, which must come before it",
+                    p.path()
+                );
+            }
+        }
     }
 
     #[test]

@@ -258,9 +258,7 @@ fn fallback_path_is_thread_invariant() {
     let observed = |threads: usize| -> (String, String) {
         let buf = SharedBuf::default();
         let mut obs = ObserverSet::new();
-        let sink = JsonLinesSink::new(buf.clone())
-            .expect("sink")
-            .deterministic();
+        let sink = JsonLinesSink::new(buf.clone()).expect("sink");
         obs.attach(Arc::new(Mutex::new(sink)));
         let mut cfg = SimConfig::paper(1.0);
         cfg.rounds = 5;

@@ -168,9 +168,7 @@ fn same_plan_and_seed_streams_are_byte_identical() {
         )
     };
     let stream = |p: FaultPlan| -> Vec<u8> {
-        let sink = Arc::new(Mutex::new(
-            JsonLinesSink::new(Vec::new()).unwrap().deterministic(),
-        ));
+        let sink = Arc::new(Mutex::new(JsonLinesSink::new(Vec::new()).unwrap()));
         let mut obs = ObserverSet::new();
         obs.attach(sink.clone());
         let mut protocol = QlecProtocol::builder()

@@ -47,9 +47,7 @@ fn run_once(threads: usize, plan: &FaultPlan) -> (String, String, MergeOutcome) 
         .link(AnyLink::DistanceLoss(DistanceLossLink::for_cube(200.0)))
         .uniform_cube(&mut rng, n, 200.0, 1.0);
     let buf = SharedBuf::default();
-    let sink = JsonLinesSink::new(buf.clone())
-        .expect("in-memory sink")
-        .deterministic();
+    let sink = JsonLinesSink::new(buf.clone()).expect("in-memory sink");
     let mut obs = ObserverSet::new();
     obs.attach(Arc::new(Mutex::new(sink)));
     let mut cfg = SimConfig::paper(5.0);

@@ -129,35 +129,48 @@ fn event_stream_replays_the_simulation_report() {
         .count();
     assert_eq!(died, n - replayed_alive.last().unwrap().1);
 
-    // Every phase of the round pipeline was timed at least once.
-    for phase in Phase::ALL {
-        let timed = events
-            .iter()
-            .any(|e| matches!(e, Event::PhaseTimed { phase: p, .. } if *p == phase));
-        assert!(timed, "no PhaseTimed event for {}", phase.name());
-    }
-
-    // One timing source: the profiler's wall at each phase's path is the
-    // sum of that phase's PhaseTimed walls in the stream.
+    // The phase tree adds up. This QLEC run goes through every phase.
     let profile = profiler.report();
     for phase in Phase::ALL {
-        let streamed: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::PhaseTimed {
-                    phase: p, wall_ns, ..
-                } if *p == phase => Some(*wall_ns),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(
-            profile.wall_ns(phase.path()),
-            streamed,
-            "profiler wall at {} vs the stream's {} spans",
-            phase.path(),
-            phase.name()
+        assert!(
+            profile.wall_ns(phase) > 0,
+            "{} was never timed",
+            phase.path()
         );
     }
+    // A nested span runs inside its parent's (the path prefix), so a
+    // child's wall never exceeds its parent's.
+    for child in Phase::ALL {
+        if let Some((parent_path, _)) = child.path().rsplit_once('/') {
+            let parent = Phase::ALL
+                .into_iter()
+                .find(|p| p.path() == parent_path)
+                .expect("every nested phase has a parent phase");
+            assert!(
+                profile.wall_ns(child) <= profile.wall_ns(parent),
+                "{} wall {} exceeds {} wall {}",
+                child.path(),
+                profile.wall_ns(child),
+                parent_path,
+                profile.wall_ns(parent)
+            );
+        }
+    }
+    // The top-level phases are disjoint slices of each round.
+    let top_level: u64 = [
+        Phase::Election,
+        Phase::Traffic,
+        Phase::Transmission,
+        Phase::Aggregation,
+    ]
+    .into_iter()
+    .map(|p| profile.wall_ns(p))
+    .sum();
+    assert!(
+        top_level <= profile.total_wall_ns,
+        "top-level phases sum to {top_level} ns, more than the {} ns of the rounds",
+        profile.total_wall_ns
+    );
     let rounds_started = events
         .iter()
         .filter(|e| matches!(e, Event::RoundStarted { .. }))
