@@ -33,4 +33,3 @@ pub mod qrouting;
 
 pub use params::QlecParams;
 pub use qlec::{QlecBuilder, QlecProtocol};
-pub use qrouting::QRowStore;

@@ -14,7 +14,7 @@
 use crate::deec_improved::{select_heads_from_roster, SelectionFeatures, SelectionOutcome};
 use crate::kopt;
 use crate::params::{CandidatePolicy, QlecParams};
-use crate::qrouting::{ActionConst, QRouter, QRowStore};
+use crate::qrouting::{ActionConst, QRouter};
 use qlec_geom::{KdTree, UniformGrid, Vec3};
 use qlec_net::protocol::{nearest_head, PlanScratch, RoutePlanner};
 use qlec_net::{Network, NodeId, Protocol, Target};
@@ -85,9 +85,6 @@ pub struct QlecProtocol {
     /// maintenance) this tracks revivals too, so the roster always equals
     /// the true alive set.
     roster_alive: Vec<bool>,
-    /// Per-round decision-Q diagnostic store (see [`QRowStore`]).
-    /// Write-only on the decision path.
-    q_rows_store: Option<QRowStore>,
     /// Reused scratch holding the pruned candidate head set.
     candidate_buf: Vec<NodeId>,
     /// Per-round cache of the merge-time retargets' k-nearest head
@@ -281,7 +278,6 @@ impl QlecBuilder {
             alive_mask: Vec::new(),
             alive_roster: Vec::new(),
             roster_alive: Vec::new(),
-            q_rows_store: None,
             candidate_buf: Vec::new(),
             retarget_slot: Vec::new(),
             retarget_ids: Vec::new(),
@@ -329,11 +325,6 @@ impl QlecProtocol {
         self.router.as_ref()
     }
 
-    /// The decision-Q row store (populated after the first round).
-    pub fn q_rows(&self) -> Option<&QRowStore> {
-        self.q_rows_store.as_ref()
-    }
-
     /// Total elementary Q updates so far — the paper's `X`.
     pub fn q_updates(&self) -> u64 {
         self.router.as_ref().map_or(0, |r| r.updates.total())
@@ -353,17 +344,6 @@ impl QlecProtocol {
         }
         if self.router.is_none() {
             self.router = Some(QRouter::new(net, self.params));
-        }
-        if self.q_rows_store.is_none() {
-            let k = self.k.expect("set above");
-            // A row must hold one round's distinct targets: the pruned
-            // candidate window (budget + the query's death padding) or
-            // the full head set when pruning is off, plus the BS.
-            let budget = match self.params.candidates.budget(k) {
-                Some(c) => c + 9,
-                None => k + 9,
-            };
-            self.q_rows_store = Some(QRowStore::new(net.len(), budget));
         }
     }
 
@@ -481,9 +461,6 @@ impl Protocol for QlecProtocol {
     ) -> Vec<NodeId> {
         self.ensure_initialized(net);
         self.current_round = round;
-        if let Some(store) = self.q_rows_store.as_mut() {
-            store.begin_round(round);
-        }
         let k = self.k.expect("initialized above");
         // Index maintenance, part 1: the Algorithm 3 node grid. Timed
         // as IndexMaintenance, which nests inside the simulator's
@@ -532,11 +509,6 @@ impl Protocol for QlecProtocol {
         if self.q_routing {
             if let Some(router) = self.router.as_mut() {
                 let deltas = router.head_update_batch(net, &heads, self.aggregate_share);
-                if let Some(store) = self.q_rows_store.as_mut() {
-                    for &h in &heads {
-                        store.record(h.0, u32::MAX, router.v_of(h));
-                    }
-                }
                 if self.obs.is_active() {
                     for (&h, &delta) in heads.iter().zip(&deltas) {
                         self.obs.emit(Event::QUpdate {
@@ -589,9 +561,6 @@ impl Protocol for QlecProtocol {
             .as_mut()
             .expect("router initialized in on_round_start");
         let target = router.send_data_excluding(net, src, candidates, &self.nacked);
-        if let Some(store) = self.q_rows_store.as_mut() {
-            store.record(src.0, overlay_key(target), router.v_of(src));
-        }
         if self.obs.is_active() {
             self.obs.emit(Event::QUpdate {
                 round: self.current_round,
@@ -616,11 +585,6 @@ impl Protocol for QlecProtocol {
         // BS-hop Q after data fusion.
         if let Some(router) = self.router.as_mut() {
             let deltas = router.head_update_batch(net, heads, self.aggregate_share);
-            if let Some(store) = self.q_rows_store.as_mut() {
-                for &h in heads {
-                    store.record(h.0, u32::MAX, router.v_of(h));
-                }
-            }
             if self.obs.is_active() {
                 for (&h, &delta) in heads.iter().zip(&deltas) {
                     self.obs.emit(Event::QUpdate {
@@ -648,11 +612,6 @@ impl Protocol for QlecProtocol {
             .expect("QlecProtocol scratch");
         if let Some(router) = self.router.as_mut() {
             router.absorb_plan(src, s.v_src, s.updates, &s.deltas);
-        }
-        if let Some(store) = self.q_rows_store.as_mut() {
-            for &(key, q) in &s.decisions {
-                store.record(src.0, key, q);
-            }
         }
         if self.obs.is_active() {
             for &delta in &s.deltas {
@@ -692,10 +651,6 @@ struct QlecPlanScratch {
     knn_ready: bool,
     /// Signed `V*(src)` change per planned packet, in packet order.
     deltas: Vec<f64>,
-    /// `(target key, V*(src) after)` per planned decision, in packet
-    /// order — absorbed into the Q-row store on the main thread so store
-    /// contents match the single-threaded commit path.
-    decisions: Vec<(u32, f64)>,
     /// Elementary Q computations performed while planning.
     updates: u64,
 }
@@ -716,7 +671,6 @@ impl RoutePlanner for QlecProtocol {
             candidate_buf: Vec::new(),
             knn_ready: false,
             deltas: Vec::new(),
-            decisions: Vec::new(),
             updates: 0,
         })
     }
@@ -753,7 +707,6 @@ impl RoutePlanner for QlecProtocol {
             candidate_buf,
             knn_ready,
             deltas,
-            decisions,
             updates,
         } = s;
         THREAD_BUFS.with_borrow_mut(|bufs| {
@@ -803,7 +756,6 @@ impl RoutePlanner for QlecProtocol {
                 &mut bufs.actions,
             );
             deltas.push(*v_src - v_before);
-            decisions.push((overlay_key(target), *v_src));
             target
         })
     }

@@ -26,7 +26,7 @@
 //! are meaningful on any deployment.
 
 use crate::params::QlecParams;
-use qlec_mdp::{ConvergenceTracker, SparseQRow, UpdateCounter};
+use qlec_mdp::{ConvergenceTracker, UpdateCounter};
 use qlec_net::{Network, NodeId, Target};
 use std::collections::HashMap;
 
@@ -494,109 +494,10 @@ impl QRouter {
     }
 }
 
-/// Per-round record of every node's decision Q-values — the paper's
-/// Q-rows, materialized for inspection without touching the hot path.
-///
-/// The router itself stores only `V*` per node (`Q*(b_i, a_j)` is
-/// *computed* per packet, §4.2); this store records the value behind
-/// each committed decision: `V*(src)` after a `Send-Data` argmax keyed
-/// by the chosen target, and a head's line-15 `Q(h, a_BS)` keyed by the
-/// BS. It is strictly write-only with respect to routing — nothing on
-/// the decision path ever reads it — so any thread count produces
-/// byte-identical event streams by construction.
-///
-/// Each node keeps one [`SparseQRow`] sized by the Theorem-1 candidate
-/// budget, so the store stays linear in `N` at any scale. Rows are
-/// cleared lazily per round via a round stamp: a row's first write in
-/// round `r` resets it, and reads of rows not written in the current
-/// round see an empty row. Keys are node ids with `u32::MAX` for the BS
-/// (the link-table convention).
-#[derive(Debug, Clone)]
-pub struct QRowStore {
-    /// One budgeted row per source node.
-    rows: Vec<SparseQRow>,
-    /// Round each row was last written in (`u32::MAX` = never).
-    stamp: Vec<u32>,
-    round: u32,
-}
-
-impl QRowStore {
-    /// Create a store for `n` nodes. `budget` caps the entries a row
-    /// retains (the Theorem-1 candidate window plus the BS; the weakest
-    /// entry is evicted beyond it — acceptable for a diagnostic, and
-    /// unreachable while per-round distinct targets fit the budget).
-    pub fn new(n: usize, budget: usize) -> Self {
-        QRowStore {
-            rows: vec![SparseQRow::new(budget.max(1)); n],
-            stamp: vec![u32::MAX; n],
-            round: 0,
-        }
-    }
-
-    /// Number of source rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the store tracks zero nodes.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The round rows currently belong to.
-    pub fn round(&self) -> u32 {
-        self.round
-    }
-
-    /// Enter a round: later writes reset each row they touch first.
-    pub fn begin_round(&mut self, round: u32) {
-        self.round = round;
-    }
-
-    /// Record the Q-value behind a decision of `src` toward `key` (a
-    /// node id, or `u32::MAX` for the BS). Last write per key wins
-    /// within a round.
-    pub fn record(&mut self, src: u32, key: u32, q: f64) {
-        let i = src as usize;
-        debug_assert!(i < self.len(), "source {src} out of range");
-        if self.stamp[i] != self.round {
-            self.rows[i].clear();
-            self.stamp[i] = self.round;
-        }
-        self.rows[i].set(key, q);
-    }
-
-    /// The recorded Q-value of `src` toward `key` this round (0.0 when
-    /// the row was not written this round or the key is absent).
-    pub fn q(&self, src: u32, key: u32) -> f64 {
-        let i = src as usize;
-        if i >= self.len() || self.stamp[i] != self.round {
-            return 0.0;
-        }
-        self.rows[i].get(key)
-    }
-
-    /// This round's non-zero entries of `src`'s row, key-ascending with
-    /// the BS (`u32::MAX`) last.
-    pub fn row(&self, src: u32) -> Vec<(u32, f64)> {
-        let i = src as usize;
-        if i >= self.len() || self.stamp[i] != self.round {
-            return Vec::new();
-        }
-        self.rows[i].iter().filter(|&(_, q)| q != 0.0).collect()
-    }
-
-    /// Count of rows written in the current round.
-    pub fn rows_touched(&self) -> usize {
-        self.stamp.iter().filter(|&&s| s == self.round).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qlec_geom::Vec3;
-    use qlec_mdp::QTable;
     use qlec_net::NetworkBuilder;
 
     /// Line deployment: src at origin, near head at 30 m, far head at
@@ -948,163 +849,5 @@ mod tests {
         let total = r.updates.total();
         assert!(total >= 3 && total.is_multiple_of(3), "updates = {total}");
         assert!(total <= 3 * 200, "sweep cap respected");
-    }
-
-    /// The dense oracle for [`QRowStore`]: one [`QTable`] row per node
-    /// with column `n` as the BS, zeroed whenever the round changes —
-    /// fed the same `record` sequence, its non-zero cells must equal the
-    /// store's rows.
-    struct DenseOracle {
-        table: QTable,
-        touched: Vec<bool>,
-    }
-
-    impl DenseOracle {
-        fn new(n: usize) -> Self {
-            DenseOracle {
-                table: QTable::zeros(n, n + 1),
-                touched: vec![false; n],
-            }
-        }
-
-        fn col(&self, key: u32) -> usize {
-            if key == super::BS_KEY {
-                self.touched.len()
-            } else {
-                key as usize
-            }
-        }
-
-        fn begin_round(&mut self) {
-            self.table.fill(0.0);
-            self.touched.fill(false);
-        }
-
-        fn record(&mut self, src: u32, key: u32, q: f64) {
-            let col = self.col(key);
-            self.table.set(src as usize, col, q);
-            self.touched[src as usize] = true;
-        }
-
-        fn row(&self, src: u32) -> Vec<(u32, f64)> {
-            let n = self.touched.len();
-            (0..=n)
-                .filter_map(|a| {
-                    let q = self.table.get(src as usize, a);
-                    let key = if a == n { super::BS_KEY } else { a as u32 };
-                    (q != 0.0).then_some((key, q))
-                })
-                .collect()
-        }
-
-        fn rows_touched(&self) -> usize {
-            self.touched.iter().filter(|&&t| t).count()
-        }
-    }
-
-    /// Replay `writes` (`(round, src, key, q)`) into a store and the
-    /// dense oracle; every row must agree after each round.
-    fn replay_against_oracle(n: usize, budget: usize, writes: &[(u32, u32, u32, f64)]) {
-        let mut store = QRowStore::new(n, budget);
-        let mut oracle = DenseOracle::new(n);
-        let check = |store: &QRowStore, oracle: &DenseOracle| {
-            for src in 0..n as u32 {
-                assert_eq!(store.row(src), oracle.row(src), "src {src}");
-                for &(key, q) in &oracle.row(src) {
-                    assert_eq!(store.q(src, key), q, "src {src} key {key}");
-                }
-            }
-            assert_eq!(store.rows_touched(), oracle.rows_touched());
-        };
-        let mut round = None;
-        for &(r, src, key, q) in writes {
-            if round != Some(r) {
-                if round.is_some() {
-                    check(&store, &oracle);
-                }
-                store.begin_round(r);
-                oracle.begin_round();
-                round = Some(r);
-            }
-            store.record(src, key, q);
-            oracle.record(src, key, q);
-        }
-        check(&store, &oracle);
-    }
-
-    #[test]
-    fn q_row_store_records_and_reads_back() {
-        let bs = super::BS_KEY;
-        let mut store = QRowStore::new(10, 4);
-        store.begin_round(0);
-        store.record(3, 7, -1.5);
-        store.record(3, bs, -9.0);
-        store.record(3, 7, -1.25); // last write wins
-        assert_eq!(store.q(3, 7), -1.25);
-        assert_eq!(store.q(3, bs), -9.0);
-        assert_eq!(store.q(3, 5), 0.0, "unrecorded key");
-        assert_eq!(store.q(4, 7), 0.0, "untouched row");
-        // BS sorts last.
-        assert_eq!(store.row(3), vec![(7, -1.25), (bs, -9.0)]);
-        assert_eq!(store.rows_touched(), 1);
-        replay_against_oracle(
-            10,
-            4,
-            &[(0, 3, 7, -1.5), (0, 3, bs, -9.0), (0, 3, 7, -1.25)],
-        );
-    }
-
-    #[test]
-    fn q_row_store_clears_rows_lazily_per_round() {
-        let mut store = QRowStore::new(4, 3);
-        store.begin_round(0);
-        store.record(1, 2, -0.5);
-        store.begin_round(1);
-        // Stale rows read empty before any write...
-        assert_eq!(store.q(1, 2), 0.0);
-        assert!(store.row(1).is_empty());
-        // ...and the first write of the new round resets the row.
-        store.record(1, 0, -2.0);
-        assert_eq!(store.row(1), vec![(0, -2.0)]);
-        replay_against_oracle(4, 3, &[(0, 1, 2, -0.5), (1, 1, 0, -2.0)]);
-    }
-
-    #[test]
-    fn q_row_store_matches_the_dense_oracle_on_a_replayed_sequence() {
-        let bs = super::BS_KEY;
-        replay_against_oracle(
-            6,
-            4,
-            &[
-                (0, 0, 2, -1.0),
-                (0, 0, bs, -8.0),
-                (0, 5, 2, -0.25),
-                (1, 0, 3, -4.0), // round bump clears rows lazily
-                (1, 0, 2, -0.5),
-                (1, 5, 1, -0.125),
-                (2, 5, 1, -0.75),
-                (2, 5, bs, -3.0),
-                (2, 5, 1, -0.5), // last write wins
-            ],
-        );
-        // A seeded random sequence; the budget holds every target, so
-        // no entry is ever evicted.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        let n = 8u32;
-        let writes: Vec<(u32, u32, u32, f64)> = (0..400)
-            .map(|i| {
-                let key = rng.gen_range(0..=n);
-                let key = if key == n { bs } else { key };
-                (
-                    i / 80,
-                    rng.gen_range(0..n),
-                    key,
-                    -rng.gen_range(0.0f64..10.0),
-                )
-            })
-            .collect();
-        replay_against_oracle(n as usize, n as usize + 1, &writes);
     }
 }

@@ -37,45 +37,29 @@ impl UpdateCounter {
     pub fn total(&self) -> u64 {
         self.updates
     }
-
-    /// Merge another counter (parallel reductions).
-    pub fn merge(&mut self, o: &UpdateCounter) {
-        self.updates += o.updates;
-    }
 }
 
 /// Tracks the largest per-sweep value change and reports convergence when
-/// it drops below a tolerance for a required number of consecutive sweeps.
+/// a sweep's largest change falls within a tolerance.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ConvergenceTracker {
     tolerance: f64,
-    /// Consecutive sub-tolerance sweeps required (≥ 1). Requiring more
-    /// than one guards against a coincidentally quiet sweep in stochastic
-    /// settings.
-    patience: u32,
     current_max_delta: f64,
-    quiet_sweeps: u32,
+    converged: bool,
     sweeps: u64,
 }
 
 impl ConvergenceTracker {
-    /// Create a tracker with the given tolerance and a patience of 1.
+    /// Create a tracker with the given tolerance.
     pub fn new(tolerance: f64) -> Self {
-        Self::with_patience(tolerance, 1)
-    }
-
-    /// Create a tracker requiring `patience` consecutive quiet sweeps.
-    pub fn with_patience(tolerance: f64, patience: u32) -> Self {
         assert!(
             tolerance >= 0.0 && tolerance.is_finite(),
             "tolerance must be non-negative"
         );
-        assert!(patience >= 1, "patience must be at least 1");
         ConvergenceTracker {
             tolerance,
-            patience,
             current_max_delta: 0.0,
-            quiet_sweeps: 0,
+            converged: false,
             sweeps: 0,
         }
     }
@@ -92,19 +76,14 @@ impl ConvergenceTracker {
     /// Close the current sweep; returns `true` if converged.
     pub fn end_sweep(&mut self) -> bool {
         self.sweeps += 1;
-        if self.current_max_delta <= self.tolerance {
-            self.quiet_sweeps += 1;
-        } else {
-            self.quiet_sweeps = 0;
-        }
+        self.converged = self.current_max_delta <= self.tolerance;
         self.current_max_delta = 0.0;
-        self.converged()
+        self.converged
     }
 
-    /// Whether the required number of consecutive quiet sweeps has been
-    /// reached.
+    /// Whether the most recent sweep was within the tolerance.
     pub fn converged(&self) -> bool {
-        self.quiet_sweeps >= self.patience
+        self.converged
     }
 
     /// Number of completed sweeps.
@@ -118,15 +97,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates_and_merges() {
+    fn counter_accumulates() {
         let mut c = UpdateCounter::new();
         c.bump();
         c.add(10);
         assert_eq!(c.total(), 11);
-        let mut d = UpdateCounter::new();
-        d.add(5);
-        c.merge(&d);
-        assert_eq!(c.total(), 16);
     }
 
     #[test]
@@ -147,19 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn patience_requires_consecutive_quiet() {
-        let mut t = ConvergenceTracker::with_patience(1e-3, 2);
-        t.observe(1e-6);
-        assert!(!t.end_sweep(), "one quiet sweep is not enough");
-        t.observe(0.5); // noisy again — resets the streak
-        assert!(!t.end_sweep());
-        t.observe(1e-6);
-        assert!(!t.end_sweep());
-        t.observe(1e-6);
-        assert!(t.end_sweep());
-    }
-
-    #[test]
     fn max_delta_is_per_sweep() {
         let mut t = ConvergenceTracker::new(0.1);
         t.observe(5.0);
@@ -167,11 +129,5 @@ mod tests {
         // The 5.0 from the previous sweep must not leak into this one.
         t.observe(0.05);
         assert!(t.end_sweep());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_patience_rejected() {
-        ConvergenceTracker::with_patience(1e-3, 0);
     }
 }

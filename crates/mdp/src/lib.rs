@@ -1,4 +1,5 @@
-//! Tabular MDP / Q-learning machinery for the QLEC reproduction.
+//! Tabular MDP machinery for the QLEC reproduction, and the exact
+//! reference solution the Q-routing rule is checked against.
 //!
 //! §3.3 of the paper frames the cluster-head choice of a non-head node as a
 //! finite Markov Decision Process and solves it with a *model-based*
@@ -10,37 +11,28 @@
 //! Q*(Sₜ, Aₜ) = Rₜ + γ · Σ_{Sₜ₊₁} P^{Aₜ}_{Sₜ Sₜ₊₁} · max_a Q*(Sₜ₊₁, a)
 //! ```
 //!
-//! This crate keeps that machinery generic so it is testable against small
-//! reference problems independent of the sensor-network semantics:
+//! This crate keeps that machinery generic, independent of the
+//! sensor-network semantics, so it serves as the Q-routing oracle: the
+//! root `tests/oracles.rs` writes a frozen network out as a
+//! [`mdp::TabularMdp`] from Eq. 16–20 and checks that `qlec-core`'s
+//! `Send-Data` fixed point lands on the values and greedy policy solved
+//! here.
 //!
 //! * [`mdp::FiniteMdp`] — an explicit finite MDP (transition triples),
 //! * [`qtable::QTable`] — a dense `states × actions` action-value table,
-//! * [`sparse::SparseQRow`] — a budgeted sparse row (Theorem-1 candidate
-//!   working set) with the dense table kept as the small-k golden oracle,
 //! * [`solver`] — value iteration and expected (model-based) Q-updates,
-//! * [`qlearning`] — classic sample-based Q-learning for comparison,
-//! * [`double_q`] — Double Q-learning (overestimation-bias control),
-//! * [`sarsa`] — the on-policy TD sibling (§3.3 stresses Q-learning is
-//!   off-policy; SARSA is the contrast),
 //! * [`policy_iteration`] — a second exact solver cross-validating value
 //!   iteration,
-//! * [`policy`] — greedy / ε-greedy / softmax action selection,
 //! * [`convergence`] — update counting and Δ-tracking; `X`, the number of
 //!   updates to convergence, is the quantity in the paper's `O(kX)` running
 //!   time (Lemma 3 / Theorem 3).
 
 pub mod convergence;
-pub mod double_q;
 pub mod mdp;
-pub mod policy;
 pub mod policy_iteration;
-pub mod qlearning;
 pub mod qtable;
-pub mod sarsa;
 pub mod solver;
-pub mod sparse;
 
 pub use convergence::{ConvergenceTracker, UpdateCounter};
 pub use mdp::{FiniteMdp, Transition};
 pub use qtable::{MdpError, QTable};
-pub use sparse::SparseQRow;

@@ -2,11 +2,12 @@
 //!
 //! A [`FiniteMdp`] enumerates, for every state–action pair, the reachable
 //! next states with their probabilities and rewards (the paper's Eq. 8–9:
-//! `P^a_{ss'}` and `R^a_{ss'}`). The QLEC routing MDP built in `qlec-core`
-//! has exactly two reachable next states per action — the chosen cluster
-//! head (delivery) and the node itself (loss) — but the solver code here is
-//! written against the general interface so it can be validated on
-//! reference problems (chains, gridworlds) with known solutions.
+//! `P^a_{ss'}` and `R^a_{ss'}`). The QLEC routing MDP (written out from
+//! Eq. 16–20 in the root `tests/oracles.rs`) has exactly two reachable next
+//! states per action — the chosen cluster head (delivery) and the node
+//! itself (loss) — but the solver code here is written against the general
+//! interface so it can be validated on reference problems (chains,
+//! gridworlds) with known solutions.
 
 use serde::{Deserialize, Serialize};
 

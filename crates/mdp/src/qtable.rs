@@ -147,38 +147,9 @@ impl QTable {
         best.map(|(a, _)| a)
     }
 
-    /// Greedy action restricted to a subset of permitted actions (QLEC
-    /// restricts to the current round's head set `H ∪ {BS}`). `None` when
-    /// `allowed` selects nothing.
-    pub fn greedy_among(&self, s: usize, allowed: impl Iterator<Item = usize>) -> Option<usize> {
-        let row = self.row(s);
-        let mut best: Option<(usize, f64)> = None;
-        for a in allowed {
-            let q = row[a];
-            match best {
-                Some((_, bq)) if q <= bq => {}
-                _ => best = Some((a, q)),
-            }
-        }
-        best.map(|(a, _)| a)
-    }
-
-    /// Extract `V(s)` for all states.
-    pub fn values(&self) -> Vec<f64> {
-        (0..self.n_states)
-            .map(|s| self.v(s).unwrap_or(0.0))
-            .collect()
-    }
-
     /// Largest absolute Q-value (tests bound this by `r_max / (1 - γ)`).
     pub fn max_abs(&self) -> f64 {
         self.q.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
-    }
-
-    /// Fill every entry with `value` (used to reset between rounds when a
-    /// protocol chooses not to carry learning across epochs).
-    pub fn fill(&mut self, value: f64) {
-        self.q.fill(value);
     }
 }
 
@@ -243,7 +214,6 @@ mod tests {
         t.set(0, 1, 4.0);
         t.set(0, 2, 2.0);
         assert_eq!(t.v(0), Some(4.0));
-        assert_eq!(t.values(), vec![4.0]);
     }
 
     #[test]
@@ -255,28 +225,10 @@ mod tests {
     }
 
     #[test]
-    fn greedy_among_subset() {
-        let mut t = QTable::zeros(1, 4);
-        t.set(0, 0, 10.0); // best overall but not allowed
-        t.set(0, 2, 3.0);
-        t.set(0, 3, 5.0);
-        assert_eq!(t.greedy_among(0, [2, 3].into_iter()), Some(3));
-        assert_eq!(t.greedy_among(0, std::iter::empty()), None);
-    }
-
-    #[test]
     fn zero_action_table() {
         let t = QTable::zeros(2, 0);
         assert_eq!(t.v(0), None);
         assert_eq!(t.greedy(0), None);
-    }
-
-    #[test]
-    fn fill_resets() {
-        let mut t = QTable::zeros(2, 2);
-        t.set(1, 1, 9.0);
-        t.fill(0.0);
-        assert_eq!(t.max_abs(), 0.0);
     }
 
     #[test]

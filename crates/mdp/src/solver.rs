@@ -5,8 +5,7 @@
 //! cluster head: "nodes are capable of computing the Q values of all the
 //! actions based on their own knowledge … rather than take real actions"
 //! (§3.3). [`value_iteration`] sweeps that update to a fixed point and is
-//! the reference solution tests compare both the expected-update loop and
-//! sample-based Q-learning against.
+//! the reference solution the `Send-Data` fixed point is tested against.
 
 use crate::convergence::{ConvergenceTracker, UpdateCounter};
 use crate::mdp::FiniteMdp;

@@ -86,14 +86,13 @@ proptest! {
     }
 }
 
-/// One deterministic run at the scale the sparse Q-row layout exists
-/// for: N = 10 000 with the Theorem-1 candidate budget active (k = 50).
-/// The budgeted rows evict entries past their capacity, which must never
-/// bleed into routing — the simulator's ledger still closes exactly, and
-/// the diagnostic store actually recorded rows (a zero-row run would
-/// vacuously pass).
+/// One deterministic run at the only tier-1 scale where the Theorem-1
+/// candidate budget binds: N = 10 000 with k = 50 heads, so every
+/// `Send-Data` scan is pruned to the nearest alive candidates. Pruning
+/// must never bleed into the ledger — the simulator's packet accounting
+/// still closes exactly, per round and in total.
 #[test]
-fn qlec_conserves_packets_at_n10k_with_sparse_q_rows() {
+fn qlec_conserves_packets_at_n10k_with_candidate_budget() {
     let mut rng = StdRng::seed_from_u64(0x10_000);
     let net = NetworkBuilder::new()
         .link(AnyLink::DistanceLoss(DistanceLossLink::for_cube(200.0)))
@@ -124,6 +123,4 @@ fn qlec_conserves_packets_at_n10k_with_sparse_q_rows() {
         report.totals.generated > 1_000,
         "run must carry real traffic"
     );
-    let store = protocol.q_rows().expect("store initialized after a run");
-    assert!(store.rows_touched() > 0, "diagnostic rows were recorded");
 }
