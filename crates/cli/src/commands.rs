@@ -16,8 +16,8 @@ use qlec_net::{
     FaultDriver, FaultPlan, MergeOutcome, NetworkBuilder, Protocol, SimConfig, SimReport, Simulator,
 };
 use qlec_obs::{
-    AsyncJsonLinesSink, Backpressure, EventsMode, JsonLinesSink, MemorySink, ObserverSet,
-    PhaseProfiler, DEFAULT_QUEUE_CAPACITY,
+    AsyncJsonLinesSink, Backpressure, EventsMode, JsonLinesSink, ObserverSet, PhaseProfiler,
+    DEFAULT_QUEUE_CAPACITY,
 };
 use qlec_radio::link::{AnyLink, DistanceLossLink};
 use qlec_radio::RadioModel;
@@ -39,9 +39,9 @@ USAGE:
                     [--trace FILE] [--svg FILE] [--chart FILE]
                     [--events FILE|-] [--events-mode full|sample:R|aggregate]
                     [--sink sync|async|async:drop] [--profile FILE]
-                    [--metrics FILE] [--faults FILE]
-  qlec-sim compare  [--n 100] [--m 200] [--k 5] [--lambda 5] [--rounds 20]
-                    [--seeds 3]
+                    [--faults FILE]
+  qlec-sim compare  [--n 100] [--m 200] [--energy 5] [--k 5] [--lambda 5]
+                    [--rounds 20] [--seeds 3]
   qlec-sim dataset  [--count 2896] [--seed 42] [--out FILE]
   qlec-sim kopt     [--n 100] [--m 200] [--d-to-bs <auto>]
   qlec-sim help
@@ -82,6 +82,40 @@ NOTES:
   (default), full is the paper-exact full scan, an integer C pins the
   budget.
 ";
+
+/// The options `qlec-sim run` accepts (each listed in [`USAGE`]).
+const RUN_FLAGS: &[&str] = &[
+    "protocol",
+    "n",
+    "m",
+    "energy",
+    "k",
+    "lambda",
+    "rounds",
+    "seed",
+    "death-line",
+    "threads",
+    "candidates",
+    "json",
+    "trace",
+    "svg",
+    "chart",
+    "events",
+    "events-mode",
+    "sink",
+    "profile",
+    "faults",
+    "spec",
+];
+
+/// The options `qlec-sim compare` accepts.
+const COMPARE_FLAGS: &[&str] = &["n", "m", "energy", "k", "lambda", "rounds", "seeds"];
+
+/// The options `qlec-sim dataset` accepts.
+const DATASET_FLAGS: &[&str] = &["count", "seed", "out"];
+
+/// The options `qlec-sim kopt` accepts.
+const KOPT_FLAGS: &[&str] = &["n", "m", "d-to-bs"];
 
 /// Dispatch a parsed command line.
 pub fn dispatch(args: &ParsedArgs) -> Result<String, String> {
@@ -267,30 +301,7 @@ fn attach_events_sink<W: std::io::Write + Send + 'static>(
 }
 
 fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
-    args.ensure_known(&[
-        "protocol",
-        "n",
-        "m",
-        "energy",
-        "k",
-        "lambda",
-        "rounds",
-        "seed",
-        "death-line",
-        "threads",
-        "candidates",
-        "json",
-        "trace",
-        "svg",
-        "chart",
-        "events",
-        "events-mode",
-        "sink",
-        "profile",
-        "metrics",
-        "faults",
-        "spec",
-    ])?;
+    args.ensure_known(RUN_FLAGS)?;
     let setup = load_spec(args)?;
     setup.validate()?;
     // A plan can arrive inline in the spec or via `--faults FILE`, but
@@ -364,14 +375,6 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
             .with_mode(events_mode);
         events_pipeline = attach_events_sink(&mut obs, sink, sink_kind);
     }
-    let metrics_sink = match file_arg("metrics")? {
-        Some(_) => {
-            let sink = Arc::new(Mutex::new(MemorySink::new()));
-            obs.attach(sink.clone());
-            Some(sink)
-        }
-        None => None,
-    };
 
     let mut protocol = build_spec_protocol(&setup, &obs)?;
     let report = execute_observed(&setup, protocol.as_mut(), obs.clone(), faults);
@@ -407,11 +410,6 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
             }
         }
     };
-    if let Some(path) = args.get("metrics") {
-        let sink = metrics_sink.as_ref().expect("attached above");
-        let summary = sink.lock().expect("metrics sink poisoned").summary();
-        std::fs::write(path, summary).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
     if let Some(sink) = &trace_sink {
         let t = sink.lock().expect("trace sink poisoned").trace().clone();
         if args.has("trace") {
@@ -487,7 +485,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
 }
 
 fn cmd_compare(args: &ParsedArgs) -> Result<String, String> {
-    args.ensure_known(&["n", "m", "energy", "k", "lambda", "rounds", "seeds"])?;
+    args.ensure_known(COMPARE_FLAGS)?;
     let setup = SimSpec::from_args(args)?;
     setup.validate()?;
     let seeds = args.get_parsed("seeds", 3u64)?;
@@ -546,7 +544,7 @@ fn cmd_compare(args: &ParsedArgs) -> Result<String, String> {
 }
 
 fn cmd_dataset(args: &ParsedArgs) -> Result<String, String> {
-    args.ensure_known(&["count", "seed", "out"])?;
+    args.ensure_known(DATASET_FLAGS)?;
     let count = args.get_parsed("count", qlec_dataset::CHINA_PLANT_COUNT)?;
     if count == 0 {
         return Err("--count must be positive".into());
@@ -571,7 +569,7 @@ fn cmd_dataset(args: &ParsedArgs) -> Result<String, String> {
 }
 
 fn cmd_kopt(args: &ParsedArgs) -> Result<String, String> {
-    args.ensure_known(&["n", "m", "d-to-bs"])?;
+    args.ensure_known(KOPT_FLAGS)?;
     let n = args.get_parsed("n", 100usize)?;
     let m = args.get_parsed("m", 200.0f64)?;
     if n == 0 || m <= 0.0 || m.is_nan() {
@@ -605,6 +603,50 @@ mod tests {
         assert!(run(&["help"]).unwrap().contains("USAGE"));
         assert!(run(&[]).is_err() || !run(&[]).unwrap().is_empty());
         assert!(run(&["bogus"]).is_err());
+    }
+
+    /// Each subcommand's synopsis in `USAGE` lists exactly the options
+    /// its `ensure_known` accepts, so the help text can neither miss an
+    /// accepted flag nor keep a retired one.
+    #[test]
+    fn usage_lists_exactly_the_accepted_flags() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let synopsis = USAGE.split("NOTES:").next().unwrap();
+        let mut listed: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut current = None;
+        for line in synopsis.lines() {
+            let rest = match line.strip_prefix("  qlec-sim ") {
+                Some(rest) => {
+                    let (cmd, rest) = rest.split_once(' ').unwrap_or((rest, ""));
+                    listed.insert(cmd, BTreeSet::new());
+                    current = Some(cmd);
+                    rest
+                }
+                None => line,
+            };
+            let Some(cmd) = current else { continue };
+            for word in rest.split_whitespace() {
+                if let Some(flag) = word.trim_start_matches('[').strip_prefix("--") {
+                    let end = flag
+                        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                        .unwrap_or(flag.len());
+                    listed.get_mut(cmd).unwrap().insert(&flag[..end]);
+                }
+            }
+        }
+        let accepted: BTreeMap<&str, BTreeSet<&str>> = [
+            ("run", RUN_FLAGS),
+            ("compare", COMPARE_FLAGS),
+            ("dataset", DATASET_FLAGS),
+            ("kopt", KOPT_FLAGS),
+            ("help", &[][..]),
+        ]
+        .into_iter()
+        .map(|(cmd, flags)| (cmd, flags.iter().copied().collect()))
+        .collect();
+        assert_eq!(listed, accepted);
+        let err = run(&["run", "--metrics", "x"]).unwrap_err();
+        assert!(err.contains("unknown option --metrics"), "{err}");
     }
 
     #[test]
@@ -1010,42 +1052,6 @@ mod artifact_tests {
     }
 
     #[test]
-    fn metrics_artifact_matches_report() {
-        let dir = std::env::temp_dir();
-        let metrics_path = dir.join("qlec_test_metrics.txt");
-        let metrics_s = metrics_path.to_str().unwrap();
-        let out = run(&[
-            "run",
-            "--n",
-            "15",
-            "--rounds",
-            "3",
-            "--lambda",
-            "8",
-            "--json",
-            "--metrics",
-            metrics_s,
-        ])
-        .unwrap();
-        let report: serde_json::Value = serde_json::from_str(&out).unwrap();
-        let generated = report["totals"]["generated"].as_u64().unwrap();
-        let summary = std::fs::read_to_string(&metrics_path).unwrap();
-        let counter = |name: &str| -> Option<String> {
-            summary.lines().find_map(|l| {
-                let mut parts = l.split_whitespace();
-                (parts.next() == Some(name)).then(|| parts.next().unwrap_or("").to_string())
-            })
-        };
-        assert_eq!(
-            counter("packets.generated").as_deref(),
-            Some(generated.to_string().as_str()),
-            "summary should report the same generated count:\n{summary}"
-        );
-        assert_eq!(counter("rounds.ended").as_deref(), Some("3"), "{summary}");
-        let _ = std::fs::remove_file(metrics_path);
-    }
-
-    #[test]
     fn faulted_run_emits_fault_events() {
         let dir = std::env::temp_dir();
         let plan_path = dir.join("qlec_test_plan.json");
@@ -1133,8 +1139,6 @@ mod artifact_tests {
     #[test]
     fn events_and_metrics_require_paths() {
         let err = run(&["run", "--n", "10", "--rounds", "1", "--events"]).unwrap_err();
-        assert!(err.contains("file path"), "{err}");
-        let err = run(&["run", "--n", "10", "--rounds", "1", "--metrics"]).unwrap_err();
         assert!(err.contains("file path"), "{err}");
         let err = run(&["run", "--n", "10", "--rounds", "1", "--profile"]).unwrap_err();
         assert!(err.contains("file path"), "{err}");

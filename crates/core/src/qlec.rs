@@ -594,7 +594,6 @@ impl Protocol for QlecProtocol {
                     });
                 }
             }
-            router.convergence.end_sweep();
             // Round-end housekeeping: drop link estimates for endpoints
             // that died this round (they are never consulted again, so
             // this cannot change behaviour — only the table's footprint).

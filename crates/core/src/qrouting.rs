@@ -26,7 +26,7 @@
 //! are meaningful on any deployment.
 
 use crate::params::QlecParams;
-use qlec_mdp::{ConvergenceTracker, UpdateCounter};
+use qlec_mdp::UpdateCounter;
 use qlec_net::{Network, NodeId, Target};
 use std::collections::HashMap;
 
@@ -134,8 +134,6 @@ pub struct QRouter {
     y_ref: f64,
     /// Counts elementary Q computations — the paper's `X` (Lemma 3).
     pub updates: UpdateCounter,
-    /// Tracks V-value deltas for convergence measurement.
-    pub convergence: ConvergenceTracker,
     /// Signed V change of the most recent update (observability).
     last_delta: f64,
     /// Action buffer reused by [`QRouter::send_data_excluding`].
@@ -159,7 +157,6 @@ impl QRouter {
             links: LinkEstimator::new(params.link_ewma_weight, params.link_prior),
             y_ref,
             updates: UpdateCounter::new(),
-            convergence: ConvergenceTracker::new(1e-4),
             last_delta: 0.0,
             actions: Vec::new(),
         }
@@ -311,7 +308,6 @@ impl QRouter {
         self.v[src.index()] = v_src;
         self.updates.add(updates);
         self.last_delta = v_src - v_before;
-        self.convergence.observe(self.last_delta.abs());
         action
     }
 
@@ -403,15 +399,14 @@ impl QRouter {
     /// Commit the outcome of a planning pass that ran the side-effect-free
     /// `Send-Data` fixed point (possibly several times, one per packet)
     /// on a local `V*` copy: write the final value back, fold in
-    /// the elementary-update count, and replay the per-packet signed
-    /// deltas through the convergence tracker in packet order — exactly
-    /// the bookkeeping the in-place path does per call.
+    /// the elementary-update count, and leave the last per-packet signed
+    /// delta (packet order) as [`QRouter::last_delta`] — exactly the
+    /// bookkeeping the in-place path does per call.
     pub fn absorb_plan(&mut self, src: NodeId, v_src: f64, updates: u64, deltas: &[f64]) {
         self.v[src.index()] = v_src;
         self.updates.add(updates);
-        for &d in deltas {
+        if let Some(&d) = deltas.last() {
             self.last_delta = d;
-            self.convergence.observe(d.abs());
         }
     }
 
@@ -433,7 +428,6 @@ impl QRouter {
         let q = self.head_q(net, head, aggregate_share);
         self.updates.bump();
         self.last_delta = q - self.v[head.index()];
-        self.convergence.observe(self.last_delta.abs());
         self.v[head.index()] = q;
     }
 
@@ -473,7 +467,6 @@ impl QRouter {
         for (&h, &q) in heads.iter().zip(&qs) {
             self.updates.bump();
             self.last_delta = q - self.v[h.index()];
-            self.convergence.observe(self.last_delta.abs());
             self.v[h.index()] = q;
             deltas.push(self.last_delta);
         }
@@ -711,10 +704,14 @@ mod tests {
         let heads = [NodeId(1), NodeId(2)];
         let mut converged_at = None;
         for sweep in 0..10_000 {
+            let mut max_delta = 0.0f64;
             r.send_data(&net, NodeId(0), &heads);
-            r.head_update(&net, NodeId(1), 0.5);
-            r.head_update(&net, NodeId(2), 0.5);
-            if r.convergence.end_sweep() {
+            max_delta = max_delta.max(r.last_delta().abs());
+            for h in heads {
+                r.head_update(&net, h, 0.5);
+                max_delta = max_delta.max(r.last_delta().abs());
+            }
+            if max_delta <= 1e-4 {
                 converged_at = Some(sweep);
                 break;
             }
@@ -770,7 +767,6 @@ mod tests {
         r.v[src.index()] = v_src;
         r.updates.add(updates);
         r.last_delta = v_src - v_before;
-        r.convergence.observe(r.last_delta.abs());
         action
     }
 

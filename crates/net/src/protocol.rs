@@ -158,8 +158,8 @@ pub trait Protocol {
     }
 }
 
-/// Boxed protocols are protocols (lets `Box<dyn Protocol>` flow through
-/// generic wrappers like `TraceRecorder`).
+/// Boxed protocols are protocols (lets a `Box<dyn Protocol>` go wherever
+/// code expects a `P: Protocol`).
 impl<P: Protocol + ?Sized> Protocol for Box<P> {
     fn name(&self) -> &str {
         (**self).name()

@@ -4,21 +4,14 @@
 //! head sets, per-node residual energies, packet counters — in a form
 //! that serializes to JSON for external plotting (the Fig. 3/4 artifacts
 //! are derived from exactly these quantities). Because snapshots hold a
-//! residual per node per round, tracing is opt-in, two ways:
-//!
-//! * [`TraceRecorder`] wraps any [`Protocol`] and observes the
-//!   simulation through the protocol hooks without perturbing it;
-//! * [`TraceSink`] is a [`qlec_obs::SimObserver`] that rebuilds the same
-//!   trace from the structured event stream ([`qlec_obs::Event::RoundEnded`]
-//!   carries heads, residuals and the alive count), so tracing composes
-//!   with the other sinks on one [`qlec_obs::ObserverSet`].
+//! residual per node per round, tracing is opt-in: attach a
+//! [`TraceSink`] to the run's [`qlec_obs::ObserverSet`]. It rebuilds the
+//! trace from the structured event stream
+//! ([`qlec_obs::Event::RoundEnded`] carries heads, residuals and the
+//! alive count), so it composes with the other sinks and leaves the
+//! protocol, and the engine path it takes, untouched.
 
-use crate::network::Network;
-use crate::node::NodeId;
-use crate::packet::Target;
-use crate::protocol::Protocol;
 use qlec_obs::{Event, ObsError, SimObserver};
-use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 /// One round's snapshot.
@@ -66,102 +59,12 @@ impl RunTrace {
     }
 }
 
-/// Wraps a protocol and records a [`RunTrace`] as the simulation drives
-/// it. All hooks are forwarded verbatim.
-pub struct TraceRecorder<P> {
-    inner: P,
-    trace: RunTrace,
-    pending_heads: Vec<u32>,
-}
-
-impl<P: Protocol> TraceRecorder<P> {
-    /// Wrap `inner`.
-    pub fn new(inner: P) -> Self {
-        TraceRecorder {
-            inner,
-            trace: RunTrace::default(),
-            pending_heads: Vec::new(),
-        }
-    }
-
-    /// Finish and take the trace (and the wrapped protocol back).
-    pub fn into_parts(self) -> (P, RunTrace) {
-        (self.inner, self.trace)
-    }
-
-    /// The trace so far.
-    pub fn trace(&self) -> &RunTrace {
-        &self.trace
-    }
-}
-
-impl<P: Protocol> Protocol for TraceRecorder<P> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn on_round_start(
-        &mut self,
-        net: &mut Network,
-        round: u32,
-        rng: &mut dyn RngCore,
-    ) -> Vec<NodeId> {
-        if self.trace.protocol.is_empty() {
-            self.trace.protocol = self.inner.name().to_string();
-        }
-        let heads = self.inner.on_round_start(net, round, rng);
-        self.pending_heads = heads.iter().map(|h| h.0).collect();
-        heads
-    }
-
-    fn on_packet_start(&mut self, src: NodeId) {
-        self.inner.on_packet_start(src);
-    }
-
-    fn choose_target(
-        &mut self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        rng: &mut dyn RngCore,
-    ) -> Target {
-        self.inner.choose_target(net, src, heads, rng)
-    }
-
-    fn on_hop_result(&mut self, src: NodeId, target: Target, success: bool) {
-        self.inner.on_hop_result(src, target, success);
-    }
-
-    fn aggregate_route(&mut self, net: &Network, head: NodeId, heads: &[NodeId]) -> Vec<Target> {
-        self.inner.aggregate_route(net, head, heads)
-    }
-
-    fn on_round_end(&mut self, net: &mut Network, round: u32, heads: &[NodeId]) {
-        self.inner.on_round_end(net, round, heads);
-        self.trace.rounds.push(RoundSnapshot {
-            round,
-            heads: std::mem::take(&mut self.pending_heads),
-            residuals: net.iter().map(|n| n.residual()).collect(),
-            alive: net.alive_count(),
-        });
-    }
-
-    // Deliberately NOT forwarding `planner()`: the recorder's job is a
-    // faithful per-decision trace, so it keeps the engine on the
-    // `choose_target` path (the default `None`) even when the wrapped
-    // protocol could plan.
-
-    fn configure_threads(&mut self, threads: usize) {
-        self.inner.configure_threads(threads);
-    }
-}
-
 /// Rebuilds a [`RunTrace`] from the structured event stream.
 ///
 /// [`qlec_obs::Event::RoundEnded`] carries everything a
 /// [`RoundSnapshot`] needs (heads, per-node residuals, alive count), so
-/// attaching this sink to a [`qlec_obs::ObserverSet`] yields the same
-/// trace a [`TraceRecorder`] would — without wrapping the protocol.
+/// attaching this sink to a [`qlec_obs::ObserverSet`] traces the run
+/// without wrapping the protocol.
 #[derive(Debug, Default)]
 pub struct TraceSink {
     trace: RunTrace,
@@ -215,8 +118,10 @@ mod tests {
     use crate::network::NetworkBuilder;
     use crate::protocol::GreedyEnergyProtocol;
     use crate::sim::{SimConfig, Simulator};
+    use qlec_obs::ObserverSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::{Arc, Mutex};
 
     fn traced_run(rounds: u32) -> (RunTrace, usize) {
         let mut rng = StdRng::seed_from_u64(1);
@@ -224,12 +129,15 @@ mod tests {
         let n = net.len();
         let mut cfg = SimConfig::paper(5.0);
         cfg.rounds = rounds;
-        let mut recorder = TraceRecorder::new(GreedyEnergyProtocol::new(3));
+        let sink = Arc::new(Mutex::new(TraceSink::new("greedy-energy")));
+        let mut obs = ObserverSet::new();
+        obs.attach(sink.clone());
         let _ = Simulator::builder(net)
             .config(cfg)
+            .observers(obs)
             .build()
-            .run(&mut recorder, &mut rng);
-        let (_, trace) = recorder.into_parts();
+            .run(&mut GreedyEnergyProtocol::new(3), &mut rng);
+        let trace = sink.lock().unwrap().trace().clone();
         (trace, n)
     }
 
@@ -268,49 +176,6 @@ mod tests {
         assert_eq!(parsed.protocol, trace.protocol);
         assert_eq!(parsed.rounds[1].heads, trace.rounds[1].heads);
         assert!(RunTrace::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn trace_sink_matches_trace_recorder() {
-        use qlec_obs::ObserverSet;
-        use std::sync::{Arc, Mutex};
-
-        let mk_net = |rng: &mut StdRng| NetworkBuilder::new().uniform_cube(rng, 30, 200.0, 5.0);
-        let mut cfg = SimConfig::paper(5.0);
-        cfg.rounds = 4;
-
-        // Recorder path.
-        let mut rng = StdRng::seed_from_u64(9);
-        let net = mk_net(&mut rng);
-        let mut recorder = TraceRecorder::new(GreedyEnergyProtocol::new(3));
-        let _ = Simulator::builder(net)
-            .config(cfg)
-            .build()
-            .run(&mut recorder, &mut rng);
-        let (_, recorded) = recorder.into_parts();
-
-        // Sink path, same seed.
-        let mut rng = StdRng::seed_from_u64(9);
-        let net = mk_net(&mut rng);
-        let sink = Arc::new(Mutex::new(TraceSink::new("greedy-energy")));
-        let mut obs = ObserverSet::new();
-        obs.attach(sink.clone());
-        let mut p = GreedyEnergyProtocol::new(3);
-        let _ = Simulator::builder(net)
-            .config(cfg)
-            .observers(obs)
-            .build()
-            .run(&mut p, &mut rng);
-        let sunk = sink.lock().unwrap().trace().clone();
-
-        assert_eq!(sunk.protocol, recorded.protocol);
-        assert_eq!(sunk.rounds.len(), recorded.rounds.len());
-        for (a, b) in sunk.rounds.iter().zip(recorded.rounds.iter()) {
-            assert_eq!(a.round, b.round);
-            assert_eq!(a.heads, b.heads);
-            assert_eq!(a.alive, b.alive);
-            assert_eq!(a.residuals, b.residuals);
-        }
     }
 
     #[test]

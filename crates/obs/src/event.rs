@@ -45,20 +45,6 @@ pub enum PacketFate {
     DroppedDead,
 }
 
-impl PacketFate {
-    /// Stable metric-key suffix for this fate.
-    pub fn metric_name(&self) -> &'static str {
-        match self {
-            PacketFate::Delivered { .. } => "delivered",
-            PacketFate::DroppedLink => "dropped.link",
-            PacketFate::DroppedQueueFull => "dropped.queue_full",
-            PacketFate::DroppedDeadline => "dropped.deadline",
-            PacketFate::DroppedAggregate => "dropped.aggregate",
-            PacketFate::DroppedDead => "dropped.dead",
-        }
-    }
-}
-
 /// One structured simulation event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Event {
@@ -270,19 +256,5 @@ mod tests {
             .round(),
             5
         );
-    }
-
-    #[test]
-    fn fate_metric_names_are_distinct() {
-        let fates = [
-            PacketFate::Delivered { latency_slots: 0.0 },
-            PacketFate::DroppedLink,
-            PacketFate::DroppedQueueFull,
-            PacketFate::DroppedDeadline,
-            PacketFate::DroppedAggregate,
-            PacketFate::DroppedDead,
-        ];
-        let names: std::collections::BTreeSet<_> = fates.iter().map(|f| f.metric_name()).collect();
-        assert_eq!(names.len(), fates.len());
     }
 }

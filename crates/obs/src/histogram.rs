@@ -1,14 +1,8 @@
-//! The metric registry: named counters, gauges, and log-bucketed
-//! histograms.
-//!
-//! Names are dotted lowercase paths (`packets.dropped.link`,
-//! `phase.election.wall_ns`); the full vocabulary this repo emits is
-//! documented in `crates/obs/README.md`. Histograms bucket by powers of
-//! two so one small fixed structure covers nanosecond timings and joule
-//! energies alike.
+//! The log₂-bucketed histogram behind the profiler's round-latency
+//! quantiles. Powers-of-two buckets keep one small fixed structure for
+//! any range of nanosecond timings.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A log₂-bucketed histogram with exact count/sum/min/max.
 ///
@@ -17,7 +11,7 @@ use std::fmt::Write as _;
 /// underflow bucket. The mean is exact (tracked as `sum / count`), the
 /// spread is bucket-resolution.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     count: u64,
     sum: f64,
     min: f64,
@@ -28,10 +22,10 @@ pub struct Histogram {
 
 impl Histogram {
     /// The underflow bucket index (samples ≤ 0).
-    pub const UNDERFLOW: i32 = i32::MIN;
+    const UNDERFLOW: i32 = i32::MIN;
 
     /// Record one sample.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         if v.is_nan() {
             return; // NaN would poison min/max and serve no analysis
         }
@@ -53,33 +47,18 @@ impl Histogram {
     }
 
     /// Number of samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
-    /// Exact sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Exact mean, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
-    /// Smallest sample, `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
     /// Largest sample, `None` when empty.
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Bucket (exponent, count) pairs in ascending exponent order.
-    pub fn buckets(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
-        self.buckets.iter().map(|(&b, &c)| (b, c))
     }
 
     /// Estimate the `q`-quantile (`q` in `[0, 1]`) from the log₂
@@ -89,7 +68,7 @@ impl Histogram {
     /// clamped to the exact `[min, max]`, so the extreme quantiles are
     /// exact; interior ones carry bucket resolution (a factor-of-2
     /// band). `None` when the histogram is empty or `q` is out of range.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 || !(0.0..=1.0).contains(&q) {
             return None;
         }
@@ -115,127 +94,18 @@ impl Histogram {
     }
 
     /// Median estimate (see [`Histogram::quantile`]).
-    pub fn p50(&self) -> Option<f64> {
+    pub(crate) fn p50(&self) -> Option<f64> {
         self.quantile(0.50)
     }
 
     /// 90th-percentile estimate (see [`Histogram::quantile`]).
-    pub fn p90(&self) -> Option<f64> {
+    pub(crate) fn p90(&self) -> Option<f64> {
         self.quantile(0.90)
     }
 
     /// 99th-percentile estimate (see [`Histogram::quantile`]).
-    pub fn p99(&self) -> Option<f64> {
+    pub(crate) fn p99(&self) -> Option<f64> {
         self.quantile(0.99)
-    }
-}
-
-/// Named counters, gauges, and histograms.
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Increment a counter (created at 0 on first use).
-    pub fn inc(&mut self, name: &str, by: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += by;
-        } else {
-            self.counters.insert(name.to_string(), by);
-        }
-    }
-
-    /// Current counter value (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Set a gauge to its latest value.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
-        }
-    }
-
-    /// Current gauge value.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Record one histogram sample.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.observe(value);
-        } else {
-            let mut h = Histogram::default();
-            h.observe(value);
-            self.histograms.insert(name.to_string(), h);
-        }
-    }
-
-    /// A histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Render everything as a fixed-width text table (one metric per
-    /// line; histograms show count/mean/min/max plus bucket-resolution
-    /// p50/p90/p99 estimates).
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let width = self
-            .counters
-            .keys()
-            .chain(self.gauges.keys())
-            .chain(self.histograms.keys())
-            .map(|k| k.len())
-            .max()
-            .unwrap_or(0);
-        for (name, v) in self.counters() {
-            let _ = writeln!(out, "{name:<width$}  {v}");
-        }
-        for (name, v) in self.gauges() {
-            let _ = writeln!(out, "{name:<width$}  {v:.6}");
-        }
-        for (name, h) in self.histograms() {
-            let _ = writeln!(
-                out,
-                "{name:<width$}  count={} mean={:.6} min={:.6} max={:.6} p50={:.6} p90={:.6} p99={:.6}",
-                h.count(),
-                h.mean().unwrap_or(0.0),
-                h.min().unwrap_or(0.0),
-                h.max().unwrap_or(0.0),
-                h.p50().unwrap_or(0.0),
-                h.p90().unwrap_or(0.0),
-                h.p99().unwrap_or(0.0),
-            );
-        }
-        out
     }
 }
 
@@ -251,9 +121,9 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 16.0);
+        assert_eq!(h.sum, 16.0);
         assert_eq!(h.mean(), Some(4.0));
-        assert_eq!(h.min(), Some(1.0));
+        assert_eq!(h.min, 1.0);
         assert_eq!(h.max(), Some(10.0));
     }
 
@@ -267,7 +137,7 @@ mod tests {
         h.observe(0.25); // [0.25, 0.5) → exponent −2
         h.observe(0.0); // underflow
         h.observe(-3.0); // underflow
-        let buckets: Vec<_> = h.buckets().collect();
+        let buckets: Vec<_> = h.buckets.into_iter().collect();
         assert_eq!(
             buckets,
             vec![(Histogram::UNDERFLOW, 2), (-2, 1), (0, 2), (2, 2)]
@@ -349,35 +219,5 @@ mod tests {
         // Rank 1..2 fall in the underflow bucket → exact minimum.
         assert_eq!(h.quantile(0.3), Some(-3.0));
         assert_eq!(h.quantile(1.0), Some(16.0));
-    }
-
-    #[test]
-    fn registry_counters_gauges_histograms() {
-        let mut r = Registry::new();
-        assert_eq!(r.counter("packets.delivered"), 0);
-        r.inc("packets.delivered", 2);
-        r.inc("packets.delivered", 3);
-        assert_eq!(r.counter("packets.delivered"), 5);
-        r.set_gauge("alive.last", 97.0);
-        r.set_gauge("alive.last", 96.0);
-        assert_eq!(r.gauge("alive.last"), Some(96.0));
-        assert_eq!(r.gauge("missing"), None);
-        r.observe("latency.slots", 1.5);
-        r.observe("latency.slots", 2.5);
-        assert_eq!(r.histogram("latency.slots").unwrap().mean(), Some(2.0));
-    }
-
-    #[test]
-    fn table_lists_every_metric() {
-        let mut r = Registry::new();
-        r.inc("a.count", 7);
-        r.set_gauge("b.gauge", 1.25);
-        r.observe("c.hist", 4.0);
-        let t = r.render_table();
-        assert!(t.contains("a.count"));
-        assert!(t.contains('7'));
-        assert!(t.contains("b.gauge"));
-        assert!(t.contains("c.hist"));
-        assert!(t.contains("count=1"));
     }
 }

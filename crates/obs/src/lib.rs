@@ -11,22 +11,23 @@
 //!   simulator/protocols to any number of sinks, with zero cost when no
 //!   sink is attached (emission sites guard on [`ObserverSet::is_active`]
 //!   and never construct an event otherwise).
-//! * **Metrics** ([`Registry`], [`Histogram`]) — named counters, gauges,
-//!   and log₂-bucketed histograms.
 //! * **Spans** ([`Phase`], [`ObserverSet::span_start`]) — wall-clock
 //!   phase timings, read from the attached profiler's [`Clock`] and
 //!   recorded into that profiler alone.
 //! * **Sinks** — [`JsonLinesSink`] (versioned JSON-lines streams, see
-//!   [`SCHEMA`]), [`AsyncJsonLinesSink`] (the same stream produced on a
-//!   dedicated writer thread behind a bounded queue), and
-//!   [`MemorySink`] (in-run aggregation + summary table).
+//!   [`SCHEMA`]) and [`AsyncJsonLinesSink`] (the same stream produced
+//!   on a dedicated writer thread behind a bounded queue).
 //! * **Profiling** ([`PhaseProfiler`], [`ProfileReport`]) — per-phase,
 //!   per-worker-slot busy/wall accounting with round-latency quantiles,
 //!   collected out-of-band from the event stream, so profiling never
 //!   changes the stream's bytes.
 //!
-//! The event schema and metric-name vocabulary are documented in this
-//! crate's `README.md`.
+//! Every run summary has one source: the `SimReport` the simulator
+//! returns, the event stream these sinks write, the `RunTrace` that
+//! `qlec-net`'s `TraceSink` folds from that stream, and the profiler's
+//! report. The event schema, and where each figure of the retired
+//! `--metrics` table now lives, are documented in this crate's
+//! `README.md`.
 
 #![forbid(unsafe_code)]
 
@@ -34,12 +35,11 @@ mod async_sink;
 mod clock;
 mod error;
 mod event;
+mod histogram;
 mod json_sink;
-mod memory_sink;
 mod observer;
 mod procinfo;
 mod profiler;
-mod registry;
 
 pub use async_sink::{
     AsyncJsonLinesSink, Backpressure, SinkStats, BATCH_EVENTS, DEFAULT_QUEUE_CAPACITY,
@@ -48,11 +48,9 @@ pub use clock::{Clock, ManualClock, WallClock};
 pub use error::ObsError;
 pub use event::{Event, PacketFate, SCHEMA};
 pub use json_sink::{read_events, EventsMode, JsonLinesSink};
-pub use memory_sink::MemorySink;
 pub use observer::{MeasuredSink, ObserverSet, SimObserver, SpanToken};
 pub use procinfo::peak_rss_bytes;
 pub use profiler::{
     CounterRow, Phase, PhaseProfiler, PhaseRow, ProfileReport, RoundLatency, ThreadBusy,
     ThreadUtil, PROFILE_SCHEMA,
 };
-pub use registry::{Histogram, Registry};

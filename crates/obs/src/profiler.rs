@@ -12,7 +12,7 @@
 //!   the worker slot, so `busy` reveals fan-out imbalance that a single
 //!   wall number hides,
 //! * named **counters** (`merge.conflicts`, `merge.retargets`), and
-//! * a per-round latency [`Histogram`], from which the report derives
+//! * a per-round latency histogram, from which the report derives
 //!   p50/p90/p99.
 //!
 //! Everything is aggregated in place (one mutex-guarded accumulator
@@ -23,7 +23,7 @@
 //! `--events` bytes are identical with and without `--profile`.
 
 use crate::clock::{Clock, WallClock};
-use crate::registry::Histogram;
+use crate::histogram::Histogram;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

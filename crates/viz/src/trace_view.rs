@@ -148,22 +148,28 @@ pub fn render_energy_chart(trace: &RunTrace, style: &ChartStyle) -> String {
 mod tests {
     use super::*;
     use qlec_net::protocol::GreedyEnergyProtocol;
-    use qlec_net::trace::TraceRecorder;
+    use qlec_net::trace::TraceSink;
     use qlec_net::{NetworkBuilder, SimConfig, Simulator};
+    use qlec_obs::ObserverSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::{Arc, Mutex};
 
     fn trace(rounds: u32) -> RunTrace {
         let mut rng = StdRng::seed_from_u64(1);
         let net = NetworkBuilder::new().uniform_cube(&mut rng, 20, 200.0, 5.0);
         let mut cfg = SimConfig::paper(5.0);
         cfg.rounds = rounds;
-        let mut rec = TraceRecorder::new(GreedyEnergyProtocol::new(3));
+        let sink = Arc::new(Mutex::new(TraceSink::new("greedy-energy")));
+        let mut obs = ObserverSet::new();
+        obs.attach(sink.clone());
         let _ = Simulator::builder(net)
             .config(cfg)
+            .observers(obs)
             .build()
-            .run(&mut rec, &mut rng);
-        rec.into_parts().1
+            .run(&mut GreedyEnergyProtocol::new(3), &mut rng);
+        let trace = sink.lock().unwrap().trace().clone();
+        trace
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Tests for API-surface conveniences: boxed protocols, trace recording
-//! through the umbrella crate, aggregate-share override, and the
+//! through the umbrella crate's `TraceSink`, aggregate-share override, and the
 //! protocol-generic simulator entry points downstream users rely on.
 
 use qlec::core::QlecProtocol;
 use qlec::net::protocol::GreedyEnergyProtocol;
-use qlec::net::trace::TraceRecorder;
-use qlec::net::{NetworkBuilder, Protocol, SimConfig, Simulator};
+use qlec::net::trace::{RunTrace, TraceSink};
+use qlec::net::{NetworkBuilder, Protocol, SimConfig, SimReport, Simulator};
+use qlec::obs::ObserverSet;
 use qlec::radio::link::{AnyLink, IdealLink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, Mutex};
 
 fn net(seed: u64) -> qlec::net::Network {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -23,19 +25,34 @@ fn cfg(rounds: u32) -> SimConfig {
     c
 }
 
+/// Run `protocol` with a [`TraceSink`] attached through an
+/// [`ObserverSet`], the way `qlec-sim run --trace` does.
+fn traced_run(
+    protocol: &mut dyn Protocol,
+    net: qlec::net::Network,
+    rounds: u32,
+    seed: u64,
+) -> (SimReport, RunTrace) {
+    let sink = Arc::new(Mutex::new(TraceSink::new(protocol.name())));
+    let mut obs = ObserverSet::new();
+    obs.attach(sink.clone());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let report = Simulator::builder(net)
+        .config(cfg(rounds))
+        .observers(obs)
+        .build()
+        .run(protocol, &mut rng);
+    let trace = sink.lock().unwrap().trace().clone();
+    (report, trace)
+}
+
 /// A `Box<dyn Protocol>` drives the simulator exactly like the concrete
-/// type — and can be wrapped by `TraceRecorder`.
+/// type — and its run can be traced.
 #[test]
 fn boxed_protocols_run_and_trace() {
-    let boxed: Box<dyn Protocol> = Box::new(GreedyEnergyProtocol::new(3));
-    let mut recorder = TraceRecorder::new(boxed);
-    let mut rng = StdRng::seed_from_u64(2);
-    let report = Simulator::builder(net(1))
-        .config(cfg(3))
-        .build()
-        .run(&mut recorder, &mut rng);
+    let mut boxed: Box<dyn Protocol> = Box::new(GreedyEnergyProtocol::new(3));
+    let (report, trace) = traced_run(&mut boxed, net(1), 3, 2);
     assert!(report.totals.is_conserved());
-    let (_, trace) = recorder.into_parts();
     assert_eq!(trace.rounds.len(), 3);
     assert_eq!(trace.protocol, "greedy-energy");
 }
@@ -88,18 +105,12 @@ fn aggregate_share_out_of_range_rejected() {
 }
 
 /// The trace's head-duty histogram is consistent with the report's head
-/// counts.
+/// counts, on the planner path QLEC runs in production.
 #[test]
 fn trace_head_duty_matches_report() {
-    let mut recorder = TraceRecorder::new(QlecProtocol::builder().k(4).build());
-    let mut rng = StdRng::seed_from_u64(7);
     let n = net(8);
     let n_nodes = n.len();
-    let report = Simulator::builder(n)
-        .config(cfg(4))
-        .build()
-        .run(&mut recorder, &mut rng);
-    let (_, trace) = recorder.into_parts();
+    let (report, trace) = traced_run(&mut QlecProtocol::builder().k(4).build(), n, 4, 7);
     let duty: u32 = trace.head_duty_counts(n_nodes).iter().sum();
     let heads_served: usize = report.rounds.iter().map(|r| r.head_count).sum();
     assert_eq!(duty as usize, heads_served);

@@ -1,16 +1,43 @@
 //! Packet conservation under randomized traffic/drop mixes, observed two
-//! ways at once: the simulator's own `PacketCounters` and the event
-//! stream folded by a [`MemorySink`] must both account for every
+//! ways at once: the simulator's own `PacketCounters` and a test-local
+//! fold of the event stream ([`FateLedger`]) must both account for every
 //! generated packet, and must agree with each other.
 
 use proptest::prelude::*;
 use qlec::core::QlecProtocol;
+use qlec::net::metrics::PacketCounters;
 use qlec::net::{NetworkBuilder, SimConfig, Simulator};
-use qlec::obs::{MemorySink, ObserverSet};
+use qlec::obs::{Event, ObserverSet, PacketFate, SimObserver};
 use qlec::radio::link::{AnyLink, DistanceLossLink, IdealLink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
+
+/// The stream's ledger: one count per `PacketOutcome` fate and one per
+/// `PacketRetried`, folded independently of the simulator's counters.
+#[derive(Default)]
+struct FateLedger(PacketCounters);
+
+impl SimObserver for FateLedger {
+    fn on_event(&mut self, event: &Event) {
+        let c = &mut self.0;
+        match event {
+            Event::PacketOutcome { fate, .. } => {
+                c.generated += 1;
+                *match fate {
+                    PacketFate::Delivered { .. } => &mut c.delivered,
+                    PacketFate::DroppedLink => &mut c.dropped_link,
+                    PacketFate::DroppedQueueFull => &mut c.dropped_queue_full,
+                    PacketFate::DroppedDeadline => &mut c.dropped_deadline,
+                    PacketFate::DroppedAggregate => &mut c.dropped_aggregate,
+                    PacketFate::DroppedDead => &mut c.dropped_dead,
+                } += 1;
+            }
+            Event::PacketRetried { .. } => c.retried += 1,
+            _ => {}
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -44,7 +71,7 @@ proptest! {
         cfg.queue_capacity = queue_capacity;
         cfg.member_retries = member_retries;
 
-        let sink = Arc::new(Mutex::new(MemorySink::new()));
+        let sink = Arc::new(Mutex::new(FateLedger::default()));
         let mut obs = ObserverSet::new();
         obs.attach(sink.clone());
         let mut protocol = QlecProtocol::builder()
@@ -62,27 +89,12 @@ proptest! {
 
         // Ledger 2: the event stream. Every generated packet got exactly
         // one fate event, so the sink's ledger closes too …
-        let sink = sink.lock().unwrap();
-        let reg = sink.registry();
-        let dropped = reg.counter("packets.dropped.link")
-            + reg.counter("packets.dropped.queue_full")
-            + reg.counter("packets.dropped.deadline")
-            + reg.counter("packets.dropped.aggregate")
-            + reg.counter("packets.dropped.dead");
-        prop_assert_eq!(
-            reg.counter("packets.generated"),
-            reg.counter("packets.delivered") + dropped
-        );
+        let stream = sink.lock().unwrap().0;
+        prop_assert!(stream.is_conserved(), "{:?}", stream);
 
-        // … and the two ledgers agree entry by entry.
-        let t = &report.totals;
-        prop_assert_eq!(reg.counter("packets.generated"), t.generated);
-        prop_assert_eq!(reg.counter("packets.delivered"), t.delivered);
-        prop_assert_eq!(dropped, t.total_dropped());
-
-        // Retries are diagnostic, not part of the identity — both ledgers
-        // count them the same, and they never unbalance conservation.
-        prop_assert_eq!(reg.counter("packets.retried"), t.retried);
+        // … and the two ledgers agree entry by entry, retries included
+        // (diagnostic, never part of the conservation identity).
+        prop_assert_eq!(format!("{stream:?}"), format!("{:?}", report.totals));
     }
 }
 

@@ -6,7 +6,6 @@ use qlec::clustering::deec::DeecProtocol;
 use qlec::clustering::leach::LeachProtocol;
 use qlec::clustering::{FcmProtocol, KMeansProtocol};
 use qlec::core::QlecProtocol;
-use qlec::net::trace::TraceRecorder;
 use qlec::net::{Network, NetworkBuilder, Protocol, SimConfig, SimReport, Simulator};
 use qlec::obs::{read_events, Event, JsonLinesSink, ObserverSet};
 use qlec::radio::link::{AnyLink, DistanceLossLink};
@@ -237,10 +236,10 @@ fn graceful_degradation_when_nodes_die() {
     }
 }
 
-/// The `choose_target` fallback: [`TraceRecorder`] hides QLEC's route
-/// planner, so the engine resolves every packet sequentially. The
-/// threads knob must still leave the deterministic event stream and the
-/// report byte-identical (saturated λ = 1 forces merge retargets).
+/// The `choose_target` fallback: LEACH has no route planner, so the
+/// engine resolves every packet sequentially. The threads knob must
+/// still leave the deterministic event stream and the report
+/// byte-identical (saturated λ = 1).
 #[test]
 fn fallback_path_is_thread_invariant() {
     #[derive(Clone, Default)]
@@ -263,7 +262,8 @@ fn fallback_path_is_thread_invariant() {
         let mut cfg = SimConfig::paper(1.0);
         cfg.rounds = 5;
         cfg.threads = threads;
-        let mut p = TraceRecorder::new(QlecProtocol::builder().k(5).observer(obs.clone()).build());
+        let mut p = LeachProtocol::new(5);
+        assert!(p.planner().is_none(), "LEACH must take the fallback path");
         let mut rng = StdRng::seed_from_u64(17);
         let report = Simulator::builder(paper_network(17))
             .config(cfg)

@@ -5,8 +5,9 @@
 //! run, not a parallel approximation.
 
 use qlec::core::QlecProtocol;
+use qlec::net::metrics::PacketCounters;
 use qlec::net::{NetworkBuilder, SimConfig, Simulator};
-use qlec::obs::{read_events, Event, JsonLinesSink, MemorySink, ObserverSet, Phase, PhaseProfiler};
+use qlec::obs::{read_events, Event, JsonLinesSink, ObserverSet, PacketFate, Phase, PhaseProfiler};
 use qlec::radio::link::{AnyLink, DistanceLossLink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,11 +25,9 @@ fn event_stream_replays_the_simulation_report() {
     cfg.rounds = rounds;
 
     let json_sink = Arc::new(Mutex::new(JsonLinesSink::new(Vec::new()).unwrap()));
-    let memory_sink = Arc::new(Mutex::new(MemorySink::new()));
     let profiler = Arc::new(PhaseProfiler::new());
     let mut obs = ObserverSet::new().with_profiler(profiler.clone());
     obs.attach(json_sink.clone());
-    obs.attach(memory_sink.clone());
 
     let mut protocol = QlecProtocol::builder()
         .k(5)
@@ -90,36 +89,39 @@ fn event_stream_replays_the_simulation_report() {
         }
     }
 
-    // The aggregating sink's counters mirror the report's totals exactly:
-    // both are driven from the same emission sites.
-    let mem = memory_sink.lock().unwrap();
-    let reg = mem.registry();
-    let t = &report.totals;
-    assert_eq!(reg.counter("packets.generated"), t.generated);
-    assert_eq!(reg.counter("packets.delivered"), t.delivered);
-    assert_eq!(reg.counter("packets.dropped.link"), t.dropped_link);
-    assert_eq!(
-        reg.counter("packets.dropped.queue_full"),
-        t.dropped_queue_full
-    );
-    assert_eq!(reg.counter("packets.dropped.deadline"), t.dropped_deadline);
-    assert_eq!(
-        reg.counter("packets.dropped.aggregate"),
-        t.dropped_aggregate
-    );
-    assert_eq!(reg.counter("packets.dropped.dead"), t.dropped_dead);
-    assert!((mem.pdr() - report.pdr()).abs() < 1e-12);
+    // Folding the stream's packet fates reproduces the report's totals
+    // field by field: both are driven from the same emission sites.
+    let mut totals = PacketCounters::default();
+    let mut latencies = Vec::new();
+    for e in &events {
+        match e {
+            Event::PacketOutcome { fate, .. } => {
+                totals.generated += 1;
+                *match fate {
+                    PacketFate::Delivered { latency_slots } => {
+                        latencies.push(*latency_slots);
+                        &mut totals.delivered
+                    }
+                    PacketFate::DroppedLink => &mut totals.dropped_link,
+                    PacketFate::DroppedQueueFull => &mut totals.dropped_queue_full,
+                    PacketFate::DroppedDeadline => &mut totals.dropped_deadline,
+                    PacketFate::DroppedAggregate => &mut totals.dropped_aggregate,
+                    PacketFate::DroppedDead => &mut totals.dropped_dead,
+                } += 1;
+            }
+            Event::PacketRetried { .. } => totals.retried += 1,
+            _ => {}
+        }
+    }
+    assert_eq!(format!("{totals:?}"), format!("{:?}", report.totals));
 
     // Latency distribution: same sample count and the same mean.
-    let lat = reg
-        .histogram("latency.slots")
-        .expect("delivered packets exist");
-    assert_eq!(lat.count(), t.delivered);
-    let mean = report.mean_latency().unwrap();
+    assert_eq!(latencies.len() as u64, report.totals.delivered);
+    let stream_mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
+    let mean = report.mean_latency().expect("delivered packets exist");
     assert!(
-        (lat.mean().unwrap() - mean).abs() < 1e-9,
-        "sink mean {} vs report mean {mean}",
-        lat.mean().unwrap()
+        (stream_mean - mean).abs() < 1e-9,
+        "stream mean {stream_mean} vs report mean {mean}"
     );
 
     // Deaths in the stream equal the drop in the alive curve.

@@ -9,6 +9,9 @@
 //! * **Radio** — per-node energy on hand-built 2- and 3-node networks
 //!   against the first-order radio totals on both sides of `d₀`.
 //! * **Queue** — `ChQueue` against a reference M/D/1/B FIFO.
+//! * **Election** — Algorithm 2's randomized draw against the LEACH/DEEC
+//!   rotating threshold `p/(1 − p·(r mod ⌈1/p⌉))`, statistically over
+//!   many seeds.
 
 use qlec::core::qrouting::QRouter;
 use qlec::core::QlecParams;
@@ -558,4 +561,148 @@ fn ch_queue_matches_reference_fifo_under_deadline_misses() {
     // Both drop causes in one round.
     let (full, late) = check_queue(&mut q, (5, 1.5, 60.0), &arrivals);
     assert!(full > 0 && late > 0, "full {full}, late {late}");
+}
+
+// ---------------------------------------------------------------------
+// Election: Algorithm 2 against the LEACH/DEEC rotating threshold
+// ---------------------------------------------------------------------
+
+/// Network size and target head count: `p = k/N = 0.05`, so one
+/// rotation epoch is `⌈1/p⌉ = 20` rounds.
+const ELECTION_N: usize = 200;
+const ELECTION_K: usize = 10;
+const EPOCH: u32 = 20;
+/// Independent deployments and draw streams per statistic.
+const ELECTION_SEEDS: u64 = 200;
+
+/// The LEACH/DEEC threshold for a node still eligible at round `r`,
+/// written from its definition (SNIPPETS §1 `select_CHs_deec`) and
+/// capped at 1 — the last round of an epoch elects every node left.
+fn leach_threshold(p: f64, r: u32) -> f64 {
+    let epoch = (1.0 / p).ceil() as u32;
+    (p / (1.0 - p * f64::from(r % epoch))).min(1.0)
+}
+
+/// One seed of plain Algorithm 2: equal batteries, every
+/// `SelectionFeatures` improvement off, and a plan horizon far past the
+/// run, so every node's DEEC probability stays `k/N` and the threshold
+/// draw alone picks the heads. Returns, per round, the number of
+/// eligible nodes (no head duty in the last `EPOCH` rounds, tracked
+/// here from the returned head sets), the number the draw elected, and
+/// the head set.
+fn plain_election(seed: u64, rounds: u32) -> Vec<(usize, usize, Vec<NodeId>)> {
+    use qlec::core::deec_improved::{select_heads, SelectionFeatures};
+    use qlec::geom::UniformGrid;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut net = NetworkBuilder::new().uniform_cube(&mut rng, ELECTION_N, 200.0, 5.0);
+    let grid = UniformGrid::build(net.positions(), 8);
+    let params = QlecParams {
+        total_rounds: u32::MAX,
+        ..QlecParams::paper_with_k(ELECTION_K)
+    };
+    let plain = SelectionFeatures {
+        energy_threshold: false,
+        redundancy_reduction: false,
+        top_up: false,
+    };
+    let mut last_duty: Vec<Option<u32>> = vec![None; ELECTION_N];
+    (0..rounds)
+        .map(|r| {
+            let eligible = last_duty
+                .iter()
+                .filter(|last| last.is_none_or(|l| r - l >= EPOCH))
+                .count();
+            let out = select_heads(&mut net, &grid, r, ELECTION_K, &params, plain, &mut rng);
+            for h in &out.heads {
+                last_duty[h.index()] = Some(r);
+            }
+            (eligible, out.elected, out.heads)
+        })
+        .collect()
+}
+
+/// Each eligible node is drawn independently with probability `T(r)`,
+/// so over the seeds a round's elected total has mean `Σ |G|·T` and
+/// variance `Σ |G|·T(1 − T)`; every round of three epochs must land
+/// within 4σ (exactly, when `T = 1`). In the first epoch every node
+/// must serve exactly once.
+#[test]
+fn plain_election_draws_match_the_rotating_threshold() {
+    let p = ELECTION_K as f64 / ELECTION_N as f64;
+    let rounds = 3 * EPOCH;
+    let mut elected = vec![0.0; rounds as usize];
+    let mut mean = vec![0.0; rounds as usize];
+    let mut var = vec![0.0; rounds as usize];
+    for seed in 0..ELECTION_SEEDS {
+        let mut first_epoch_duty = vec![0u32; ELECTION_N];
+        for (r, (eligible, drawn, heads)) in plain_election(seed, rounds).into_iter().enumerate() {
+            let t = leach_threshold(p, r as u32);
+            elected[r] += drawn as f64;
+            mean[r] += eligible as f64 * t;
+            var[r] += eligible as f64 * t * (1.0 - t);
+            if r < EPOCH as usize {
+                for h in heads {
+                    first_epoch_duty[h.index()] += 1;
+                }
+            }
+        }
+        assert!(
+            first_epoch_duty.iter().all(|&d| d == 1),
+            "seed {seed}: first-epoch head duty {first_epoch_duty:?}"
+        );
+    }
+    for r in 0..rounds as usize {
+        let sigma = var[r].sqrt();
+        assert!(
+            (elected[r] - mean[r]).abs() <= 4.0 * sigma + 1e-9,
+            "round {r}: {} elected over {ELECTION_SEEDS} seeds, Σ T = {:.1} ± {sigma:.1}",
+            elected[r],
+            mean[r]
+        );
+    }
+}
+
+/// LEACH's epoch promise: after `⌈1/p⌉` rounds "all nodes are once
+/// again eligible", so every epoch, not only the first, has each node
+/// serve once, and each node's election phase is uniform over the epoch:
+/// a round's head count is `Binomial(N, p)`, mean `k`.
+///
+/// Known defect: eligibility is a sliding window of the last `⌈1/p_i⌉`
+/// rounds with no reset at the epoch boundary. From the second epoch on,
+/// only the nodes that served at or before the same phase of the
+/// previous epoch may stand, so the draw elects about 0.5 heads at
+/// phase 0 and 36 at phase 19 (third epoch: 0.03 and 72), and the
+/// last-resort promotion fills the empty rounds. QLEC's top-up and trim
+/// restore the count but not the rotation.
+#[test]
+#[ignore = "known defect: DEEC eligibility has no epoch reset (ROADMAP item 5)"]
+fn plain_election_keeps_k_heads_in_every_epoch() {
+    let p = ELECTION_K as f64 / ELECTION_N as f64;
+    let epochs = 3;
+    let rounds = epochs * EPOCH;
+    let mut heads_per_round = vec![0.0; rounds as usize];
+    for seed in 0..ELECTION_SEEDS {
+        let mut duty = vec![vec![0u32; ELECTION_N]; epochs as usize];
+        for (r, (_, _, heads)) in plain_election(seed, rounds).into_iter().enumerate() {
+            heads_per_round[r] += heads.len() as f64;
+            for h in heads {
+                duty[r / EPOCH as usize][h.index()] += 1;
+            }
+        }
+        for (epoch, duty) in duty.iter().enumerate() {
+            assert!(
+                duty.iter().all(|&d| d == 1),
+                "seed {seed}, epoch {epoch}: head duty {duty:?}"
+            );
+        }
+    }
+    let trials = ELECTION_SEEDS as f64 * ELECTION_N as f64;
+    let sigma = (trials * p * (1.0 - p)).sqrt();
+    for (r, &total) in heads_per_round.iter().enumerate() {
+        assert!(
+            (total - trials * p).abs() <= 4.0 * sigma,
+            "round {r}: {total} heads over {ELECTION_SEEDS} seeds, expected {:.0} ± {sigma:.1}",
+            trials * p
+        );
+    }
 }
