@@ -18,13 +18,8 @@
 //! Usage: `cargo run --release -p qlec-bench --bin scale -- \
 //!     [--sizes 100,1000,10000] [--threads 1] [--rounds 20] \
 //!     [--candidates auto|full|<n>] [--lambda 5] [--seed 42] \
-//!     [--events-sink sync,async] [--out BENCH_scale.json] [--append] \
+//!     [--out BENCH_scale.json] [--append] \
 //!     [--validate] [--compare BASE.json] [--gate-thread-scaling 0.8]`
-//!
-//! `--events-sink` re-runs each point once per named pipeline with a
-//! full-mode events stream (into the bit bucket) and records what that
-//! stream costs the hot simulation thread, so the artifact can show the
-//! async pipeline's hot-thread win over the synchronous sink.
 //!
 //! When the sweep includes a `threads = 1` point alongside multi-thread
 //! points at the same (N, candidates, rounds, λ) coordinates, the
@@ -40,14 +35,11 @@
 use qlec_bench::{phase_walls, print_table, write_json, PhaseWall, ProtocolKind, RunSpec};
 use qlec_core::params::{CandidatePolicy, QlecParams};
 use qlec_net::{SimReport, Simulator};
-use qlec_obs::{
-    peak_rss_bytes, AsyncJsonLinesSink, JsonLinesSink, MeasuredSink, ObserverSet, Phase,
-    PhaseProfiler, SimObserver, SinkStats,
-};
+use qlec_obs::{peak_rss_bytes, ObserverSet, Phase, PhaseProfiler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Version tag of the `BENCH_scale.json` artifact. Bump on any field
@@ -60,8 +52,8 @@ use std::time::Instant;
 /// busy spans (`phase_threads`), merge-stage counters
 /// (`merge_conflicts`, `merge_retargets`), round-latency quantiles
 /// (`round_p50_ns`/`round_p90_ns`/`round_p99_ns`), and optional
-/// `events_pipeline` rows measuring the hot-thread cost of the sync vs
-/// async full-events sinks (present when `--events-sink` was passed).
+/// `events_pipeline` rows measuring the hot-thread cost of the
+/// full-events sinks of the time.
 /// v5: added `threads_resolved` (the worker count the engine actually
 /// used — never 0, so `auto` sweeps record what they ran on), the
 /// sharded-merge counters (`merge_shards`, `merge_shard_max`), and the
@@ -101,7 +93,9 @@ use std::time::Instant;
 /// and `transmission/merge` join) and carry `wall_ns` (the run total)
 /// instead of the misnamed `mean_wall_ns`; the `thread_scaling` phase
 /// speedups use the same labels. Profile-only runs no longer build
-/// events, so the rows measure less observer overhead than v9's.
+/// events, so the rows measure less observer overhead than v9's. The
+/// optional `events_pipeline` rows went with the writer-thread sink
+/// they compared against; no committed v10 row carried one.
 const SCALE_SCHEMA: &str = "qlec-bench-scale/v10";
 
 /// `--compare` fails on a `packets_per_sec` drop of more than this
@@ -193,9 +187,6 @@ struct ScaleRun {
     round_p50_ns: f64,
     round_p90_ns: f64,
     round_p99_ns: f64,
-    /// Hot-thread cost of the full-events sink pipelines; absent unless
-    /// `--events-sink` requested the extra measured runs.
-    events_pipeline: Option<Vec<EventsPipelineRow>>,
 }
 
 impl ScaleRun {
@@ -221,60 +212,6 @@ struct PhaseThreadBusy {
     /// Worker slot (0 = the simulation thread).
     thread: usize,
     busy_ns: u64,
-}
-
-/// An `--events-sink` pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SinkKind {
-    /// The synchronous JSON-lines sink.
-    Sync,
-    /// The off-thread JSON-lines sink, with block backpressure.
-    Async,
-}
-
-impl SinkKind {
-    fn parse(text: &str) -> Result<SinkKind, String> {
-        match text.trim() {
-            "sync" => Ok(SinkKind::Sync),
-            "async" => Ok(SinkKind::Async),
-            other => Err(format!("--events-sink takes sync or async, got `{other}`")),
-        }
-    }
-
-    /// The artifact spelling (also the flag syntax).
-    fn label(self) -> &'static str {
-        match self {
-            SinkKind::Sync => "sync",
-            SinkKind::Async => "async",
-        }
-    }
-}
-
-/// One measured full-events run: how much the event sink costs the hot
-/// simulation thread, and (async only) the writer-queue counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct EventsPipelineRow {
-    /// `sync` or `async` (block backpressure).
-    sink: String,
-    /// Events that crossed the hot thread's `on_event`.
-    events: u64,
-    /// Nanoseconds the hot thread spent inside `on_event`.
-    hot_ns: u64,
-    hot_ns_per_event: f64,
-    /// Queue counters, async pipeline only.
-    queue: Option<SinkStats>,
-}
-
-impl EventsPipelineRow {
-    fn new(kind: SinkKind, events: u64, hot_ns: u64, queue: Option<SinkStats>) -> Self {
-        EventsPipelineRow {
-            sink: kind.label().to_string(),
-            events,
-            hot_ns,
-            hot_ns_per_event: hot_ns as f64 / events.max(1) as f64,
-            queue,
-        }
-    }
 }
 
 /// Speedup of a multi-thread point over its `threads = 1` baseline.
@@ -350,7 +287,7 @@ struct SchemaTag {
 type RunCheck = (&'static str, fn(&ScaleRun) -> bool);
 
 /// The rules a well-typed run row must also satisfy, by name.
-const RUN_CHECKS: [RunCheck; 5] = [
+const RUN_CHECKS: [RunCheck; 4] = [
     ("merge_share must lie in [0, 1]", |r| {
         (0.0..=1.0).contains(&r.merge_share)
     }),
@@ -365,17 +302,6 @@ const RUN_CHECKS: [RunCheck; 5] = [
             .iter()
             .all(|p| r.phase_wall.iter().any(|w| w.phase == p.path()))
     }),
-    (
-        "events_pipeline rows must be sync, or async with queue counters",
-        |r| {
-            r.events_pipeline.iter().flatten().all(|row| {
-                matches!(
-                    (row.sink.as_str(), &row.queue),
-                    ("sync", _) | ("async", Some(_))
-                )
-            })
-        },
-    ),
 ];
 
 /// Parse a `BENCH_scale.json` text as the current schema: a typed parse
@@ -619,48 +545,7 @@ fn run_size(point: SweepPoint) -> ScaleRun {
         round_p50_ns: profile.round_latency.p50_ns,
         round_p90_ns: profile.round_latency.p90_ns,
         round_p99_ns: profile.round_latency.p99_ns,
-        events_pipeline: None,
     }
-}
-
-/// Run `point` with `sink` measured as its only observer, then flush.
-fn measured_run<S: SimObserver + 'static>(
-    point: SweepPoint,
-    sink: S,
-) -> Arc<Mutex<MeasuredSink<S>>> {
-    let measured = Arc::new(Mutex::new(MeasuredSink::new(sink)));
-    let mut obs = ObserverSet::new();
-    obs.attach(measured.clone());
-    point.simulate(&obs);
-    obs.flush().expect("events pipeline flush");
-    measured
-}
-
-/// Re-run one sweep point once per requested sink pipeline with a
-/// full-mode JSON events stream into the bit bucket, measuring what the
-/// sink costs the *hot* simulation thread. Block backpressure keeps the
-/// async stream complete, so the two rows describe identical event
-/// loads.
-fn run_events_pipeline(point: SweepPoint, kinds: &[SinkKind]) -> Vec<EventsPipelineRow> {
-    kinds
-        .iter()
-        .map(|&kind| {
-            let inner = JsonLinesSink::new(std::io::sink()).expect("bit bucket accepts header");
-            match kind {
-                SinkKind::Sync => {
-                    let sink = measured_run(point, inner);
-                    let g = sink.lock().expect("measured sink poisoned");
-                    EventsPipelineRow::new(kind, g.events(), g.hot_ns(), None)
-                }
-                SinkKind::Async => {
-                    let sink = measured_run(point, AsyncJsonLinesSink::new(inner));
-                    let g = sink.lock().expect("measured sink poisoned");
-                    let stats = g.get_ref().stats();
-                    EventsPipelineRow::new(kind, g.events(), g.hot_ns(), Some(stats))
-                }
-            }
-        })
-        .collect()
 }
 
 /// Fold fresh sweep rows into the rows of an existing artifact
@@ -805,11 +690,6 @@ fn main() {
             .unwrap_or_else(|_| die(&format!("--seed takes an integer, got `{s}`")))
     });
     let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_scale.json".into());
-    let events_sinks: Option<Vec<SinkKind>> = flag_value(&args, "--events-sink").map(|text| {
-        text.split(',')
-            .map(|s| SinkKind::parse(s).unwrap_or_else(|e| die(&e)))
-            .collect()
-    });
 
     let gate_floor: Option<f64> =
         flag_value(&args, "--gate-thread-scaling").map(|s| match s.parse::<f64>() {
@@ -831,25 +711,11 @@ fn main() {
                 lambda,
                 seed,
             };
-            let mut run = run_size(point);
+            let run = run_size(point);
             eprintln!(
                 "N = {n:>6} × {threads} thread(s): {:.2}s wall, {:.0} packets/s",
                 run.wall_s, run.packets_per_sec
             );
-            if let Some(kinds) = &events_sinks {
-                let pipeline = run_events_pipeline(point, kinds);
-                for row in &pipeline {
-                    eprintln!(
-                        "    events via {:<5}: {:>9} events, {:.1} ms on the hot thread \
-                         ({:.0} ns/event)",
-                        row.sink,
-                        row.events,
-                        row.hot_ns as f64 / 1e6,
-                        row.hot_ns_per_event,
-                    );
-                }
-                run.events_pipeline = Some(pipeline);
-            }
             rows.push(vec![
                 run.n.to_string(),
                 run.k.to_string(),
@@ -1019,7 +885,6 @@ mod tests {
         for retired in RETIRED_FIELDS {
             assert!(row.get(retired).is_none(), "{retired} is retired in v9");
         }
-        assert!(row.get("events_pipeline").is_none(), "unmeasured: omitted");
         assert_eq!(r.phase_wall.len(), Phase::ALL.len());
         assert!(
             r.phase_threads
@@ -1050,34 +915,6 @@ mod tests {
             serde_json::to_string_pretty(&report.to_artifact()).unwrap(),
             text.trim_end()
         );
-    }
-
-    #[test]
-    fn events_pipeline_rows_measure_both_sinks() {
-        let rows = run_events_pipeline(tiny_point(1), &[SinkKind::Sync, SinkKind::Async]);
-        assert_eq!(rows.len(), 2);
-        let sync = &rows[0];
-        let asynk = &rows[1];
-        assert_eq!(sync.sink, "sync");
-        assert!(sync.events > 0);
-        assert!(sync.queue.is_none());
-        assert!(sync.hot_ns_per_event > 0.0);
-        assert_eq!(asynk.sink, "async");
-        // Identical simulation, identical event load.
-        assert_eq!(asynk.events, sync.events);
-        let queue = asynk.queue.as_ref().expect("async row carries counters");
-        assert_eq!(queue.enqueued, asynk.events);
-        assert_eq!(queue.processed, asynk.events);
-        assert_eq!(queue.dropped, 0);
-        // Written out, only the async row has a queue object, and the
-        // pair validates.
-        let mut run = tiny_run(1);
-        run.events_pipeline = Some(rows);
-        let report = report_of(vec![run]);
-        let pipeline = &report.to_artifact()["runs"][0]["events_pipeline"];
-        assert!(pipeline[0].get("queue").is_none());
-        assert!(pipeline[1].get("queue").is_some());
-        parse_scale_report(&artifact_text(&report)).expect("well-formed pipeline rows validate");
     }
 
     #[test]
@@ -1171,18 +1008,6 @@ mod tests {
                 "phase_threads".into(),
                 Some("[{\"phase\":\"traffic\",\"thread\":0}]"),
                 "phase_threads[0]".into(),
-            ),
-            (
-                "runs/0",
-                "events_pipeline".into(),
-                Some("[{\"sink\":\"file\",\"events\":1,\"hot_ns\":1,\"hot_ns_per_event\":1.0}]"),
-                "events_pipeline rows must be sync, or async".into(),
-            ),
-            (
-                "runs/0",
-                "events_pipeline".into(),
-                Some("[{\"sink\":\"async\",\"events\":1,\"hot_ns\":1,\"hot_ns_per_event\":1.0}]"),
-                "async with queue counters".into(),
             ),
             (
                 "runs/0",
@@ -1434,9 +1259,5 @@ mod tests {
         assert_eq!(flag_value(&args, "--sizes").as_deref(), Some("100,200"));
         assert_eq!(flag_value(&args, "--rounds").as_deref(), Some("3"));
         assert_eq!(flag_value(&args, "--out"), None);
-        assert_eq!(SinkKind::parse(" async"), Ok(SinkKind::Async));
-        assert!(SinkKind::parse("file")
-            .unwrap_err()
-            .contains("--events-sink"));
     }
 }

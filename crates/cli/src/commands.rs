@@ -15,10 +15,7 @@ use qlec_net::trace::TraceSink;
 use qlec_net::{
     FaultDriver, FaultPlan, MergeOutcome, NetworkBuilder, Protocol, SimConfig, SimReport, Simulator,
 };
-use qlec_obs::{
-    AsyncJsonLinesSink, Backpressure, EventsMode, JsonLinesSink, ObserverSet, PhaseProfiler,
-    DEFAULT_QUEUE_CAPACITY,
-};
+use qlec_obs::{EventsMode, JsonLinesSink, ObserverSet, PhaseProfiler};
 use qlec_radio::link::{AnyLink, DistanceLossLink};
 use qlec_radio::RadioModel;
 use rand::rngs::StdRng;
@@ -38,8 +35,7 @@ USAGE:
                     [--candidates auto|full|C] [--json]
                     [--trace FILE] [--svg FILE] [--chart FILE]
                     [--events FILE|-] [--events-mode full|sample:R|aggregate]
-                    [--sink sync|async|async:drop] [--profile FILE]
-                    [--faults FILE]
+                    [--profile FILE] [--faults FILE]
   qlec-sim compare  [--n 100] [--m 200] [--energy 5] [--k 5] [--lambda 5]
                     [--rounds 20] [--seeds 3]
   qlec-sim dataset  [--count 2896] [--seed 42] [--out FILE]
@@ -65,11 +61,6 @@ NOTES:
   --events-mode sample:R keeps roughly the fraction R of the per-packet
   events (counter-based, still deterministic); aggregate replaces them
   with one RoundSummary digest per round.
-  --sink async moves event serialization and file I/O off the hot
-  simulation thread onto a dedicated writer behind a bounded queue.
-  The default block backpressure keeps the stream byte-identical to
-  --sink sync; async:drop sheds events when the queue fills (counted
-  in the profile's sink.dropped, never valid for determinism diffs).
   --profile FILE writes a qlec-profile/v1 JSON report (per-phase
   per-thread busy/wall, merge conflict/retarget counters, p50/p90/p99
   round latency, thread utilization) and appends the rendered table
@@ -102,7 +93,6 @@ const RUN_FLAGS: &[&str] = &[
     "chart",
     "events",
     "events-mode",
-    "sink",
     "profile",
     "faults",
     "spec",
@@ -257,49 +247,6 @@ fn load_faults(args: &ParsedArgs) -> Result<Option<FaultPlan>, String> {
     }
 }
 
-/// How `--events` output reaches its writer: inline on the simulation
-/// thread, or through the off-hot-thread pipeline.
-#[derive(Debug, Clone, Copy)]
-enum SinkKind {
-    Sync,
-    Async(Backpressure),
-}
-
-fn parse_sink_kind(text: &str) -> Result<SinkKind, String> {
-    match text {
-        "sync" => Ok(SinkKind::Sync),
-        "async" | "async:block" => Ok(SinkKind::Async(Backpressure::Block)),
-        "async:drop" => Ok(SinkKind::Async(Backpressure::Drop)),
-        other => Err(format!(
-            "--sink: unknown pipeline {other:?} (expected sync, async, or async:drop)"
-        )),
-    }
-}
-
-/// Attach the events sink either directly or behind the async pipeline;
-/// returns a handle to the pipeline so its counters survive the run.
-fn attach_events_sink<W: std::io::Write + Send + 'static>(
-    obs: &mut ObserverSet,
-    sink: JsonLinesSink<W>,
-    kind: SinkKind,
-) -> Option<Arc<Mutex<AsyncJsonLinesSink>>> {
-    match kind {
-        SinkKind::Sync => {
-            obs.attach(Arc::new(Mutex::new(sink)));
-            None
-        }
-        SinkKind::Async(policy) => {
-            let pipeline = Arc::new(Mutex::new(AsyncJsonLinesSink::with_capacity(
-                sink,
-                DEFAULT_QUEUE_CAPACITY,
-                policy,
-            )));
-            obs.attach(pipeline.clone());
-            Some(pipeline)
-        }
-    }
-}
-
 fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
     args.ensure_known(RUN_FLAGS)?;
     let setup = load_spec(args)?;
@@ -354,14 +301,6 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
     if args.has("events-mode") && !args.has("events") {
         return Err("--events-mode needs --events".into());
     }
-    let sink_kind = match args.get("sink") {
-        None => SinkKind::Sync,
-        Some(text) => parse_sink_kind(text)?,
-    };
-    if args.has("sink") && !args.has("events") {
-        return Err("--sink needs --events".into());
-    }
-    let mut events_pipeline = None;
     if let Some(path) = file_arg("events")? {
         let out: Box<dyn std::io::Write + Send> = if path == "-" {
             Box::new(std::io::stdout())
@@ -373,7 +312,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
         let sink = JsonLinesSink::new(std::io::BufWriter::new(out))
             .map_err(|e| format!("cannot write events to {path}: {e}"))?
             .with_mode(events_mode);
-        events_pipeline = attach_events_sink(&mut obs, sink, sink_kind);
+        obs.attach(Arc::new(Mutex::new(sink)));
     }
 
     let mut protocol = build_spec_protocol(&setup, &obs)?;
@@ -381,23 +320,9 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
     obs.flush()
         .map_err(|e| format!("observer flush failed: {e}"))?;
 
-    // Everything is on disk now: snapshot the pipeline counters and
-    // write the profile report.
-    let sink_stats = events_pipeline
-        .as_ref()
-        .map(|p| p.lock().expect("events pipeline poisoned").stats());
     let profile_report = profiler.as_ref().map(|p| p.report());
     if let (Some(path), Some(profile)) = (&profile_path, &profile_report) {
-        let mut value = serde_json::to_value(profile).map_err(|e| e.to_string())?;
-        if let (Some(stats), serde_json::Value::Object(fields)) = (&sink_stats, &mut value) {
-            // The async pipeline's counters belong in the profile: they
-            // are observability about the run, not about the network.
-            fields.push((
-                "sink".to_string(),
-                serde_json::to_value(stats).map_err(|e| e.to_string())?,
-            ));
-        }
-        let json = serde_json::to_string_pretty(&value).map_err(|e| e.to_string())?;
+        let json = serde_json::to_string_pretty(profile).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
 
@@ -647,6 +572,13 @@ mod tests {
         assert_eq!(listed, accepted);
         let err = run(&["run", "--metrics", "x"]).unwrap_err();
         assert!(err.contains("unknown option --metrics"), "{err}");
+        // One sink writes every stream: the retired pipeline selector is
+        // rejected before any file is created.
+        let path = std::env::temp_dir().join("qlec_test_retired_sink.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let err = run(&["run", "--events", path.to_str().unwrap(), "--sink", "async"]).unwrap_err();
+        assert!(err.starts_with("unknown option --sink"), "{err}");
+        assert!(!path.exists(), "rejected before the run starts");
     }
 
     #[test]
@@ -1145,67 +1077,6 @@ mod artifact_tests {
     }
 
     #[test]
-    fn sink_flag_is_validated() {
-        let path = std::env::temp_dir().join("qlec_test_sink_validate.jsonl");
-        let err = run(&[
-            "run",
-            "--n",
-            "10",
-            "--rounds",
-            "1",
-            "--events",
-            path.to_str().unwrap(),
-            "--sink",
-            "turbo",
-        ])
-        .unwrap_err();
-        assert!(err.contains("--sink"), "{err}");
-        let err = run(&["run", "--n", "10", "--rounds", "1", "--sink", "async"]).unwrap_err();
-        assert!(err.contains("--events"), "{err}");
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn async_sink_stream_matches_sync_stream() {
-        let dir = std::env::temp_dir();
-        let sync_path = dir.join("qlec_test_sink_sync.jsonl");
-        let async_path = dir.join("qlec_test_sink_async.jsonl");
-        let drop_path = dir.join("qlec_test_sink_drop.jsonl");
-        let base = [
-            "run",
-            "--n",
-            "15",
-            "--rounds",
-            "3",
-            "--lambda",
-            "8",
-            "--threads",
-            "2",
-        ];
-        let with = |path: &std::path::Path, sink: &str| {
-            let path_s = path.to_str().unwrap();
-            let mut line: Vec<&str> = base.to_vec();
-            line.extend_from_slice(&["--events", path_s, "--sink", sink]);
-            run(&line).unwrap();
-            std::fs::read(path).unwrap()
-        };
-        let sync_bytes = with(&sync_path, "sync");
-        assert!(!sync_bytes.is_empty());
-        assert!(
-            sync_bytes == with(&async_path, "async"),
-            "block-mode pipeline must not change a byte of the stream"
-        );
-        // Drop mode with the default (large) queue sheds nothing at this
-        // size, but only a parse check is part of its contract.
-        let drop_text = String::from_utf8(with(&drop_path, "async:drop")).unwrap();
-        let drop_events = qlec_obs::read_events(&drop_text).expect("stream parses");
-        assert!(!drop_events.is_empty());
-        for p in [sync_path, async_path, drop_path] {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-
-    #[test]
     fn profile_artifact_reports_phases_and_quantiles() {
         let dir = std::env::temp_dir();
         let profile_path = dir.join("qlec_test_profile.json");
@@ -1257,10 +1128,10 @@ mod artifact_tests {
     }
 
     #[test]
-    fn profile_with_async_sink_embeds_pipeline_stats() {
+    fn json_run_with_events_and_profile_keeps_a_plain_report() {
         let dir = std::env::temp_dir();
-        let profile_path = dir.join("qlec_test_profile_sink.json");
-        let events_path = dir.join("qlec_test_profile_sink_events.jsonl");
+        let profile_path = dir.join("qlec_test_profile_json.json");
+        let events_path = dir.join("qlec_test_profile_json_events.jsonl");
         let out = run(&[
             "run",
             "--n",
@@ -1272,8 +1143,6 @@ mod artifact_tests {
             "--json",
             "--events",
             events_path.to_str().unwrap(),
-            "--sink",
-            "async",
             "--profile",
             profile_path.to_str().unwrap(),
         ])
@@ -1281,12 +1150,12 @@ mod artifact_tests {
         // --json output stays the pure SimReport even when profiling.
         let report: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert_eq!(report["protocol"].as_str(), Some("qlec"));
+        let events = std::fs::read_to_string(&events_path).unwrap();
+        assert!(events.lines().count() > 1, "{events}");
         let text = std::fs::read_to_string(&profile_path).unwrap();
         let v: serde_json::Value = serde_json::from_str(&text).unwrap();
-        let enqueued = v["sink"]["enqueued"].as_u64().unwrap();
-        assert!(enqueued > 0, "{text}");
-        assert_eq!(v["sink"]["processed"].as_u64(), Some(enqueued));
-        assert_eq!(v["sink"]["dropped"].as_u64(), Some(0));
+        assert_eq!(v["schema"].as_str(), Some(qlec_obs::PROFILE_SCHEMA));
+        assert!(v.get("sink").is_none(), "{text}");
         let _ = std::fs::remove_file(profile_path);
         let _ = std::fs::remove_file(events_path);
     }
@@ -1299,22 +1168,18 @@ mod artifact_tests {
         if !std::path::Path::new("/dev/full").exists() {
             return; // platform without /dev/full
         }
-        for sink in ["sync", "async"] {
-            let err = run(&[
-                "run",
-                "--n",
-                "15",
-                "--rounds",
-                "2",
-                "--lambda",
-                "8",
-                "--events",
-                "/dev/full",
-                "--sink",
-                sink,
-            ])
-            .unwrap_err();
-            assert!(err.contains("observer flush failed"), "({sink}) {err}");
-        }
+        let err = run(&[
+            "run",
+            "--n",
+            "15",
+            "--rounds",
+            "2",
+            "--lambda",
+            "8",
+            "--events",
+            "/dev/full",
+        ])
+        .unwrap_err();
+        assert!(err.contains("observer flush failed"), "{err}");
     }
 }

@@ -18,8 +18,8 @@
 //! - **Equivalence** cells byte-diff every documented-equivalent config
 //!   pair in one process: thread counts (on the planner path and on the
 //!   `choose_target` fallback of a protocol without a planner, with and
-//!   without faults), sync vs async sink (full and aggregate event
-//!   modes), profiler attached vs not, and the `--spec`-JSON round trip.
+//!   without faults), the aggregate event mode across thread counts,
+//!   profiler attached vs not, and the `--spec`-JSON round trip.
 //!
 //! Every cell runs through [`qlec_cli::commands::run_spec`] — the same
 //! construction path `qlec-sim run` executes — so a diff here is a diff
@@ -33,10 +33,7 @@ use qlec_cli::commands::run_spec;
 use qlec_cli::spec::SimSpec;
 use qlec_geom::{Aabb, Vec3};
 use qlec_net::{FaultEvent, FaultPlan, MergeOutcome, SimReport};
-use qlec_obs::{
-    read_events, AsyncJsonLinesSink, Event, EventsMode, JsonLinesSink, ObserverSet, Phase,
-    PhaseProfiler,
-};
+use qlec_obs::{read_events, Event, EventsMode, JsonLinesSink, ObserverSet, Phase, PhaseProfiler};
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -81,13 +78,11 @@ pub struct CellRun {
 }
 
 /// Run one spec with the event stream captured in memory — the
-/// in-process equivalent of `qlec-sim run --events -`, optionally
-/// through the async (block-backpressure) pipeline and with a
-/// [`PhaseProfiler`] attached (the `--profile` set-up).
+/// in-process equivalent of `qlec-sim run --events -`, optionally with
+/// a [`PhaseProfiler`] attached (the `--profile` set-up).
 pub fn run_cell(
     spec: &SimSpec,
     events_mode: EventsMode,
-    async_sink: bool,
     profiler: Option<Arc<PhaseProfiler>>,
 ) -> Result<CellRun, String> {
     let buf = SharedBuf::default();
@@ -98,11 +93,7 @@ pub fn run_cell(
     if let Some(profiler) = profiler {
         obs = obs.with_profiler(profiler);
     }
-    if async_sink {
-        obs.attach(Arc::new(Mutex::new(AsyncJsonLinesSink::new(sink))));
-    } else {
-        obs.attach(Arc::new(Mutex::new(sink)));
-    }
+    obs.attach(Arc::new(Mutex::new(sink)));
     let (report, outcome) = run_spec(spec, obs.clone())?;
     obs.flush().map_err(|e| format!("sink flush: {e}"))?;
     let stream = String::from_utf8(buf.0.lock().unwrap().clone())
@@ -167,9 +158,9 @@ pub enum CellKind {
 pub enum Axis {
     /// `--threads 1` vs 2 vs 4.
     Threads,
-    /// `--sink sync` vs `async` (block backpressure), in full and in
-    /// aggregate event mode, at threads 1 and 2; plus `--profile` on vs
-    /// off.
+    /// The event sink's out-of-band neighbours: `--profile` on vs off
+    /// in full event mode, and `--events-mode aggregate` at threads 1
+    /// vs 2.
     Sink,
     /// Spec → JSON → spec round trip reproduces the run.
     SpecJson,
@@ -471,7 +462,7 @@ fn golden_path(dir: &Path, name: &str) -> PathBuf {
 }
 
 fn run_golden_cell(cell: &Cell, dir: &Path, mode: GoldenMode) -> Result<(), String> {
-    let run = run_cell(&cell.spec, EventsMode::Full, false, None)?;
+    let run = run_cell(&cell.spec, EventsMode::Full, None)?;
     let violations = check_run(&cell.spec, &run);
     if !violations.is_empty() {
         return Err(format!("invariants violated: {}", violations.join("; ")));
@@ -547,7 +538,7 @@ fn expect_identical(label: &str, base: &CellRun, variant: &CellRun) -> Result<()
 }
 
 fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
-    let base = run_cell(&cell.spec, EventsMode::Full, false, None)?;
+    let base = run_cell(&cell.spec, EventsMode::Full, None)?;
     let violations = check_run(&cell.spec, &base);
     if !violations.is_empty() {
         return Err(format!("invariants violated: {}", violations.join("; ")));
@@ -563,7 +554,7 @@ fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
                     threads,
                     ..cell.spec.clone()
                 };
-                let run = run_cell(&spec, EventsMode::Full, false, None)?;
+                let run = run_cell(&spec, EventsMode::Full, None)?;
                 expect_identical(&format!("threads 1 vs {threads}"), &base, &run)?;
                 let v = check_run(&spec, &run);
                 if !v.is_empty() {
@@ -576,40 +567,27 @@ fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
             Ok(())
         }
         CellKind::Equivalence(Axis::Sink) => {
-            let run = run_cell(&cell.spec, EventsMode::Full, true, None)?;
-            expect_identical("sync vs async sink", &base, &run)?;
             // Profiling is out-of-band: attaching a profiler may not
             // change a byte. It must also have timed something, or the
             // comparison proves nothing.
             let profiler = Arc::new(PhaseProfiler::new());
-            let run = run_cell(&cell.spec, EventsMode::Full, false, Some(profiler.clone()))?;
+            let run = run_cell(&cell.spec, EventsMode::Full, Some(profiler.clone()))?;
             expect_identical("profiler attached vs not", &base, &run)?;
             if profiler.report().wall_ns(Phase::Election) == 0 {
                 return Err("the profiled pass recorded no election wall".to_string());
             }
-            let seq = SimSpec {
-                threads: 1,
-                ..cell.spec.clone()
-            };
-            let seq_sync = run_cell(&seq, EventsMode::Full, false, None)?;
-            let seq_async = run_cell(&seq, EventsMode::Full, true, None)?;
-            expect_identical("sync vs async sink (threads 1)", &seq_sync, &seq_async)?;
             // Aggregate mode: the events-mode filter may not depend on
-            // the writer pipeline or the thread count either.
-            let aggregate = |threads: usize, async_sink: bool| {
+            // the thread count either.
+            let aggregate = |threads: usize| {
                 let spec = SimSpec {
                     threads,
                     ..cell.spec.clone()
                 };
-                run_cell(&spec, EventsMode::Aggregate, async_sink, None)
+                run_cell(&spec, EventsMode::Aggregate, None)
             };
-            let agg = aggregate(1, false)?;
+            let agg = aggregate(1)?;
             check_aggregate_stream(&agg.stream)?;
-            for (threads, async_sink) in [(1, true), (2, false), (2, true)] {
-                let label = format!("aggregate mode, threads {threads}, async {async_sink}");
-                expect_identical(&label, &agg, &aggregate(threads, async_sink)?)?;
-            }
-            Ok(())
+            expect_identical("aggregate mode, threads 1 vs 2", &agg, &aggregate(2)?)
         }
         CellKind::Equivalence(Axis::SpecJson) => {
             let back = SimSpec::from_json(&cell.spec.to_json())
@@ -617,7 +595,7 @@ fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
             if back != cell.spec {
                 return Err("spec JSON round trip changed the spec".to_string());
             }
-            let run = run_cell(&back, EventsMode::Full, false, None)?;
+            let run = run_cell(&back, EventsMode::Full, None)?;
             expect_identical("spec vs spec-JSON round trip", &base, &run)?;
             Ok(())
         }
@@ -644,7 +622,7 @@ fn check_aggregate_stream(stream: &str) -> Result<(), String> {
 }
 
 fn run_property_cell(cell: &Cell) -> Result<(), String> {
-    let run = run_cell(&cell.spec, EventsMode::Full, false, None)?;
+    let run = run_cell(&cell.spec, EventsMode::Full, None)?;
     let violations = check_run(&cell.spec, &run);
     if !violations.is_empty() {
         return Err(format!("invariants violated: {}", violations.join("; ")));
@@ -712,7 +690,7 @@ mod tests {
             .iter()
             .find(|c| c.name == "property/qlec-blackout-everything")
             .expect("cell exists");
-        let run = run_cell(&cell.spec, EventsMode::Full, false, None).unwrap();
+        let run = run_cell(&cell.spec, EventsMode::Full, None).unwrap();
         assert_eq!(run.report.totals.generated, 0, "total blackout");
         assert_eq!(run.report.pdr(), 1.0, "idle network loses nothing");
         assert_eq!(run.outcome, MergeOutcome::default(), "nothing to merge");

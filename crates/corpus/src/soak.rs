@@ -194,7 +194,7 @@ pub fn failure_of(spec: &SimSpec, inject: Option<InjectedBreak>) -> Option<Vec<S
         }
         Ok(_) => {}
     }
-    let mut base = match run_cell(spec, EventsMode::Full, false, None) {
+    let mut base = match run_cell(spec, EventsMode::Full, None) {
         Ok(run) => run,
         Err(e) => return Some(vec![format!("run failed: {e}")]),
     };
@@ -209,7 +209,7 @@ pub fn failure_of(spec: &SimSpec, inject: Option<InjectedBreak>) -> Option<Vec<S
         threads: 2,
         ..spec.clone()
     };
-    let parallel = match run_cell(&parallel_spec, EventsMode::Full, false, None) {
+    let parallel = match run_cell(&parallel_spec, EventsMode::Full, None) {
         Ok(run) => run,
         Err(e) => return Some(vec![format!("threads-2 run failed: {e}")]),
     };

@@ -148,32 +148,51 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
+    /// The reference bytes: build the `Value` tree, then print it.
+    fn via_tree(e: &Event) -> String {
+        serde_json::to_string(&serde_json::to_value(e).unwrap()).unwrap()
+    }
+
+    /// Every variant, every fate, empty and non-empty lists, a `kind`
+    /// that needs every escape, and floats at the formatter's edges:
+    /// each streams as the tree prints it and reads back unchanged.
     #[test]
-    fn events_roundtrip_through_json() {
-        let events = vec![
+    fn events_stream_as_the_tree_and_roundtrip() {
+        let fates = [
+            PacketFate::Delivered { latency_slots: 4.0 },
+            PacketFate::Delivered {
+                latency_slots: 1e300,
+            },
+            PacketFate::DroppedLink,
+            PacketFate::DroppedQueueFull,
+            PacketFate::DroppedDeadline,
+            PacketFate::DroppedAggregate,
+            PacketFate::DroppedDead,
+        ];
+        let mut events: Vec<Event> = fates
+            .iter()
+            .map(|&fate| Event::PacketOutcome {
+                round: 1,
+                src: 3,
+                fate,
+            })
+            .collect();
+        events.extend([
             Event::RoundStarted {
                 round: 0,
-                alive: 100,
-                sim_time: 0.0,
+                alive: usize::MAX,
+                sim_time: -0.0,
             },
             Event::HeadElected {
                 round: 0,
                 node: 7,
-                residual_j: 4.5,
+                residual_j: 5e-324,
             },
-            Event::HeadWithdrawn { round: 0, node: 9 },
-            Event::PacketOutcome {
-                round: 1,
-                src: 3,
-                fate: PacketFate::Delivered {
-                    latency_slots: 2.25,
-                },
-            },
-            Event::PacketOutcome {
-                round: 1,
-                src: 4,
-                fate: PacketFate::DroppedQueueFull,
+            Event::HeadWithdrawn {
+                round: u32::MAX,
+                node: 0,
             },
             Event::QUpdate {
                 round: 1,
@@ -183,8 +202,13 @@ mod tests {
             Event::NodeDied { round: 2, node: 11 },
             Event::FaultInjected {
                 round: 2,
-                kind: "region-blackout".to_string(),
+                kind: "a\"b\\c\nd\re\tf\u{1}g\u{1f}h\u{e9}".to_string(),
                 nodes: vec![4, 8],
+            },
+            Event::FaultInjected {
+                round: 2,
+                kind: String::new(),
+                nodes: vec![],
             },
             Event::PacketRetried {
                 round: 2,
@@ -193,8 +217,8 @@ mod tests {
             },
             Event::RoundSummary {
                 round: 2,
-                packets: 40,
-                delivered: 37,
+                packets: u64::MAX,
+                delivered: 0,
                 mean_latency_slots: 2.5,
                 retries: 6,
                 q_updates: 80,
@@ -204,13 +228,89 @@ mod tests {
                 alive: 99,
                 energy_j: 0.75,
                 heads: vec![7, 12],
-                residuals_j: vec![5.0, 4.875],
+                residuals_j: vec![5.0, 4.875, 1e-7],
             },
-        ];
+            Event::RoundEnded {
+                round: 3,
+                alive: 0,
+                energy_j: 0.0,
+                heads: vec![],
+                residuals_j: vec![],
+            },
+        ]);
         for e in &events {
             let json = serde_json::to_string(e).unwrap();
+            assert_eq!(json, via_tree(e), "{e:?}");
             let back: Event = serde_json::from_str(&json).unwrap();
             assert_eq!(&back, e, "roundtrip failed for {json}");
+        }
+        let escaped = serde_json::to_string(&events[12]).unwrap();
+        assert!(
+            escaped.contains(r#""kind":"a\"b\\c\nd\re\tf\u0001g\u001fhé""#),
+            "{escaped}"
+        );
+        let floats = serde_json::to_string(&events[7]).unwrap();
+        assert!(floats.ends_with(r#""sim_time":-0.0}}"#), "{floats}");
+    }
+
+    /// A finite float over the whole exponent range.
+    fn float(mantissa: f64, exp: i32) -> f64 {
+        mantissa * 10f64.powi(exp)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn streamed_random_events_match_the_tree_printer(
+            variant in 0usize..10,
+            round in any::<u32>(),
+            id in any::<u32>(),
+            count in any::<u64>(),
+            mantissa in -1.0f64..1.0,
+            exp in -330i32..=307,
+            ids in prop::collection::vec(any::<u32>(), 0..5),
+            mantissas in prop::collection::vec(-1.0f64..1.0, 0..5),
+            code_points in prop::collection::vec(0u32..0x300, 0..8),
+        ) {
+            let x = float(mantissa, exp);
+            let fate = match count % 6 {
+                0 => PacketFate::Delivered { latency_slots: x },
+                1 => PacketFate::DroppedLink,
+                2 => PacketFate::DroppedQueueFull,
+                3 => PacketFate::DroppedDeadline,
+                4 => PacketFate::DroppedAggregate,
+                _ => PacketFate::DroppedDead,
+            };
+            let e = match variant {
+                0 => Event::RoundStarted { round, alive: count as usize, sim_time: x },
+                1 => Event::HeadElected { round, node: id, residual_j: x },
+                2 => Event::HeadWithdrawn { round, node: id },
+                3 => Event::PacketOutcome { round, src: id, fate },
+                4 => Event::QUpdate { round, node: id, delta: x },
+                5 => Event::NodeDied { round, node: id },
+                6 => Event::FaultInjected {
+                    round,
+                    kind: code_points.iter().filter_map(|&c| char::from_u32(c)).collect(),
+                    nodes: ids,
+                },
+                7 => Event::PacketRetried { round, src: id, attempt: id / 2 },
+                8 => Event::RoundSummary {
+                    round,
+                    packets: count,
+                    delivered: count / 3,
+                    mean_latency_slots: x,
+                    retries: u64::from(id),
+                    q_updates: count.wrapping_mul(7),
+                },
+                _ => Event::RoundEnded {
+                    round,
+                    alive: id as usize,
+                    energy_j: x,
+                    heads: ids,
+                    residuals_j: mantissas.iter().map(|&m| float(m, exp)).collect(),
+                },
+            };
+            prop_assert_eq!(serde_json::to_string(&e).unwrap(), via_tree(&e));
         }
     }
 

@@ -9,14 +9,23 @@
 //! …
 //! ```
 //!
-//! Writes happen inside the simulation loop, where [`SimObserver::on_event`]
-//! cannot return an error — the sink therefore *latches* the first I/O
-//! failure and reports it from [`SimObserver::flush`] (and stops writing,
-//! so a full disk costs one failed write, not millions).
+//! Writes happen inside the simulation loop, on the engine's thread.
+//! Each event streams through [`serde::Serialize::write_json`] into one
+//! reused line buffer, which goes to the writer in a single `write_all`:
+//! no `Value` tree and no allocation per event once the buffer has grown
+//! to the longest line.
+//!
+//! [`SimObserver::on_event`] cannot return an error, so the sink
+//! *latches* the first failure — a non-finite float that JSON cannot
+//! hold, or an I/O error — and reports it from [`SimObserver::flush`].
+//! It then stops writing, so a full disk costs one failed write, not
+//! millions, and a line that failed to serialize is never written in
+//! part: the stream ends at the last complete line.
 
 use crate::event::{Event, PacketFate, SCHEMA};
 use crate::observer::SimObserver;
 use crate::ObsError;
+use serde::Serialize;
 use std::io::Write;
 
 /// How a [`JsonLinesSink`] treats the three high-volume per-packet
@@ -95,13 +104,13 @@ fn is_high_volume(event: &Event) -> bool {
 /// Writes events as schema-versioned JSON lines.
 pub struct JsonLinesSink<W: Write + Send> {
     out: W,
+    /// The line being written, reused from event to event.
+    line: String,
     error: Option<ObsError>,
     mode: EventsMode,
     /// High-volume events seen so far (drives [`EventsMode::Sample`]).
     hv_seen: u64,
     agg: RoundAgg,
-    /// Event lines successfully written (excludes the schema header).
-    written: u64,
 }
 
 impl<W: Write + Send> JsonLinesSink<W> {
@@ -114,11 +123,11 @@ impl<W: Write + Send> JsonLinesSink<W> {
         )?;
         Ok(JsonLinesSink {
             out,
+            line: String::new(),
             error: None,
             mode: EventsMode::Full,
             hv_seen: 0,
             agg: RoundAgg::default(),
-            written: 0,
         })
     }
 
@@ -143,19 +152,17 @@ impl<W: Write + Send> JsonLinesSink<W> {
         Ok(self.out)
     }
 
-    /// Event lines successfully written so far (the schema header does
-    /// not count).
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
     fn write_event(&mut self, event: &Event) {
-        let result = serde_json::to_string(event)
-            .map_err(ObsError::from)
-            .and_then(|line| writeln!(self.out, "{line}").map_err(ObsError::from));
-        match result {
-            Ok(()) => self.written += 1,
-            Err(e) => self.error = Some(e),
+        self.line.clear();
+        let result = event.write_json(&mut self.line).map_err(ObsError::from);
+        let result = result.and_then(|()| {
+            self.line.push('\n');
+            self.out
+                .write_all(self.line.as_bytes())
+                .map_err(ObsError::from)
+        });
+        if let Err(e) = result {
+            self.error = Some(e);
         }
     }
 }
@@ -502,5 +509,32 @@ mod tests {
         }
         // Latched error is reported once; afterwards flush succeeds.
         assert!(sink.flush().is_ok());
+    }
+
+    #[test]
+    fn a_non_finite_float_latches_without_a_partial_line() {
+        let good = |node| Event::QUpdate {
+            round: 0,
+            node,
+            delta: 0.5,
+        };
+        let mut sink = JsonLinesSink::new(Vec::new()).unwrap();
+        sink.on_event(&good(1));
+        sink.on_event(&Event::QUpdate {
+            round: 0,
+            node: 2,
+            delta: f64::NAN,
+        });
+        sink.on_event(&good(3)); // after the failure: never written
+        match sink.flush() {
+            Err(ObsError::Json(msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+            other => panic!("expected latched Json error, got {other:?}"),
+        }
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+        assert_eq!(
+            text,
+            "{\"schema\":\"qlec-obs/v3\"}\n\
+             {\"QUpdate\":{\"round\":0,\"node\":1,\"delta\":0.5}}\n"
+        );
     }
 }

@@ -14,9 +14,9 @@
 //! * **Spans** ([`Phase`], [`ObserverSet::span_start`]) — wall-clock
 //!   phase timings, read from the attached profiler's [`Clock`] and
 //!   recorded into that profiler alone.
-//! * **Sinks** — [`JsonLinesSink`] (versioned JSON-lines streams, see
-//!   [`SCHEMA`]) and [`AsyncJsonLinesSink`] (the same stream produced
-//!   on a dedicated writer thread behind a bounded queue).
+//! * **The sink** — [`JsonLinesSink`] writes versioned JSON-lines
+//!   streams (see [`SCHEMA`]) on the simulation thread, streaming each
+//!   event into one reused line buffer with no intermediate value tree.
 //! * **Profiling** ([`PhaseProfiler`], [`ProfileReport`]) — per-phase,
 //!   per-worker-slot busy/wall accounting with round-latency quantiles,
 //!   collected out-of-band from the event stream, so profiling never
@@ -31,7 +31,6 @@
 
 #![forbid(unsafe_code)]
 
-mod async_sink;
 mod clock;
 mod error;
 mod event;
@@ -41,9 +40,6 @@ mod observer;
 mod procinfo;
 mod profiler;
 
-pub use async_sink::{
-    AsyncJsonLinesSink, Backpressure, SinkStats, BATCH_EVENTS, DEFAULT_QUEUE_CAPACITY,
-};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use error::ObsError;
 pub use event::{Event, PacketFate, SCHEMA};
