@@ -1,5 +1,7 @@
 //! Criterion bench for the improved-DEEC cluster-head selection
-//! (Algorithms 2+3) — the Lemma 2 `O(N)` per-round phase.
+//! (Algorithms 2+3) — the Lemma 2 `O(N)` per-round phase. The largest
+//! shape is the `sparse-100k` benchmark workload's (N 100 000, k 5 000),
+//! where a short head set sends most of the roster through the top-up.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qlec_core::deec_improved::{select_heads, SelectionFeatures};
@@ -11,7 +13,9 @@ use rand::SeedableRng;
 
 fn bench_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("head_selection");
-    for &(n, k) in &[(100usize, 5usize), (1000, 23), (2896, 50)] {
+    for &(n, k) in &[(100usize, 5usize), (1000, 23), (2896, 50), (100_000, 5_000)] {
+        // One 100k round takes tens of milliseconds: fewer samples.
+        group.sample_size(if n >= 100_000 { 10 } else { 50 });
         let mut rng = StdRng::seed_from_u64(7);
         let net = NetworkBuilder::new().uniform_cube(&mut rng, n, 200.0, 5.0);
         let grid = UniformGrid::build(net.positions(), 8);

@@ -629,6 +629,48 @@ fn compare_against_baseline(fresh: &[ScaleRun], base: &[ScaleRun]) -> Result<Vec
     Ok(regressions)
 }
 
+/// Every option `scale` accepts, and whether it takes a value.
+const SCALE_FLAGS: &[(&str, bool)] = &[
+    ("--sizes", true),
+    ("--threads", true),
+    ("--rounds", true),
+    ("--candidates", true),
+    ("--lambda", true),
+    ("--seed", true),
+    ("--out", true),
+    ("--append", false),
+    ("--validate", false),
+    ("--compare", true),
+    ("--gate-thread-scaling", true),
+];
+
+/// Check `args` against [`SCALE_FLAGS`] before any work: an unknown or
+/// retired option, an option given twice, a valued option with no value
+/// and a stray value are all errors, so a misspelt option cannot be
+/// silently ignored.
+fn ensure_known(args: &[String]) -> Result<(), String> {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let Some(&(name, takes_value)) = SCALE_FLAGS.iter().find(|(f, _)| f == arg) else {
+            let allowed: Vec<&str> = SCALE_FLAGS.iter().map(|(f, _)| *f).collect();
+            return Err(if arg.starts_with("--") {
+                format!("unknown option {arg} (allowed: {})", allowed.join(", "))
+            } else {
+                format!("unexpected argument `{arg}`")
+            });
+        };
+        if seen.contains(&name) {
+            return Err(format!("option {name} given twice"));
+        }
+        seen.push(name);
+        if takes_value && rest.next().is_none() {
+            return Err(format!("{name} takes a value"));
+        }
+    }
+    Ok(())
+}
+
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -659,6 +701,9 @@ fn positive_list(text: &str, flag: &str) -> Vec<usize> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = ensure_known(&args) {
+        die(&e);
+    }
     let sizes = positive_list(
         &flag_value(&args, "--sizes").unwrap_or_else(|| "100,1000,10000".into()),
         "--sizes",
@@ -1248,6 +1293,40 @@ mod tests {
         // A duplicate inside the fresh batch itself is caught too.
         let err = append_runs(vec![], vec![prior.clone(), prior]).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
+    }
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn ci_invocations_are_accepted() {
+        for line in [
+            "--sizes 100 --rounds 2 --out BENCH_scale_smoke.json --validate",
+            "--sizes 100 --threads 1,2 --rounds 20 --out BENCH_scale_fresh.json --validate \
+             --compare results/BENCH_scale.json",
+            "--sizes 100000 --rounds 3 --threads 2 --candidates auto --out BENCH_scale_100k.json \
+             --validate --compare results/BENCH_scale.json",
+            "--sizes 10000 --threads 1,4 --rounds 20 --out BENCH_thread_scaling.json --validate \
+             --gate-thread-scaling 0.8",
+            "--lambda 20 --seed 7 --append",
+        ] {
+            assert_eq!(ensure_known(&words(line)), Ok(()), "{line}");
+        }
+    }
+
+    #[test]
+    fn malformed_invocations_are_rejected() {
+        for (line, want) in [
+            ("--events-pipeline", "unknown option --events-pipeline"),
+            ("--sizes 100 --size 200", "unknown option --size"),
+            ("--sizes 100 --sizes 200", "given twice"),
+            ("--rounds", "--rounds takes a value"),
+            ("--validate yes", "unexpected argument `yes`"),
+        ] {
+            let err = ensure_known(&words(line)).unwrap_err();
+            assert!(err.contains(want), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::params::QlecParams;
 use qlec_clustering::deec::deec_probability;
 use qlec_clustering::leach::{rotating_epoch, rotating_threshold};
-use qlec_geom::UniformGrid;
+use qlec_geom::{UniformGrid, Vec3};
 use qlec_net::{Network, NodeId};
 use qlec_obs::{Event, ObserverSet, Phase};
 use rand::{Rng, RngCore};
@@ -144,6 +144,13 @@ pub fn select_heads_observed(
 /// maintenance). Every per-node pass below (election, top-up ranking,
 /// the last-resort promotion) walks this roster instead of re-scanning
 /// all `N` deployment slots.
+///
+/// Per-round cost, for `N` alive nodes and target `k`: the O(N) Alg. 2
+/// pass; one grid ball query per elected head for Alg. 3 (see
+/// [`redundancy_withdrawals`]); and, when the head set is short, an
+/// O(N log N) sort of the top-up candidates, whose separation test is
+/// one ball query against a head-only cell grid per candidate tried.
+/// Nothing scales with `N · k`.
 #[allow(clippy::too_many_arguments)]
 pub fn select_heads_from_roster(
     net: &mut Network,
@@ -204,12 +211,8 @@ pub fn select_heads_from_roster(
     let mut withdrawn_ids: Vec<NodeId> = Vec::new();
     let broadcast_span = obs.span_start();
     let mut heads: Vec<NodeId> = if features.redundancy_reduction && elected.len() > 1 {
-        // Every elected head broadcasts simultaneously; charge energy
-        // before any withdrawal (the message was already sent).
-        if params.charge_control_traffic {
-            charge_hello(net, grid, &elected, dc, params.hello_bits);
-        }
-        let (kept, withdrawn) = redundancy_withdrawals(net, grid, &elected, dc);
+        let hello_bits = params.charge_control_traffic.then_some(params.hello_bits);
+        let (kept, withdrawn) = redundancy_withdrawals(net, grid, &elected, dc, hello_bits);
         withdrawn_ids = withdrawn;
         kept
     } else {
@@ -244,40 +247,55 @@ pub fn select_heads_from_roster(
     // the network melts down.
     let mut topped_up = 0usize;
     if features.top_up && heads.len() < k {
-        let mut candidates: Vec<(bool, NodeId)> = alive
+        let mut is_head = vec![false; net.len()];
+        for h in &heads {
+            is_head[h.index()] = true;
+        }
+        // (passes, residual, id), read once. The order is total (ids are
+        // unique), so the unstable sort is the stable sort's permutation.
+        let mut candidates: Vec<(bool, f64, NodeId)> = alive
             .iter()
             .copied()
-            .filter(|id| !heads.contains(id))
+            .filter(|id| !is_head[id.index()])
             .map(|id| {
                 let node = net.node(id);
+                let residual = node.residual();
                 let passes = !features.energy_threshold
-                    || node.residual()
+                    || residual
                         >= energy_threshold(node.battery.initial(), round, params.total_rounds);
-                (passes, id)
+                (passes, residual, id)
             })
             .collect();
-        candidates.sort_by(|&(pa, a), &(pb, b)| {
-            pb.cmp(&pa)
-                .then(net.node(b).residual().total_cmp(&net.node(a).residual()))
-                .then(a.cmp(&b))
+        candidates.sort_unstable_by(|&(pa, ra, a), &(pb, rb, b)| {
+            pb.cmp(&pa).then(rb.total_cmp(&ra)).then(a.cmp(&b))
         });
-        // Pass 1: respect the d_c separation.
-        for &(_, id) in &candidates {
+        // Pass 1: respect the d_c separation. The head cells narrow each
+        // candidate's test to the heads in nearby cells; the final call
+        // is still `net.distance(id, h) <= dc`.
+        let mut separation = features
+            .redundancy_reduction
+            .then(|| HeadCells::new(net, &heads, dc, k.min(alive.len())));
+        for &(_, _, id) in &candidates {
             if heads.len() >= k {
                 break;
             }
-            if features.redundancy_reduction && heads.iter().any(|h| net.distance(id, *h) <= dc) {
-                continue;
+            if let Some(cells) = separation.as_mut() {
+                let pos = net.node(id).pos;
+                if cells.any_within(pos, dc * (1.0 + 1e-12), |h| net.distance(id, h) <= dc) {
+                    continue;
+                }
+                cells.insert(id, pos);
             }
+            is_head[id.index()] = true;
             heads.push(id);
             topped_up += 1;
         }
         // Pass 2: demand still unmet — relax the separation.
-        for &(_, id) in &candidates {
+        for &(_, _, id) in &candidates {
             if heads.len() >= k {
                 break;
             }
-            if !heads.contains(&id) {
+            if !is_head[id.index()] {
                 heads.push(id);
                 topped_up += 1;
             }
@@ -308,36 +326,75 @@ pub fn select_heads_from_roster(
     }
 }
 
-/// Algorithm 3 core: partition `elected` into (survivors, withdrawals),
-/// both in election order. A head withdraws iff *any* other elected head
-/// within `d_c` out-ranks it (more residual energy, or equal energy and a
-/// lower id) — simultaneous-HELLO semantics, so out-ranking heads count
-/// even when they themselves withdraw.
+/// Algorithm 3: every elected head HELLOs its `d_c` ball, then the
+/// redundancy reduction partitions `elected` into (survivors,
+/// withdrawals), both in election order. A head withdraws iff *any*
+/// other elected head within `d_c` out-ranks it (more residual energy,
+/// or equal energy and a lower id) — simultaneous-HELLO semantics, so
+/// out-ranking heads count even when they themselves withdraw.
 ///
-/// The candidate set per head comes from a [`UniformGrid`] ball query —
-/// O(elected · ball) instead of the seed's O(elected²) all-pairs scan.
-/// The grid is queried with a radius inflated by one part in 10¹² so its
-/// squared-distance cell test is a superset of the exact predicate; the
-/// final call is still `net.distance(i, j) <= dc`, bit-for-bit the
-/// comparison the brute-force scan made.
+/// With `hello_bits = Some(bits)` the broadcast is charged first, in
+/// election order: each head transmits `bits` at range `d_c` and every
+/// other node the grid holds within `d_c` pays reception if it is still
+/// alive at that moment. Withdrawals are decided only after every charge
+/// (the messages were already sent), so they compare post-HELLO
+/// residuals.
+///
+/// Cost: one [`UniformGrid`] ball query per elected head, O(elected ·
+/// ball), kept in one flat buffer that both the charge and the
+/// withdrawal test read. The query radius is inflated by one part in
+/// 10¹² so the ball is a superset of both exact predicates: the charge
+/// keeps the grid's own `dist_sq <= d_c²` test, the withdrawal keeps
+/// `net.distance(i, j) <= dc`.
 pub fn redundancy_withdrawals(
-    net: &Network,
+    net: &mut Network,
     grid: &UniformGrid,
     elected: &[NodeId],
     dc: f64,
+    hello_bits: Option<u64>,
 ) -> (Vec<NodeId>, Vec<NodeId>) {
+    let query_radius = dc * (1.0 + 1e-12);
+    let mut ball: Vec<u32> = Vec::new();
+    let mut balls: Vec<u32> = Vec::new();
+    let mut ends: Vec<usize> = Vec::with_capacity(elected.len());
+    for &h in elected {
+        grid.within_radius_into(net.node(h).pos, query_radius, &mut ball);
+        balls.extend_from_slice(&ball);
+        ends.push(balls.len());
+    }
+    let ball_of = |at: usize| {
+        let start = if at == 0 { 0 } else { ends[at - 1] };
+        &balls[start..ends[at]]
+    };
+
+    if let Some(bits) = hello_bits {
+        let radio = net.radio;
+        let tx = radio.tx_energy(bits, dc);
+        let rx = radio.rx_energy(bits);
+        let dc_sq = dc * dc;
+        let points = grid.points();
+        for (at, &h) in elected.iter().enumerate() {
+            net.node_mut(h).battery.consume(tx);
+            let center = net.node(h).pos;
+            for &i in ball_of(at) {
+                let id = NodeId(i);
+                if points[i as usize].dist_sq(center) <= dc_sq && id != h && net.node(id).is_alive()
+                {
+                    net.node_mut(id).battery.consume(rx);
+                }
+            }
+        }
+    }
+
     let mut is_elected = vec![false; net.len()];
     for &e in elected {
         is_elected[e.0 as usize] = true;
     }
-    let query_radius = dc * (1.0 + 1e-12);
-    let mut ball: Vec<u32> = Vec::new();
     let mut kept: Vec<NodeId> = Vec::with_capacity(elected.len());
     let mut withdrawn: Vec<NodeId> = Vec::new();
-    for &i in elected {
+    for (at, &i) in elected.iter().enumerate() {
         let me = net.node(i).residual();
-        grid.within_radius_into(net.node(i).pos, query_radius, &mut ball);
-        let outranked = ball.iter().any(|&jx| {
+        let outranked = ball_of(at).iter().any(|&jx| {
             let j = NodeId(jx);
             is_elected[jx as usize] && j != i && net.distance(i, j) <= dc && {
                 let other = net.node(j).residual();
@@ -353,23 +410,90 @@ pub fn redundancy_withdrawals(
     (kept, withdrawn)
 }
 
-/// Charge the Algorithm 3 HELLO broadcast: each head transmits
-/// `hello_bits` at range `d_c`; every other node inside the ball pays
-/// reception.
-fn charge_hello(net: &mut Network, grid: &UniformGrid, heads: &[NodeId], dc: f64, bits: u64) {
-    let radio = net.radio;
-    let tx = radio.tx_energy(bits, dc);
-    let rx = radio.rx_energy(bits);
-    let mut in_range = Vec::new();
-    for &h in heads {
-        net.node_mut(h).battery.consume(tx);
-        grid.within_radius_into(net.node(h).pos, dc, &mut in_range);
-        for &i in &in_range {
-            let id = NodeId(i);
-            if id != h && net.node(id).is_alive() {
-                net.node_mut(id).battery.consume(rx);
+/// The top-up's separation index: a bucket grid over the deployment
+/// bounds holding the heads placed so far (the kept heads, then each
+/// accepted candidate). Cells are at least `d_c` wide, and since `d_c`
+/// is Eq. 5's radius for `k` balls in the deployment cube there are
+/// about `4.2·k` of them at most; `capacity` caps that for degenerate
+/// inputs. It has its own cells rather than reusing the node
+/// [`UniformGrid`]: that grid drops a node when it dies and does not
+/// re-insert it after a blackout revival, so a revived head would stop
+/// blocking its neighbours.
+struct HeadCells {
+    min: Vec3,
+    /// Cells per unit length along each axis (0 on a flat axis).
+    inv_width: [f64; 3],
+    dims: [usize; 3],
+    /// Per cell, the most recently inserted entry, or `NO_ENTRY`.
+    first: Vec<u32>,
+    /// `(head, next entry in the same cell)`.
+    entries: Vec<(NodeId, u32)>,
+}
+
+const NO_ENTRY: u32 = u32::MAX;
+
+impl HeadCells {
+    fn new(net: &Network, heads: &[NodeId], dc: f64, capacity: usize) -> Self {
+        let bounds = net.bounds();
+        let ext = bounds.extent();
+        let max_axis = (capacity.max(1) as f64).cbrt().ceil() as usize * 2;
+        let mut dims = [1usize; 3];
+        let mut inv_width = [0.0f64; 3];
+        for a in 0..3 {
+            let cells = (ext[a] / dc).floor();
+            if ext[a] > 0.0 && cells >= 1.0 {
+                dims[a] = (cells as usize).min(max_axis);
+                inv_width[a] = dims[a] as f64 / ext[a];
             }
         }
+        let mut cells = HeadCells {
+            min: bounds.min(),
+            inv_width,
+            dims,
+            first: vec![NO_ENTRY; dims[0] * dims[1] * dims[2]],
+            entries: Vec::with_capacity(capacity),
+        };
+        for &h in heads {
+            cells.insert(h, net.node(h).pos);
+        }
+        cells
+    }
+
+    /// The cell coordinate of `x` on axis `a`, clamped to the grid — a
+    /// monotone map, so a clamped point stays inside every query range
+    /// that covers it.
+    fn axis_cell(&self, x: f64, a: usize) -> usize {
+        let c = ((x - self.min[a]) * self.inv_width[a]).max(0.0) as usize;
+        c.min(self.dims[a] - 1)
+    }
+
+    fn insert(&mut self, id: NodeId, p: Vec3) {
+        let c = (self.axis_cell(p.z, 2) * self.dims[1] + self.axis_cell(p.y, 1)) * self.dims[0]
+            + self.axis_cell(p.x, 0);
+        self.entries.push((id, self.first[c]));
+        self.first[c] = (self.entries.len() - 1) as u32;
+    }
+
+    /// Whether `hit` holds for any head in the cells that the box of
+    /// half-width `radius` around `q` touches.
+    fn any_within(&self, q: Vec3, radius: f64, mut hit: impl FnMut(NodeId) -> bool) -> bool {
+        let lo = [0, 1, 2].map(|a| self.axis_cell(q[a] - radius, a));
+        let hi = [0, 1, 2].map(|a| self.axis_cell(q[a] + radius, a));
+        for z in lo[2]..=hi[2] {
+            for y in lo[1]..=hi[1] {
+                for x in lo[0]..=hi[0] {
+                    let mut e = self.first[(z * self.dims[1] + y) * self.dims[0] + x];
+                    while e != NO_ENTRY {
+                        let (h, next) = self.entries[e as usize];
+                        if hit(h) {
+                            return true;
+                        }
+                        e = next;
+                    }
+                }
+            }
+        }
+        false
     }
 }
 

@@ -1,14 +1,173 @@
 //! Property-based tests on QLEC's cluster-head selection and Q-routing.
 
 use proptest::prelude::*;
-use qlec_core::deec_improved::{redundancy_withdrawals, select_heads, SelectionFeatures};
+use qlec_clustering::deec::deec_probability;
+use qlec_clustering::leach::{rotating_epoch, rotating_threshold};
+use qlec_core::deec_improved::{
+    energy_threshold, redundancy_withdrawals, select_heads, select_heads_from_roster,
+    SelectionFeatures, SelectionOutcome,
+};
 use qlec_core::kopt::coverage_radius;
 use qlec_core::params::QlecParams;
 use qlec_core::qrouting::QRouter;
 use qlec_geom::UniformGrid;
-use qlec_net::{NetworkBuilder, NodeId, Target};
+use qlec_net::{Network, NetworkBuilder, NodeId, Target};
+use qlec_obs::ObserverSet;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
+
+/// The reference election: Algorithms 2 and 3 plus the top-up exactly as
+/// first written — a HELLO charge pass and a withdrawal pass that each
+/// query the grid, a top-up that filters candidates with
+/// `heads.contains` and tests the `d_c` separation against every head.
+/// O(N·k), and the oracle the production election must match bit for
+/// bit.
+#[allow(clippy::too_many_arguments)]
+fn reference_select(
+    net: &mut Network,
+    grid: &UniformGrid,
+    alive: &[NodeId],
+    round: u32,
+    k: usize,
+    params: &QlecParams,
+    features: SelectionFeatures,
+    rng: &mut dyn RngCore,
+) -> SelectionOutcome {
+    let n = net.len().max(1);
+    let p_opt = (k as f64 / n as f64).min(1.0);
+    let dc = coverage_radius(net.side_length(), k);
+    let r_frac = if round >= params.total_rounds {
+        1.0
+    } else {
+        round as f64 / params.total_rounds as f64
+    };
+    let avg_energy = (net.total_initial() / n as f64) * (1.0 - r_frac);
+
+    let mut elected: Vec<NodeId> = Vec::new();
+    for &id in alive {
+        let node = net.node(id);
+        if features.energy_threshold
+            && node.residual()
+                < energy_threshold(node.battery.initial(), round, params.total_rounds)
+        {
+            continue;
+        }
+        let p_i = deec_probability(p_opt, node.residual(), avg_energy);
+        if p_i <= 0.0 || node.was_head_recently(round, rotating_epoch(p_i)) {
+            continue;
+        }
+        if rng.gen::<f64>() < rotating_threshold(p_i, round) {
+            elected.push(id);
+        }
+    }
+    let elected_count = elected.len();
+
+    let mut withdrawn_ids = Vec::new();
+    let mut heads = if features.redundancy_reduction && elected.len() > 1 {
+        if params.charge_control_traffic {
+            let tx = net.radio.tx_energy(params.hello_bits, dc);
+            let rx = net.radio.rx_energy(params.hello_bits);
+            for &h in &elected {
+                net.node_mut(h).battery.consume(tx);
+                for i in grid.within_radius(net.node(h).pos, dc) {
+                    let id = NodeId(i);
+                    if id != h && net.node(id).is_alive() {
+                        net.node_mut(id).battery.consume(rx);
+                    }
+                }
+            }
+        }
+        let mut kept = Vec::new();
+        for &i in &elected {
+            let me = net.node(i).residual();
+            let outranked = grid
+                .within_radius(net.node(i).pos, dc * (1.0 + 1e-12))
+                .into_iter()
+                .map(NodeId)
+                .any(|j| {
+                    elected.contains(&j) && j != i && net.distance(i, j) <= dc && {
+                        let other = net.node(j).residual();
+                        other > me || (other == me && j < i)
+                    }
+                });
+            if outranked {
+                withdrawn_ids.push(i);
+            } else {
+                kept.push(i);
+            }
+        }
+        kept
+    } else {
+        elected
+    };
+
+    if features.top_up && heads.len() > k {
+        heads.sort_by(|&a, &b| {
+            net.node(b)
+                .residual()
+                .total_cmp(&net.node(a).residual())
+                .then(a.cmp(&b))
+        });
+        heads.truncate(k);
+    }
+    let mut topped_up = 0usize;
+    if features.top_up && heads.len() < k {
+        let mut candidates: Vec<(bool, NodeId)> = alive
+            .iter()
+            .copied()
+            .filter(|id| !heads.contains(id))
+            .map(|id| {
+                let node = net.node(id);
+                let passes = !features.energy_threshold
+                    || node.residual()
+                        >= energy_threshold(node.battery.initial(), round, params.total_rounds);
+                (passes, id)
+            })
+            .collect();
+        candidates.sort_by(|&(pa, a), &(pb, b)| {
+            pb.cmp(&pa)
+                .then(net.node(b).residual().total_cmp(&net.node(a).residual()))
+                .then(a.cmp(&b))
+        });
+        for &(_, id) in &candidates {
+            if heads.len() >= k {
+                break;
+            }
+            if features.redundancy_reduction && heads.iter().any(|h| net.distance(id, *h) <= dc) {
+                continue;
+            }
+            heads.push(id);
+            topped_up += 1;
+        }
+        for &(_, id) in &candidates {
+            if heads.len() >= k {
+                break;
+            }
+            if !heads.contains(&id) {
+                heads.push(id);
+                topped_up += 1;
+            }
+        }
+    }
+    if heads.is_empty() {
+        if let Some(best) = alive.iter().copied().max_by(|&a, &b| {
+            net.node(a)
+                .residual()
+                .total_cmp(&net.node(b).residual())
+                .then(b.cmp(&a))
+        }) {
+            heads.push(best);
+        }
+    }
+    qlec_net::protocol::install_heads(net, round, &heads);
+    SelectionOutcome {
+        heads,
+        elected: elected_count,
+        withdrawn: withdrawn_ids.len(),
+        withdrawn_ids,
+        topped_up,
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -127,7 +286,7 @@ proptest! {
             .map(NodeId)
             .collect();
 
-        let (kept, withdrawn) = redundancy_withdrawals(&net, &grid, &elected, dc);
+        let (kept, withdrawn) = redundancy_withdrawals(&mut net, &grid, &elected, dc, None);
 
         // Reference: the brute-force all-pairs scan this PR replaced.
         let survives = |i: &NodeId| -> bool {
@@ -205,6 +364,82 @@ proptest! {
             est.record(src, t, ok);
             let p = est.probability(src, t);
             prop_assert!((0.0..=1.0).contains(&p), "p = {p}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The production election matches [`reference_select`] bit for bit
+    /// over a few consecutive rounds: the whole outcome, every node's
+    /// residual after the HELLO charges, and every node's last duty
+    /// round. Covers every feature flag and HELLO charging on and off;
+    /// `k` up to past `n`, so the relaxed second top-up pass runs; equal
+    /// residuals (every fresh node, and drain classes), so the id
+    /// tie-breaks decide; nodes a HELLO kills; offline nodes that keep
+    /// their charge and their grid entry; and alive nodes missing
+    /// from the node grid — the blackout-revival defect — which the
+    /// grid's ball queries miss but which can still be topped up as
+    /// heads and must then block their neighbours.
+    #[test]
+    fn election_matches_the_reference(
+        seed in 0u64..1000,
+        n in 2usize..150,
+        k_raw in 0usize..1000,
+        first_round in 0u32..24,
+        rounds in 1u32..4,
+        energy_threshold in any::<bool>(),
+        redundancy_reduction in any::<bool>(),
+        top_up in any::<bool>(),
+        charge in any::<bool>(),
+        drains in prop::collection::vec(0u8..8, 150..151),
+        off_grid in prop::collection::vec(0u8..7, 150..151),
+    ) {
+        let k = k_raw % (n + 3) + 1;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net = NetworkBuilder::new().uniform_cube(&mut rng, n, 200.0, 5.0);
+        let mut grid = UniformGrid::build(net.positions(), 8);
+        for i in 0..n {
+            let drain = match drains[i] {
+                0 => 1.0,
+                1 => 5.0 - 1e-6, // one HELLO reception kills it
+                2 => 10.0,       // dead before the first round
+                _ => 0.0,
+            };
+            let node = net.node_mut(NodeId(i as u32));
+            node.battery.consume(drain);
+            // Offline with charge left: in the grid, but must not pay
+            // HELLO reception.
+            *node.online = drains[i] != 3;
+            if off_grid[i] == 0 {
+                grid.remove(i as u32);
+            }
+        }
+        let params = QlecParams { charge_control_traffic: charge, ..QlecParams::paper() };
+        let features = SelectionFeatures { energy_threshold, redundancy_reduction, top_up };
+        let mut reference = net.clone();
+        let mut rng_ref = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let mut rng_sut = rng_ref.clone();
+        for round in first_round..first_round + rounds {
+            let alive: Vec<NodeId> = net.alive_ids().collect();
+            let want = reference_select(
+                &mut reference, &grid, &alive, round, k, &params, features, &mut rng_ref,
+            );
+            let got = select_heads_from_roster(
+                &mut net, &grid, &alive, round, k, &params, features, &mut rng_sut,
+                &ObserverSet::new(),
+            );
+            prop_assert_eq!((round, &got.heads), (round, &want.heads));
+            prop_assert_eq!(got.elected, want.elected);
+            prop_assert_eq!(got.withdrawn, want.withdrawn);
+            prop_assert_eq!(&got.withdrawn_ids, &want.withdrawn_ids);
+            prop_assert_eq!(got.topped_up, want.topped_up);
+            for i in 0..n as u32 {
+                let (a, b) = (net.node(NodeId(i)), reference.node(NodeId(i)));
+                prop_assert_eq!((i, a.residual().to_bits()), (i, b.residual().to_bits()));
+                prop_assert_eq!((i, a.last_head_round), (i, b.last_head_round));
+            }
         }
     }
 }

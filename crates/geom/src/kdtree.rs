@@ -145,8 +145,11 @@ impl KdTree {
         }
     }
 
-    /// Indices of the `k` nearest points to `q`, sorted by ascending
-    /// distance. Returns fewer when the tree holds fewer points.
+    /// Indices of the `k` nearest points to `q` with their squared
+    /// distances, ascending by `(squared distance, index)`: of two points
+    /// at the same squared distance the lower index ranks first, so a tie
+    /// at the `k`-th place keeps the lower index. Returns fewer when the
+    /// tree holds fewer points.
     pub fn k_nearest(&self, q: Vec3, k: usize) -> Vec<(u32, f64)> {
         let mut out = Vec::new();
         self.k_nearest_into(q, k, &mut out);
@@ -154,27 +157,32 @@ impl KdTree {
     }
 
     /// [`KdTree::k_nearest`] into a caller-provided buffer (cleared
-    /// first) — the allocation-free variant for per-packet queries.
+    /// first) — the allocation-free variant for per-packet queries. Same
+    /// order and tie rule: ascending by `(squared distance, index)`.
     pub fn k_nearest_into(&self, q: Vec3, k: usize, out: &mut Vec<(u32, f64)>) {
         out.clear();
         if self.root == NIL || k == 0 {
             return;
         }
-        out.reserve(k + 1);
+        out.reserve(k.min(self.len()) + 1);
         self.knn_rec(self.root, q, k, out);
-        out.sort_by(|a, b| a.1.total_cmp(&b.1));
     }
 
-    fn knn_rec(&self, ni: i32, q: Vec3, k: usize, heap: &mut Vec<(u32, f64)>) {
+    /// Branch-and-bound k-nearest walk. `best` holds at most `k` entries
+    /// in ascending `(squared distance, index)` order: a closer point is
+    /// inserted by binary search and the worst entry dropped.
+    fn knn_rec(&self, ni: i32, q: Vec3, k: usize, best: &mut Vec<(u32, f64)>) {
         let node = &self.nodes[ni as usize];
         let p = self.points[node.point as usize];
-        let d = p.dist_sq(q);
-        if heap.len() < k {
-            heap.push((node.point, d));
-            heap.sort_by(|a, b| b.1.total_cmp(&a.1)); // worst first
-        } else if d < heap[0].1 {
-            heap[0] = (node.point, d);
-            heap.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let cand = (node.point, p.dist_sq(q));
+        let ranks_before =
+            |a: &(u32, f64), b: &(u32, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)).is_lt();
+        if best.len() < k || ranks_before(&cand, &best[k - 1]) {
+            if best.len() == k {
+                best.pop();
+            }
+            let at = best.partition_point(|e| ranks_before(e, &cand));
+            best.insert(at, cand);
         }
         let axis = node.axis as usize;
         let delta = q[axis] - p[axis];
@@ -184,15 +192,13 @@ impl KdTree {
             (node.right, node.left)
         };
         if near != NIL {
-            self.knn_rec(near, q, k, heap);
+            self.knn_rec(near, q, k, best);
         }
-        let worst = if heap.len() < k {
-            f64::INFINITY
-        } else {
-            heap[0].1
-        };
-        if far != NIL && delta * delta < worst {
-            self.knn_rec(far, q, k, heap);
+        // Every far-side point is at least `delta²` away. A point at
+        // exactly the worst distance may still win on index, so only a
+        // strictly farther plane prunes.
+        if far != NIL && (best.len() < k || delta * delta <= best[k - 1].1) {
+            self.knn_rec(far, q, k, best);
         }
     }
 }
@@ -291,6 +297,58 @@ mod tests {
         let t = KdTree::build(pts);
         let (i, _) = t.nearest(Vec3::new(512.3, 0.0, 0.0)).unwrap();
         assert_eq!(i, 512);
+    }
+
+    /// The reference ranking: every point by `(squared distance,
+    /// index)`, cut to `k`.
+    fn brute_k_nearest(pts: &[Vec3], q: Vec3, k: usize) -> Vec<(u32, f64)> {
+        let mut all: Vec<(u32, f64)> = pts
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (i as u32, p.dist_sq(q)))
+            .collect();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `k_nearest` equals the brute-force `(d², index)` ranking, down
+        /// to which index wins a tie at the `k`-th place. Points on an
+        /// 8×8×8 integer lattice, queried from integer and half-integer
+        /// points, produce many exact distance ties; `k` runs from 1 past
+        /// `n`.
+        #[test]
+        fn k_nearest_matches_the_brute_force_ranking(
+            seed in 0u64..100_000,
+            n in 1usize..120,
+            k_raw in 0usize..1000,
+            lattice in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::Rng;
+            let k = k_raw % (n + 5) + 1;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut draw = |step: f64| -> Vec3 {
+                if lattice {
+                    let mut c = || rng.gen_range(0..8u32) as f64 * step;
+                    Vec3::new(c(), c(), c())
+                } else {
+                    Vec3::new(rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>()) * 50.0
+                }
+            };
+            let pts: Vec<Vec3> = (0..n).map(|_| draw(1.0)).collect();
+            let t = KdTree::build(pts.clone());
+            let mut buf = vec![(7, 7.0)];
+            for _ in 0..6 {
+                let q = draw(0.5);
+                let want = brute_k_nearest(&pts, q, k);
+                proptest::prop_assert_eq!(t.k_nearest(q, k), want.clone());
+                t.k_nearest_into(q, k, &mut buf);
+                proptest::prop_assert_eq!(&buf, &want);
+            }
+        }
     }
 
     #[test]
