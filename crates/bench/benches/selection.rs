@@ -18,7 +18,7 @@ fn bench_selection(c: &mut Criterion) {
         group.sample_size(if n >= 100_000 { 10 } else { 50 });
         let mut rng = StdRng::seed_from_u64(7);
         let net = NetworkBuilder::new().uniform_cube(&mut rng, n, 200.0, 5.0);
-        let grid = UniformGrid::build(net.positions(), 8);
+        let grid = UniformGrid::build(net.positions());
         let params = QlecParams::paper();
         group.bench_function(BenchmarkId::new("round", format!("n{n}_k{k}")), |b| {
             let mut rng = StdRng::seed_from_u64(8);

@@ -218,19 +218,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Cube side `M` (metres). Also rescales the default link model's
-    /// reference range when the spec still carries it.
-    pub fn side(mut self, m: f64) -> Self {
-        self.spec.m = m;
-        self
-    }
-
-    /// Initial battery energy per node (J).
-    pub fn initial_energy(mut self, joules: f64) -> Self {
-        self.spec.initial_energy = joules;
-        self
-    }
-
     /// Cluster count `k`.
     pub fn k(mut self, k: usize) -> Self {
         self.spec.k = k;
@@ -243,21 +230,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replace the whole simulator configuration.
-    pub fn sim(mut self, sim: SimConfig) -> Self {
-        self.spec.sim = sim;
-        self
-    }
-
     /// Replace the seed list (one independent run per seed).
     pub fn seeds(mut self, seeds: Vec<u64>) -> Self {
         self.spec.seeds = seeds;
-        self
-    }
-
-    /// Radio link model.
-    pub fn link(mut self, link: AnyLink) -> Self {
-        self.spec.link = link;
         self
     }
 
@@ -517,16 +492,12 @@ mod tests {
         );
         let spec = RunSpec::builder(4.0)
             .nodes(25)
-            .side(150.0)
-            .initial_energy(2.0)
             .k(3)
             .rounds(4)
             .seeds(vec![9])
             .faults(plan.clone())
             .build();
         assert_eq!(spec.n, 25);
-        assert_eq!(spec.m, 150.0);
-        assert_eq!(spec.initial_energy, 2.0);
         assert_eq!(spec.k, 3);
         assert_eq!(spec.sim.rounds, 4);
         assert_eq!(spec.seeds, vec![9]);

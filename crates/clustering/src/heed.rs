@@ -124,7 +124,7 @@ impl Protocol for HeedProtocol {
         rng: &mut dyn RngCore,
     ) -> Vec<NodeId> {
         if self.grid.is_none() {
-            self.grid = Some(UniformGrid::build(net.positions(), 8));
+            self.grid = Some(UniformGrid::build(net.positions()));
         }
         let grid = self.grid.as_ref().expect("built above");
         let e_max = net

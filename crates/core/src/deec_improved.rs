@@ -91,6 +91,10 @@ pub struct SelectionOutcome {
 ///
 /// `k` is the target head count (Theorem 1's `k_opt` in QLEC proper);
 /// `grid` must index the network's node positions in id order.
+///
+/// Scans the network for the alive roster itself and observes nothing;
+/// callers that already maintain a roster (the protocol's incremental
+/// election index) or attach an observer use [`select_heads_from_roster`].
 pub fn select_heads(
     net: &mut Network,
     grid: &UniformGrid,
@@ -100,41 +104,15 @@ pub fn select_heads(
     features: SelectionFeatures,
     rng: &mut dyn RngCore,
 ) -> SelectionOutcome {
-    select_heads_observed(
-        net,
-        grid,
-        round,
-        k,
-        params,
-        features,
-        rng,
-        &ObserverSet::new(),
-    )
-}
-
-/// [`select_heads`] with an observer: times the Algorithm 3 HELLO
-/// broadcast as [`Phase::Broadcast`] and emits one
-/// [`Event::HeadWithdrawn`] per head the redundancy reduction removes.
-///
-/// Scans the network for the alive roster itself; callers that already
-/// maintain one (the protocol's incremental election index) should use
-/// [`select_heads_from_roster`] and skip the `O(N)` re-scan.
-#[allow(clippy::too_many_arguments)]
-pub fn select_heads_observed(
-    net: &mut Network,
-    grid: &UniformGrid,
-    round: u32,
-    k: usize,
-    params: &QlecParams,
-    features: SelectionFeatures,
-    rng: &mut dyn RngCore,
-    obs: &ObserverSet,
-) -> SelectionOutcome {
     let alive: Vec<NodeId> = net.alive_ids().collect();
-    select_heads_from_roster(net, grid, &alive, round, k, params, features, rng, obs)
+    let obs = ObserverSet::new();
+    select_heads_from_roster(net, grid, &alive, round, k, params, features, rng, &obs)
 }
 
-/// [`select_heads_observed`] driven by a caller-maintained alive roster.
+/// [`select_heads`] driven by a caller-maintained alive roster, with an
+/// observer: times the Algorithm 3 HELLO broadcast as
+/// [`Phase::Broadcast`] and emits one [`Event::HeadWithdrawn`] per head
+/// the redundancy reduction removes.
 ///
 /// `alive` must hold exactly the network's alive node ids in ascending
 /// order — the order Algorithm 2 consumes randomness in, so a correct
@@ -151,6 +129,10 @@ pub fn select_heads_observed(
 /// O(N log N) sort of the top-up candidates, whose separation test is
 /// one ball query against a head-only cell grid per candidate tried.
 /// Nothing scales with `N · k`.
+///
+/// # Panics
+/// Panics if `k` is 0, or if `alive` is not the network's alive ids in
+/// ascending order (checked on every call, in O(N)).
 #[allow(clippy::too_many_arguments)]
 pub fn select_heads_from_roster(
     net: &mut Network,
@@ -164,11 +146,11 @@ pub fn select_heads_from_roster(
     obs: &ObserverSet,
 ) -> SelectionOutcome {
     assert!(k > 0, "target head count must be positive");
-    debug_assert!(
+    assert!(
         alive.windows(2).all(|w| w[0] < w[1]),
         "alive roster must be strictly ascending"
     );
-    debug_assert!(
+    assert!(
         alive.iter().all(|&id| net.node(id).is_alive()) && alive.len() == net.alive_count(),
         "alive roster out of sync with the network"
     );
@@ -189,7 +171,6 @@ pub fn select_heads_from_roster(
     let mut elected: Vec<NodeId> = Vec::new();
     for id in alive {
         let node = net.node(*id);
-        debug_assert!(node.is_alive(), "roster carries a dead node");
         if features.energy_threshold {
             let th = energy_threshold(node.battery.initial(), round, params.total_rounds);
             if node.residual() < th {
@@ -507,7 +488,7 @@ mod tests {
     fn setup(seed: u64, n: usize) -> (Network, UniformGrid) {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = NetworkBuilder::new().uniform_cube(&mut rng, n, 200.0, 5.0);
-        let grid = UniformGrid::build(net.positions(), 8);
+        let grid = UniformGrid::build(net.positions());
         (net, grid)
     }
 
@@ -537,6 +518,41 @@ mod tests {
             let th = energy_threshold(f64::MAX, r, total);
             assert!(th.is_finite() && th >= 0.0, "r={r} total={total} → {th}");
         }
+    }
+
+    /// Elect from `roster` on a fresh 40-node network.
+    fn elect_from(roster: &[NodeId], kill: Option<NodeId>) {
+        let (mut net, grid) = setup(9, 40);
+        if let Some(id) = kill {
+            net.node_mut(id).battery.consume(10.0);
+        }
+        let mut rng = StdRng::seed_from_u64(1);
+        select_heads_from_roster(
+            &mut net,
+            &grid,
+            roster,
+            0,
+            3,
+            &QlecParams::paper(),
+            SelectionFeatures::default(),
+            &mut rng,
+            &ObserverSet::new(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn unsorted_roster_is_rejected() {
+        let mut roster: Vec<NodeId> = (0..40).map(NodeId).collect();
+        roster.swap(3, 4);
+        elect_from(&roster, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of sync")]
+    fn roster_with_a_dead_node_is_rejected() {
+        let roster: Vec<NodeId> = (0..40).map(NodeId).collect();
+        elect_from(&roster, Some(NodeId(7)));
     }
 
     #[test]

@@ -71,19 +71,15 @@ pub struct QlecProtocol {
     /// The resolved per-packet candidate budget for the current round
     /// (meaningless while `candidates_active` is false).
     candidate_budget: usize,
-    /// Which node ids the grid still carries; the per-round death diff
-    /// removes the newly dead.
-    alive_mask: Vec<bool>,
     /// Election-phase alive roster: exactly the alive node ids, ascending,
     /// maintained by the same per-round diff that feeds the grid (deaths
     /// retained out, blackout revivals re-merged). Algorithm 2+3 head
     /// selection walks this roster instead of re-scanning all `N`
     /// deployment slots.
     alive_roster: Vec<NodeId>,
-    /// Per-node alive flag backing `alive_roster` diffs. Unlike
-    /// `alive_mask` (one-way, mirroring the grid's remove-only
-    /// maintenance) this tracks revivals too, so the roster always equals
-    /// the true alive set.
+    /// Per-node alive flag backing `alive_roster` diffs. Unlike the
+    /// grid's one-way removal this tracks revivals too, so the roster
+    /// always equals the true alive set.
     roster_alive: Vec<bool>,
     /// Reused scratch holding the pruned candidate head set.
     candidate_buf: Vec<NodeId>,
@@ -275,7 +271,6 @@ impl QlecBuilder {
             head_ids: Vec::new(),
             candidates_active: false,
             candidate_budget: 0,
-            alive_mask: Vec::new(),
             alive_roster: Vec::new(),
             roster_alive: Vec::new(),
             candidate_buf: Vec::new(),
@@ -349,7 +344,8 @@ impl QlecProtocol {
 
     /// Bring the Algorithm 3 node grid in line with the network at the
     /// top of a round: built once over every deployment position, then
-    /// only the nodes that died since the last round are removed. Every
+    /// every dead node is removed (a no-op for one the grid already
+    /// dropped, so only the newly dead cost a tombstone). Every
     /// grid consumer filters dead nodes out-of-band (`is_elected` /
     /// `is_alive`), so a dead node's lingering entry is unobservable.
     /// The removal is one-way: a node revived after a blackout is not
@@ -360,8 +356,7 @@ impl QlecProtocol {
     /// so the round pays one alive scan, not one per consumer.
     fn maintain_grid(&mut self, net: &Network) {
         if self.grid.is_none() {
-            self.grid = Some(UniformGrid::build(net.iter_positions(), 8));
-            self.alive_mask = vec![true; net.len()];
+            self.grid = Some(UniformGrid::build(net.iter_positions()));
             self.roster_alive = vec![true; net.len()];
             self.alive_roster = net.ids().collect();
         }
@@ -370,9 +365,8 @@ impl QlecProtocol {
         let mut revivals = 0usize;
         for i in 0..net.len() {
             let now = net.node(NodeId(i as u32)).is_alive();
-            if self.alive_mask[i] && !now {
+            if !now {
                 grid.remove(i as u32);
-                self.alive_mask[i] = false;
             }
             if self.roster_alive[i] != now {
                 self.roster_alive[i] = now;

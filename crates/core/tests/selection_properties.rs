@@ -190,7 +190,7 @@ proptest! {
         for i in 0..drained.min(n) {
             net.node_mut(NodeId(i as u32)).battery.consume(10.0);
         }
-        let grid = UniformGrid::build(net.positions(), 8);
+        let grid = UniformGrid::build(net.positions());
         let params = QlecParams::paper();
         let out = select_heads(
             &mut net,
@@ -233,7 +233,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut net = NetworkBuilder::new().uniform_cube(&mut rng, n, 200.0, 5.0);
-        let grid = UniformGrid::build(net.positions(), 8);
+        let grid = UniformGrid::build(net.positions());
         let features = SelectionFeatures { top_up: false, ..Default::default() };
         let out = select_heads(
             &mut net,
@@ -278,7 +278,7 @@ proptest! {
         for i in 0..drained.min(n) {
             net.node_mut(NodeId(i as u32)).battery.consume(0.1 * (i + 1) as f64);
         }
-        let grid = UniformGrid::build(net.positions(), 8);
+        let grid = UniformGrid::build(net.positions());
         let dc = coverage_radius(200.0, k);
         // Pseudo-random elected subset, in id order as Algorithm 2 yields.
         let elected: Vec<NodeId> = (0..n as u32)
@@ -399,7 +399,7 @@ proptest! {
         let k = k_raw % (n + 3) + 1;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut net = NetworkBuilder::new().uniform_cube(&mut rng, n, 200.0, 5.0);
-        let mut grid = UniformGrid::build(net.positions(), 8);
+        let mut grid = UniformGrid::build(net.positions());
         for i in 0..n {
             let drain = match drains[i] {
                 0 => 1.0,

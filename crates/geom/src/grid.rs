@@ -1,4 +1,4 @@
-//! Uniform-grid spatial index with incremental maintenance.
+//! Uniform-grid spatial index for fixed-radius queries.
 //!
 //! Algorithm 3 of the paper (redundancy reduction) requires, for every
 //! freshly elected cluster head, the set of nodes within the cluster
@@ -7,56 +7,41 @@
 //! `O(N·k)` scan per round is affordable but wasteful; the grid makes each
 //! query touch only the cells overlapping the query ball.
 //!
-//! The index is built once per deployment and queried many times per round.
-//! At 100k nodes a full rebuild every round costs `O(N)` even when only a
-//! handful of nodes died, so the grid also supports *incremental*
-//! maintenance: [`UniformGrid::insert`], [`UniformGrid::remove`] and
-//! [`UniformGrid::move_point`] update the index in `O(1)` amortised time
-//! per mutation, stamped by a [generation counter](UniformGrid::generation).
-//! Point indices are stable for the lifetime of the grid — removal leaves a
-//! tombstone, it never renumbers — so callers that identify points by index
-//! (the protocol maps grid index to `NodeId` directly) stay correct across
-//! any mutation sequence. Once accumulated churn exceeds
-//! [`rebuild_threshold`](UniformGrid::set_rebuild_threshold) × live points,
-//! the grid re-bins itself in one `O(N)` pass, restoring pristine query
-//! speed; the cell geometry (bounds, dims) is fixed at build time, and
-//! points outside the original bounds clamp to edge cells — exactly how
-//! queries clamp, so correctness is unaffected.
-//!
-//! Out-of-bounds (and non-finite) positions are therefore *legal but
-//! observable*: every registration that had to clamp — at build, on
-//! [`UniformGrid::insert`], or on [`UniformGrid::move_point`] — bumps a
-//! counter exposed via [`UniformGrid::clamped_registrations`]. Callers
-//! feeding drifting mobility traces can watch that counter instead of
-//! discovering silently-misbinned points; query-side clamping (a search
-//! ball poking past the boundary) is by design and is not counted.
+//! Nodes never move or join, so the index is built once over the
+//! deployment positions and afterwards only shrinks:
+//! [`UniformGrid::remove`] leaves a tombstone in `O(1)` and never
+//! renumbers, so callers that identify points by index (the protocol maps
+//! grid index to `NodeId` directly) stay correct. Once the tombstones
+//! exceed a quarter of the live points, the grid compacts its cell lists
+//! in one `O(N)` pass and queries stop paying the liveness filter.
+//! Compaction keeps each cell's surviving indices in their order, so a
+//! query returns the same indices in the same order whether it runs before
+//! or after one.
 
 use crate::aabb::Aabb;
 use crate::vec3::Vec3;
-use std::collections::HashMap;
 
-/// Sentinel for "this point has no CSR home cell" (inserted after build).
-const NO_HOME: u32 = u32::MAX;
+/// Average number of points per cell the build aims for.
+const TARGET_PER_CELL: usize = 8;
 
-/// Default churn fraction that triggers a full re-bin.
-const DEFAULT_REBUILD_THRESHOLD: f64 = 0.25;
+/// Tombstones, as a fraction of the live points, that a removal may leave
+/// in the cell lists before it compacts them.
+const COMPACT_FRACTION: f64 = 0.25;
 
-/// A uniform spatial hash over a point set, with incremental updates.
+/// A uniform spatial hash over a fixed point set, with removal.
 ///
 /// ```
 /// use qlec_geom::{UniformGrid, Vec3};
 /// let points = vec![Vec3::ZERO, Vec3::splat(10.0), Vec3::splat(100.0)];
-/// let mut grid = UniformGrid::build(points, 4);
+/// let mut grid = UniformGrid::build(points);
 /// let near_origin = grid.within_radius(Vec3::ZERO, 20.0);
 /// assert_eq!(near_origin.len(), 2); // the origin and (10,10,10)
-/// assert_eq!(grid.nearest(Vec3::splat(90.0)), Some(2));
 ///
-/// // Incremental maintenance: indices are stable across mutations.
-/// grid.remove(1);
+/// // Removal tombstones: the other points keep their indices.
+/// assert!(grid.remove(1));
+/// assert!(!grid.remove(1)); // already gone
 /// assert_eq!(grid.within_radius(Vec3::ZERO, 20.0), vec![0]);
-/// let idx = grid.insert(Vec3::splat(12.0));
-/// assert_eq!(idx, 3);
-/// assert_eq!(grid.nearest(Vec3::splat(11.0)), Some(3));
+/// assert_eq!(grid.within_radius(Vec3::splat(100.0), 0.0), vec![2]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
@@ -66,83 +51,42 @@ pub struct UniformGrid {
     /// Side lengths of one cell.
     cell: Vec3,
     /// CSR-style layout: `starts[c]..starts[c+1]` indexes into `entries`
-    /// for cell `c`. Avoids one `Vec` allocation per cell.
+    /// for cell `c`, whose indices ascend. Avoids one `Vec` allocation
+    /// per cell.
     starts: Vec<u32>,
     entries: Vec<u32>,
     points: Vec<Vec3>,
     /// Liveness per point slot; `remove` tombstones, never renumbers.
     alive: Vec<bool>,
-    /// The CSR cell each point was binned into at the last (re)build, or
-    /// [`NO_HOME`] for points inserted since.
-    home: Vec<u32>,
-    /// The cell each live point currently belongs to.
-    cur_cell: Vec<u32>,
-    /// Points currently registered outside their CSR home cell
-    /// (inserted or moved since the last re-bin), keyed by current cell.
-    overflow: HashMap<u32, Vec<u32>>,
-    /// Total entries across `overflow` (fast skip when zero).
-    overflow_len: usize,
-    /// CSR entries that no longer reflect their point (dead or moved away).
-    stale: usize,
     /// Live points.
     alive_count: usize,
-    /// Mutations since the last re-bin; drives the rebuild threshold.
-    churn: usize,
-    /// Bumped on every successful mutation.
-    generation: u64,
-    /// Full re-bins performed since construction.
-    rebuilds: u64,
-    /// Registrations (build/insert/move) whose position fell outside the
-    /// build-time bounds — or was non-finite — and clamped to an edge
-    /// cell. See [`UniformGrid::clamped_registrations`].
-    clamped: u64,
-    /// Churn fraction (of live points) above which a mutation triggers a
-    /// full re-bin.
-    rebuild_threshold: f64,
+    /// Removed points whose entries are still in the cell lists.
+    stale: usize,
 }
 
 impl UniformGrid {
-    /// Build a grid over `points` with roughly `target_per_cell` points per
-    /// cell on average. An empty point set yields a valid, empty index.
+    /// Build a grid over `points` with roughly eight points per cell on
+    /// average. An empty point set yields a valid, empty index.
     ///
     /// Accepts any position iterator, so callers holding positions inside
     /// richer records (e.g. a network's nodes) can feed them straight in
     /// without materialising an intermediate `Vec`.
-    pub fn build(points: impl IntoIterator<Item = Vec3>, target_per_cell: usize) -> Self {
-        assert!(target_per_cell > 0, "target_per_cell must be positive");
+    pub fn build(points: impl IntoIterator<Item = Vec3>) -> Self {
         let points: Vec<Vec3> = points.into_iter().collect();
         let bounds = Aabb::enclosing(&points).unwrap_or_else(|| Aabb::new(Vec3::ZERO, Vec3::ZERO));
-        let n = points.len().max(1);
-        // Cube-root heuristic: total cells ≈ n / target_per_cell, split
-        // evenly across the three axes.
-        let cells_total = (n / target_per_cell).max(1);
-        let per_axis = (cells_total as f64).cbrt().ceil().max(1.0) as usize;
-        Self::build_with_dims(points, bounds, [per_axis; 3])
-    }
-
-    /// Build with explicit cell counts per axis (mainly for tests).
-    pub fn build_with_dims(points: Vec<Vec3>, bounds: Aabb, dims: [usize; 3]) -> Self {
-        assert!(dims.iter().all(|&d| d > 0), "grid dims must be positive");
-        let ext = bounds.extent();
-        let cell = Vec3::new(
-            if ext.x > 0.0 {
-                ext.x / dims[0] as f64
-            } else {
-                1.0
-            },
-            if ext.y > 0.0 {
-                ext.y / dims[1] as f64
-            } else {
-                1.0
-            },
-            if ext.z > 0.0 {
-                ext.z / dims[2] as f64
-            } else {
-                1.0
-            },
-        );
-
         let n = points.len();
+        // Cube-root heuristic: total cells ≈ n / TARGET_PER_CELL, split
+        // evenly across the three axes.
+        let cells_total = (n.max(1) / TARGET_PER_CELL).max(1);
+        let per_axis = (cells_total as f64).cbrt().ceil().max(1.0) as usize;
+        let dims = [per_axis; 3];
+        let ext = bounds.extent();
+        let side = |e: f64, d: usize| if e > 0.0 { e / d as f64 } else { 1.0 };
+        let cell = Vec3::new(
+            side(ext.x, dims[0]),
+            side(ext.y, dims[1]),
+            side(ext.z, dims[2]),
+        );
         let mut grid = UniformGrid {
             bounds,
             dims,
@@ -151,138 +95,65 @@ impl UniformGrid {
             entries: Vec::new(),
             points,
             alive: vec![true; n],
-            home: vec![NO_HOME; n],
-            cur_cell: vec![0; n],
-            overflow: HashMap::new(),
-            overflow_len: 0,
-            stale: 0,
             alive_count: n,
-            churn: 0,
-            generation: 0,
-            rebuilds: 0,
-            clamped: 0,
-            rebuild_threshold: DEFAULT_REBUILD_THRESHOLD,
+            stale: 0,
         };
-        for i in 0..n {
-            grid.cur_cell[i] = grid.register_cell_of(grid.points[i]);
+
+        // Counting sort in index order, so each cell lists its points
+        // ascending.
+        let ncells = per_axis * per_axis * per_axis;
+        let mut starts = vec![0u32; ncells + 1];
+        for &p in &grid.points {
+            starts[grid.cell_of(p) + 1] += 1;
         }
-        grid.rebin();
-        grid.rebuilds = 0; // the initial binning is not a "rebuild"
+        for c in 1..=ncells {
+            starts[c] += starts[c - 1];
+        }
+        let mut cursor = starts[..ncells].to_vec();
+        let mut entries = vec![0u32; n];
+        for (i, &p) in grid.points.iter().enumerate() {
+            let c = grid.cell_of(p);
+            entries[cursor[c] as usize] = i as u32;
+            cursor[c] += 1;
+        }
+        grid.starts = starts;
+        grid.entries = entries;
         grid
     }
 
     /// Cell index for position `p`, clamping to the edge cells.
     ///
-    /// The clamp is deliberate and double-ended: a negative or NaN axis
-    /// value saturates to 0 through the `as usize` cast, an over-large
-    /// one is capped at `dims - 1`, so *every* position maps to a valid
-    /// cell — the same cell the clamped query walk inspects, which keeps
-    /// out-of-bounds points findable. Mutation paths detect the clamp
-    /// separately (see [`UniformGrid::register_cell_of`]) so it is
-    /// counted, never silent.
+    /// The bounds enclose every built point, so only a non-finite
+    /// coordinate clamps: NaN saturates to 0 through the `as usize` cast.
     #[inline]
-    fn cell_of(&self, p: Vec3) -> u32 {
+    fn cell_of(&self, p: Vec3) -> usize {
         let rel = p - self.bounds.min();
         let ix = ((rel.x / self.cell.x) as usize).min(self.dims[0] - 1);
         let iy = ((rel.y / self.cell.y) as usize).min(self.dims[1] - 1);
         let iz = ((rel.z / self.cell.z) as usize).min(self.dims[2] - 1);
-        ((iz * self.dims[1] + iy) * self.dims[0] + ix) as u32
+        (iz * self.dims[1] + iy) * self.dims[0] + ix
     }
 
-    /// [`Self::cell_of`] for registration paths: additionally bumps the
-    /// clamp counter when `p` lies outside the build-time bounds.
-    /// `Aabb::contains` is inclusive and rejects NaN (all comparisons
-    /// fail), so non-finite positions are counted too.
-    #[inline]
-    fn register_cell_of(&mut self, p: Vec3) -> u32 {
-        if !self.bounds.contains(p) {
-            self.clamped += 1;
-        }
-        self.cell_of(p)
-    }
-
-    /// Whether `idx` is currently registered in an overflow list rather
-    /// than (validly) in the CSR layout. Only meaningful for live points.
-    #[inline]
-    fn in_overflow(&self, idx: usize) -> bool {
-        self.home[idx] == NO_HOME || self.cur_cell[idx] != self.home[idx]
-    }
-
-    fn overflow_remove(&mut self, cell: u32, idx: u32) {
-        let v = self
-            .overflow
-            .get_mut(&cell)
-            .expect("overflow list must exist for a registered point");
-        let pos = v
-            .iter()
-            .position(|&e| e == idx)
-            .expect("point must be present in its overflow cell");
-        v.swap_remove(pos);
-        if v.is_empty() {
-            self.overflow.remove(&cell);
-        }
-        self.overflow_len -= 1;
-    }
-
-    /// Counting-sort re-bin of all live points at their current positions.
-    /// Cell geometry (bounds, dims) is unchanged; dead slots are dropped
-    /// from the CSR layout, so queries after a re-bin pay no filtering
-    /// cost. Indices are unaffected.
-    fn rebin(&mut self) {
-        let ncells = self.dims[0] * self.dims[1] * self.dims[2];
-        let mut counts = vec![0u32; ncells + 1];
-        for i in 0..self.points.len() {
-            if self.alive[i] {
-                counts[self.cur_cell[i] as usize + 1] += 1;
+    /// Drop every tombstoned entry from the cell lists in place. Each
+    /// cell keeps its surviving indices in order.
+    fn compact(&mut self) {
+        let mut kept = 0;
+        let mut start = 0;
+        for c in 0..self.starts.len() - 1 {
+            let end = self.starts[c + 1] as usize;
+            self.starts[c] = kept as u32;
+            for k in start..end {
+                let idx = self.entries[k];
+                if self.alive[idx as usize] {
+                    self.entries[kept] = idx;
+                    kept += 1;
+                }
             }
+            start = end;
         }
-        for c in 1..=ncells {
-            counts[c] += counts[c - 1];
-        }
-        self.starts = counts.clone();
-        let mut cursor = counts;
-        let mut entries = vec![0u32; self.alive_count];
-        for i in 0..self.points.len() {
-            if self.alive[i] {
-                let c = self.cur_cell[i] as usize;
-                entries[cursor[c] as usize] = i as u32;
-                cursor[c] += 1;
-                self.home[i] = self.cur_cell[i];
-            }
-        }
-        self.entries = entries;
-        self.overflow.clear();
-        self.overflow_len = 0;
+        *self.starts.last_mut().expect("starts holds ncells + 1") = kept as u32;
+        self.entries.truncate(kept);
         self.stale = 0;
-        self.churn = 0;
-        self.rebuilds += 1;
-    }
-
-    #[inline]
-    fn note_churn(&mut self) {
-        self.churn += 1;
-        self.generation += 1;
-        let budget = (self.rebuild_threshold * self.alive_count.max(1) as f64).ceil() as usize;
-        if self.churn > budget {
-            self.rebin();
-        }
-    }
-
-    /// Insert a point, returning its (stable) index. Positions outside the
-    /// build-time bounds are legal: they bin into the clamped edge cell,
-    /// which is exactly where queries look for them.
-    pub fn insert(&mut self, p: Vec3) -> u32 {
-        let idx = self.points.len() as u32;
-        self.points.push(p);
-        self.alive.push(true);
-        self.home.push(NO_HOME);
-        let c = self.register_cell_of(p);
-        self.cur_cell.push(c);
-        self.overflow.entry(c).or_default().push(idx);
-        self.overflow_len += 1;
-        self.alive_count += 1;
-        self.note_churn();
-        idx
     }
 
     /// Remove the point at `idx` (tombstone; indices of other points are
@@ -295,72 +166,14 @@ impl UniformGrid {
         if !self.alive[i] {
             return false;
         }
-        if self.in_overflow(i) {
-            self.overflow_remove(self.cur_cell[i], idx);
-        } else {
-            self.stale += 1; // its CSR entry now needs filtering
-        }
         self.alive[i] = false;
         self.alive_count -= 1;
-        self.note_churn();
-        true
-    }
-
-    /// Move the live point at `idx` to position `p`.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of bounds or the point was removed.
-    pub fn move_point(&mut self, idx: u32, p: Vec3) {
-        let i = idx as usize;
-        assert!(self.alive[i], "cannot move a removed point");
-        self.points[i] = p;
-        let new_c = self.register_cell_of(p);
-        let old_c = self.cur_cell[i];
-        if new_c != old_c {
-            if self.in_overflow(i) {
-                self.overflow_remove(old_c, idx);
-            } else {
-                self.stale += 1; // left its CSR home cell
-            }
-            if new_c == self.home[i] {
-                self.stale -= 1; // back home: its CSR entry is valid again
-            } else {
-                self.overflow.entry(new_c).or_default().push(idx);
-                self.overflow_len += 1;
-            }
-            self.cur_cell[i] = new_c;
+        self.stale += 1;
+        let budget = (COMPACT_FRACTION * self.alive_count.max(1) as f64).ceil() as usize;
+        if self.stale > budget {
+            self.compact();
         }
-        self.note_churn();
-    }
-
-    /// Monotone counter bumped by every `insert` / `remove` / `move_point`.
-    /// Callers caching derived state can compare generations instead of
-    /// diffing point sets.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Number of full re-bins triggered by churn since construction.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-
-    /// How many registrations (build-time binning, [`Self::insert`],
-    /// [`Self::move_point`]) carried a position outside the build-time
-    /// bounds — including NaN/infinite coordinates — and were clamped to
-    /// an edge cell. The clamp itself is by design (the point stays
-    /// findable, because queries clamp identically); the counter makes a
-    /// drifting mobility trace observable instead of silently piling
-    /// nodes into boundary cells. Monotone; never reset by re-bins.
-    pub fn clamped_registrations(&self) -> u64 {
-        self.clamped
-    }
-
-    /// Set the churn fraction (of live points) above which a mutation
-    /// triggers a full re-bin. Must be positive; default 0.25.
-    pub fn set_rebuild_threshold(&mut self, t: f64) {
-        assert!(t > 0.0, "rebuild threshold must be positive");
-        self.rebuild_threshold = t;
+        true
     }
 
     /// Number of live (non-removed) points.
@@ -374,7 +187,7 @@ impl UniformGrid {
     }
 
     /// The point slots, in the order indices refer to. Includes removed
-    /// slots (their last position); check liveness out-of-band if needed.
+    /// slots; check liveness out-of-band if needed.
     pub fn points(&self) -> &[Vec3] {
         &self.points
     }
@@ -389,7 +202,8 @@ impl UniformGrid {
     }
 
     /// Indices of all live points within `radius` of `center` (inclusive),
-    /// appended to `out` in unspecified order. `out` is cleared first.
+    /// appended to `out` cell by cell, ascending within a cell. `out` is
+    /// cleared first.
     ///
     /// This is the HELLO-broadcast primitive of Algorithm 3.
     pub fn within_radius_into(&self, center: Vec3, radius: f64, out: &mut Vec<u32>) {
@@ -408,7 +222,7 @@ impl UniformGrid {
                     let s = self.starts[c] as usize;
                     let e = self.starts[c + 1] as usize;
                     if self.stale == 0 {
-                        // Fast path: every CSR entry is live and at home.
+                        // Fast path: every entry is live.
                         for &idx in &self.entries[s..e] {
                             if self.points[idx as usize].dist_sq(center) <= r_sq {
                                 out.push(idx);
@@ -417,20 +231,8 @@ impl UniformGrid {
                     } else {
                         for &idx in &self.entries[s..e] {
                             let i = idx as usize;
-                            if self.alive[i]
-                                && self.cur_cell[i] as usize == c
-                                && self.points[i].dist_sq(center) <= r_sq
-                            {
+                            if self.alive[i] && self.points[i].dist_sq(center) <= r_sq {
                                 out.push(idx);
-                            }
-                        }
-                    }
-                    if self.overflow_len > 0 {
-                        if let Some(v) = self.overflow.get(&(c as u32)) {
-                            for &idx in v {
-                                if self.points[idx as usize].dist_sq(center) <= r_sq {
-                                    out.push(idx);
-                                }
                             }
                         }
                     }
@@ -445,46 +247,6 @@ impl UniformGrid {
         self.within_radius_into(center, radius, &mut out);
         out
     }
-
-    /// Index of the live point nearest to `q`, or `None` if empty.
-    ///
-    /// Expanding-ring search over grid shells; falls back to a full scan
-    /// once the ring covers the whole grid (worst case, still correct).
-    pub fn nearest(&self, q: Vec3) -> Option<u32> {
-        if self.alive_count == 0 {
-            return None;
-        }
-        // Simple and robust: expanding radius doubling from one cell size.
-        let mut radius = self.cell.x.max(self.cell.y).max(self.cell.z);
-        let max_radius = self.bounds.diagonal() + radius + q.dist(self.bounds.closest_point(q));
-        let mut buf = Vec::new();
-        loop {
-            self.within_radius_into(q, radius, &mut buf);
-            if let Some(&best) = buf.iter().min_by(|&&a, &&b| {
-                self.points[a as usize]
-                    .dist_sq(q)
-                    .total_cmp(&self.points[b as usize].dist_sq(q))
-            }) {
-                // A point found at distance d is only guaranteed nearest if
-                // d <= radius (all closer candidates were inside the ball).
-                let d = self.points[best as usize].dist(q);
-                if d <= radius {
-                    return Some(best);
-                }
-            }
-            if radius > max_radius {
-                // Exhaustive fallback (ring already covered everything).
-                return (0..self.points.len() as u32)
-                    .filter(|&i| self.alive[i as usize])
-                    .min_by(|&a, &b| {
-                        self.points[a as usize]
-                            .dist_sq(q)
-                            .total_cmp(&self.points[b as usize].dist_sq(q))
-                    });
-            }
-            radius *= 2.0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -492,7 +254,7 @@ mod tests {
     use super::*;
     use crate::sample::uniform_points_in_aabb;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     fn brute_within(points: &[Vec3], alive: impl Fn(usize) -> bool, c: Vec3, r: f64) -> Vec<u32> {
         let mut v: Vec<u32> = points
@@ -507,16 +269,14 @@ mod tests {
 
     #[test]
     fn empty_grid_is_fine() {
-        let g = UniformGrid::build(std::iter::empty(), 4);
+        let g = UniformGrid::build(std::iter::empty());
         assert!(g.is_empty());
         assert!(g.within_radius(Vec3::ZERO, 10.0).is_empty());
-        assert!(g.nearest(Vec3::ZERO).is_none());
     }
 
     #[test]
     fn single_point() {
-        let g = UniformGrid::build(vec![Vec3::splat(5.0)], 4);
-        assert_eq!(g.nearest(Vec3::ZERO), Some(0));
+        let g = UniformGrid::build(vec![Vec3::splat(5.0)]);
         assert_eq!(g.within_radius(Vec3::splat(5.0), 0.0), vec![0]);
         assert!(g.within_radius(Vec3::ZERO, 1.0).is_empty());
     }
@@ -526,7 +286,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let b = Aabb::cube(200.0);
         let pts = uniform_points_in_aabb(&mut rng, &b, 800);
-        let g = UniformGrid::build(pts.clone(), 8);
+        let g = UniformGrid::build(pts.clone());
         for center in uniform_points_in_aabb(&mut rng, &b, 50) {
             for &r in &[0.0, 5.0, 30.0, 77.2, 250.0] {
                 let mut got = g.within_radius(center, r);
@@ -541,39 +301,13 @@ mod tests {
     }
 
     #[test]
-    fn nearest_matches_brute_force() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let b = Aabb::cube(100.0);
-        let pts = uniform_points_in_aabb(&mut rng, &b, 500);
-        let g = UniformGrid::build(pts.clone(), 8);
-        // Include query points outside the bounds.
-        let mut queries = uniform_points_in_aabb(&mut rng, &b, 40);
-        queries.push(Vec3::splat(-50.0));
-        queries.push(Vec3::splat(500.0));
-        for q in queries {
-            let got = g.nearest(q).unwrap();
-            let best = pts
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.dist_sq(q).total_cmp(&b.dist_sq(q)))
-                .map(|(i, _)| i as u32)
-                .unwrap();
-            assert_eq!(
-                pts[got as usize].dist(q),
-                pts[best as usize].dist(q),
-                "query {q:?}"
-            );
-        }
-    }
-
-    #[test]
     fn degenerate_coplanar_points() {
         // All points on a plane (zero extent along z): grid must not panic
         // and queries must stay correct.
         let pts: Vec<Vec3> = (0..100)
             .map(|i| Vec3::new(i as f64, (i * 7 % 13) as f64, 0.0))
             .collect();
-        let g = UniformGrid::build(pts.clone(), 4);
+        let g = UniformGrid::build(pts.clone());
         let got = g.within_radius(Vec3::new(50.0, 5.0, 0.0), 10.0);
         let want = brute_within(&pts, |_| true, Vec3::new(50.0, 5.0, 0.0), 10.0);
         let mut got = got;
@@ -584,7 +318,7 @@ mod tests {
     #[test]
     fn duplicate_points_all_reported() {
         let pts = vec![Vec3::ONE; 10];
-        let g = UniformGrid::build(pts, 2);
+        let g = UniformGrid::build(pts);
         assert_eq!(g.within_radius(Vec3::ONE, 0.5).len(), 10);
     }
 
@@ -593,15 +327,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let b = Aabb::cube(150.0);
         let pts = uniform_points_in_aabb(&mut rng, &b, 400);
-        let mut g = UniformGrid::build(pts.clone(), 8);
-        // Keep churn below the threshold so no re-bin hides filtering bugs.
-        g.set_rebuild_threshold(0.9);
+        let mut g = UniformGrid::build(pts.clone());
+        // 80 of 400 removed leaves 320 live points: exactly at the
+        // compaction budget (a quarter), so every query below runs
+        // through the tombstone filter.
         let mut dead = vec![false; pts.len()];
-        for i in (0..pts.len()).step_by(3) {
+        for i in (0..pts.len()).step_by(5) {
             assert!(g.remove(i as u32));
             assert!(!g.remove(i as u32), "double remove must report false");
             dead[i] = true;
         }
+        assert_eq!(g.stale, 80, "the removals must not have compacted");
         assert_eq!(g.len(), pts.len() - dead.iter().filter(|&&d| d).count());
         for center in uniform_points_in_aabb(&mut rng, &b, 30) {
             for &r in &[10.0, 40.0, 200.0] {
@@ -609,148 +345,59 @@ mod tests {
                 got.sort_unstable();
                 assert_eq!(got, brute_within(&pts, |i| !dead[i], center, r));
             }
-            if let Some(n) = g.nearest(center) {
-                assert!(!dead[n as usize], "nearest must skip removed points");
-            }
         }
     }
 
     #[test]
-    fn insert_and_move_match_brute_force() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let b = Aabb::cube(120.0);
-        let base = uniform_points_in_aabb(&mut rng, &b, 300);
-        let mut g = UniformGrid::build(base.clone(), 8);
-        g.set_rebuild_threshold(0.9);
-        let mut pts = base;
-        // Insert some points, including out-of-bounds positions.
-        for p in uniform_points_in_aabb(&mut rng, &Aabb::cube(200.0), 40) {
-            let idx = g.insert(p);
-            assert_eq!(idx as usize, pts.len());
-            pts.push(p);
-        }
-        // Move a slice of points around, some back and forth.
-        for i in (0..pts.len()).step_by(7) {
-            let p = Vec3::new(
-                rng.gen_range(-20.0..160.0),
-                rng.gen_range(-20.0..160.0),
-                rng.gen_range(-20.0..160.0),
-            );
-            g.move_point(i as u32, p);
-            pts[i] = p;
-        }
-        for i in (0..pts.len()).step_by(14) {
-            // Move back to the original-ish cell region.
-            let p = Vec3::splat((i % 100) as f64);
-            g.move_point(i as u32, p);
-            pts[i] = p;
-        }
-        for center in uniform_points_in_aabb(&mut rng, &b, 25) {
-            for &r in &[15.0, 60.0, 400.0] {
-                let mut got = g.within_radius(center, r);
-                got.sort_unstable();
-                assert_eq!(got, brute_within(&pts, |_| true, center, r));
-            }
-        }
-    }
-
-    #[test]
-    fn churn_triggers_rebuild_and_queries_survive() {
+    fn compaction_keeps_every_query_and_its_order() {
         let mut rng = StdRng::seed_from_u64(31);
         let b = Aabb::cube(100.0);
-        let base = uniform_points_in_aabb(&mut rng, &b, 200);
-        let mut g = UniformGrid::build(base.clone(), 8);
-        g.set_rebuild_threshold(0.1);
-        assert_eq!(g.rebuilds(), 0);
-        let gen0 = g.generation();
-        let mut pts = base;
+        let pts = uniform_points_in_aabb(&mut rng, &b, 400);
+        let centers = uniform_points_in_aabb(&mut rng, &b, 20);
+        let mut g = UniformGrid::build(pts.clone());
         let mut dead = vec![false; pts.len()];
-        for i in 0..100 {
-            if i % 2 == 0 {
-                g.remove(i as u32);
-                dead[i] = true;
-            } else {
-                let p = uniform_points_in_aabb(&mut rng, &b, 1)[0];
-                g.move_point(i as u32, p);
-                pts[i] = p;
+        let check = |g: &UniformGrid, dead: &[bool]| {
+            for &center in &centers {
+                for &r in &[5.0, 30.0, 150.0] {
+                    let mut got = g.within_radius(center, r);
+                    got.sort_unstable();
+                    assert_eq!(got, brute_within(&pts, |i| !dead[i], center, r));
+                }
+            }
+        };
+        let balls = |g: &UniformGrid| -> Vec<Vec<u32>> {
+            centers.iter().map(|&c| g.within_radius(c, 30.0)).collect()
+        };
+        // Remove odd indices until a removal compacts. Every removal,
+        // tombstoning or compacting, leaves each ball with the same ids in
+        // the same order, less the one removed.
+        let mut victims = (1..pts.len()).step_by(2);
+        let mut compacted = false;
+        for i in victims.by_ref() {
+            let before = balls(&g);
+            assert!(g.remove(i as u32));
+            dead[i] = true;
+            check(&g, &dead);
+            for (mut want, got) in before.into_iter().zip(balls(&g)) {
+                want.retain(|&j| j as usize != i);
+                assert_eq!(got, want);
+            }
+            if g.stale == 0 {
+                compacted = true;
+                break;
             }
         }
-        assert!(g.rebuilds() > 0, "10% threshold must have re-binned");
-        assert_eq!(g.generation(), gen0 + 100);
-        for center in uniform_points_in_aabb(&mut rng, &b, 20) {
-            let mut got = g.within_radius(center, 30.0);
-            got.sort_unstable();
-            assert_eq!(got, brute_within(&pts, |i| !dead[i], center, 30.0));
+        assert!(compacted, "removing half the points must compact");
+        assert_eq!(g.entries.len(), g.len());
+
+        // Removals after a compaction tombstone again; earlier victims stay
+        // gone.
+        assert!(!g.remove(1), "a compacted-away id must report false");
+        for i in victims.take(10) {
+            assert!(g.remove(i as u32));
+            dead[i] = true;
         }
-    }
-
-    #[test]
-    fn out_of_bounds_registrations_are_counted_and_findable() {
-        // Build over a unit-ish box; in-bounds registrations never count.
-        let base = vec![Vec3::ZERO, Vec3::splat(10.0)];
-        let mut g = UniformGrid::build(base, 4);
-        g.set_rebuild_threshold(0.9);
-        assert_eq!(g.clamped_registrations(), 0);
-
-        // Negative coordinates: clamped to the edge cell, counted once,
-        // and still returned by queries covering that corner.
-        let neg = g.insert(Vec3::new(-5.0, -1.0, -0.25));
-        assert_eq!(g.clamped_registrations(), 1);
-        assert!(g.within_radius(Vec3::ZERO, 6.0).contains(&neg));
-
-        // Past the max corner: same deal.
-        g.move_point(neg, Vec3::splat(25.0));
-        assert_eq!(g.clamped_registrations(), 2);
-        assert!(g.within_radius(Vec3::splat(10.0), 30.0).contains(&neg));
-
-        // Moving back in-bounds does not count.
-        g.move_point(neg, Vec3::splat(5.0));
-        assert_eq!(g.clamped_registrations(), 2);
-
-        // The counter survives a churn-triggered re-bin.
-        g.set_rebuild_threshold(0.01);
-        g.move_point(neg, Vec3::splat(6.0));
-        assert!(g.rebuilds() > 0, "tiny threshold must have re-binned");
-        assert_eq!(g.clamped_registrations(), 2);
-    }
-
-    #[test]
-    fn nan_positions_clamp_without_panicking() {
-        let mut g = UniformGrid::build(vec![Vec3::ZERO, Vec3::splat(10.0)], 4);
-        g.set_rebuild_threshold(0.9);
-        let nan = g.insert(Vec3::new(f64::NAN, 5.0, 5.0));
-        assert_eq!(g.clamped_registrations(), 1);
-        // A NaN coordinate fails every distance comparison, so the point
-        // is unreachable by queries — but nothing panics, other points
-        // stay correct, and the registration was counted.
-        assert!(!g.within_radius(Vec3::splat(5.0), 1e9).contains(&nan));
-        assert_eq!(g.nearest(Vec3::ZERO), Some(0));
-        assert!(g.remove(nan));
-        assert_eq!(g.nearest(Vec3::splat(9.0)), Some(1));
-    }
-
-    #[test]
-    fn build_time_clamps_are_counted_with_explicit_bounds() {
-        // build_with_dims takes caller-supplied bounds, so build-time
-        // positions can fall outside them (UniformGrid::build computes
-        // enclosing bounds and never clamps at build).
-        let pts = vec![Vec3::splat(5.0), Vec3::splat(50.0), Vec3::splat(-3.0)];
-        let g =
-            UniformGrid::build_with_dims(pts, Aabb::new(Vec3::ZERO, Vec3::splat(10.0)), [2, 2, 2]);
-        assert_eq!(g.clamped_registrations(), 2);
-        // Clamped points live in edge cells and remain findable.
-        assert!(g.within_radius(Vec3::splat(10.0), 80.0).contains(&1));
-        assert!(g.within_radius(Vec3::ZERO, 10.0).contains(&2));
-    }
-
-    #[test]
-    fn generation_counts_every_mutation() {
-        let mut g = UniformGrid::build(vec![Vec3::ZERO, Vec3::ONE], 4);
-        assert_eq!(g.generation(), 0);
-        let i = g.insert(Vec3::splat(2.0));
-        g.move_point(i, Vec3::splat(3.0));
-        g.remove(i);
-        g.remove(i); // no-op: already removed
-        assert_eq!(g.generation(), 3);
+        assert!(g.stale > 0);
+        check(&g, &dead);
     }
 }

@@ -1,12 +1,9 @@
 //! A static k-d tree over 3-D points.
 //!
-//! Used where the query pattern is dominated by nearest-neighbour lookups —
-//! assigning 2 896 power-plant nodes to their closest of 272 cluster heads
-//! each round (§5.3), pruning QLEC's Send-Data candidates to each member's
-//! nearest heads (rebuilt per round), and the k-means / FCM baselines'
-//! assignment steps.
-//! Complements [`crate::grid::UniformGrid`], which is better for
-//! fixed-radius queries.
+//! QLEC's Send-Data head index: the tree is rebuilt each round over that
+//! round's cluster heads, and each member's candidate set is pruned to its
+//! `k` nearest heads. Complements [`crate::grid::UniformGrid`], which
+//! answers the fixed-radius queries of Algorithm 3.
 //!
 //! The tree is built once (median splits, `O(n log n)`) and is immutable.
 
@@ -24,7 +21,7 @@ struct Node {
 
 const NIL: i32 = -1;
 
-/// Immutable k-d tree for nearest-neighbour and k-nearest queries.
+/// Immutable k-d tree for k-nearest queries.
 #[derive(Debug, Clone)]
 pub struct KdTree {
     nodes: Vec<Node>,
@@ -111,40 +108,6 @@ impl KdTree {
         &self.points
     }
 
-    /// Index of the nearest point to `q` and its squared distance.
-    pub fn nearest(&self, q: Vec3) -> Option<(u32, f64)> {
-        if self.root == NIL {
-            return None;
-        }
-        let mut best = (u32::MAX, f64::INFINITY);
-        self.nearest_rec(self.root, q, &mut best);
-        Some(best)
-    }
-
-    fn nearest_rec(&self, ni: i32, q: Vec3, best: &mut (u32, f64)) {
-        let node = &self.nodes[ni as usize];
-        let p = self.points[node.point as usize];
-        let d = p.dist_sq(q);
-        if d < best.1 {
-            *best = (node.point, d);
-        }
-        let axis = node.axis as usize;
-        let delta = q[axis] - p[axis];
-        let (near, far) = if delta < 0.0 {
-            (node.left, node.right)
-        } else {
-            (node.right, node.left)
-        };
-        if near != NIL {
-            self.nearest_rec(near, q, best);
-        }
-        // Only descend the far side if the splitting plane is closer than
-        // the current best — the classic branch-and-bound prune.
-        if far != NIL && delta * delta < best.1 {
-            self.nearest_rec(far, q, best);
-        }
-    }
-
     /// Indices of the `k` nearest points to `q` with their squared
     /// distances, ascending by `(squared distance, index)`: of two points
     /// at the same squared distance the lower index ranks first, so a tie
@@ -215,14 +178,16 @@ mod tests {
     fn empty_tree() {
         let t = KdTree::build(Vec::new());
         assert!(t.is_empty());
-        assert!(t.nearest(Vec3::ZERO).is_none());
+        assert!(t.k_nearest(Vec3::ZERO, 1).is_empty());
         assert!(t.k_nearest(Vec3::ZERO, 3).is_empty());
     }
 
     #[test]
     fn single_point() {
         let t = KdTree::build(vec![Vec3::splat(1.0)]);
-        let (i, d) = t.nearest(Vec3::ZERO).unwrap();
+        let got = t.k_nearest(Vec3::ZERO, 1);
+        assert_eq!(got.len(), 1);
+        let (i, d) = got[0];
         assert_eq!(i, 0);
         assert!((d - 3.0).abs() < 1e-12);
     }
@@ -234,7 +199,7 @@ mod tests {
         let pts = uniform_points_in_aabb(&mut rng, &b, 1_000);
         let t = KdTree::build(pts.clone());
         for q in uniform_points_in_aabb(&mut rng, &b, 200) {
-            let (gi, gd) = t.nearest(q).unwrap();
+            let (gi, gd) = t.k_nearest(q, 1)[0];
             let bd = pts
                 .iter()
                 .map(|p| p.dist_sq(q))
@@ -295,7 +260,7 @@ mod tests {
         // tree balanced enough to answer correctly.
         let pts: Vec<Vec3> = (0..1000).map(|i| Vec3::new(i as f64, 0.0, 0.0)).collect();
         let t = KdTree::build(pts);
-        let (i, _) = t.nearest(Vec3::new(512.3, 0.0, 0.0)).unwrap();
+        let (i, _) = t.k_nearest(Vec3::new(512.3, 0.0, 0.0), 1)[0];
         assert_eq!(i, 512);
     }
 

@@ -11,8 +11,8 @@
 //! * [`sample`] — seeded uniform sampling in cubes, balls, and spheres,
 //! * [`grid::UniformGrid`] — a uniform spatial hash for radius queries
 //!   (the HELLO broadcast of Algorithm 3 touches every node within `d_c`),
-//! * [`kdtree::KdTree`] — a k-d tree for nearest-neighbour queries on the
-//!   2 896-node power-plant deployment,
+//! * [`kdtree::KdTree`] — a k-d tree for k-nearest queries (QLEC prunes
+//!   each member's Send-Data candidates to its nearest heads),
 //! * [`stats`] — streaming and batch statistics used by the metrics code,
 //! * [`randx`] — exponential / normal / log-normal sampling built on `rand`
 //!   (kept local instead of adding a `rand_distr` dependency).

@@ -26,11 +26,6 @@ pub fn uniform_points_in_aabb<R: Rng + ?Sized>(rng: &mut R, b: &Aabb, n: usize) 
     (0..n).map(|_| uniform_in_aabb(rng, b)).collect()
 }
 
-/// Uniform point inside the cube `[0, m]³` — the paper's deployment.
-pub fn uniform_in_cube<R: Rng + ?Sized>(rng: &mut R, m: f64) -> Vec3 {
-    uniform_in_aabb(rng, &Aabb::cube(m))
-}
-
 /// Uniform point inside the ball of radius `radius` centred at `center`.
 ///
 /// Uses the exact radial inverse-CDF (`r = R·U^{1/3}`) with a uniform

@@ -174,12 +174,6 @@ impl NodeArena {
         &self.battery
     }
 
-    /// All batteries, mutable, in id order.
-    #[inline]
-    pub fn batteries_mut(&mut self) -> &mut [Battery] {
-        &mut self.battery
-    }
-
     /// All roles, mutable, in id order (role reset sweeps this).
     #[inline]
     pub fn roles_mut(&mut self) -> &mut [Role] {

@@ -56,12 +56,6 @@ impl Network {
         &self.arena
     }
 
-    /// Mutable struct-of-arrays storage.
-    #[inline]
-    pub fn arena_mut(&mut self) -> &mut NodeArena {
-        &mut self.arena
-    }
-
     /// Number of nodes `N`.
     #[inline]
     pub fn len(&self) -> usize {

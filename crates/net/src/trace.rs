@@ -85,11 +85,6 @@ impl TraceSink {
     pub fn trace(&self) -> &RunTrace {
         &self.trace
     }
-
-    /// Consume the sink, returning the accumulated trace.
-    pub fn into_trace(self) -> RunTrace {
-        self.trace
-    }
 }
 
 impl SimObserver for TraceSink {

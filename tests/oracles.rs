@@ -595,7 +595,7 @@ fn plain_election(seed: u64, rounds: u32) -> Vec<(usize, usize, Vec<NodeId>)> {
     use qlec::geom::UniformGrid;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut net = NetworkBuilder::new().uniform_cube(&mut rng, ELECTION_N, 200.0, 5.0);
-    let grid = UniformGrid::build(net.positions(), 8);
+    let grid = UniformGrid::build(net.positions());
     let params = QlecParams {
         total_rounds: u32::MAX,
         ..QlecParams::paper_with_k(ELECTION_K)
