@@ -13,8 +13,8 @@
 //! ablation benches diff against it.
 
 use crate::leach::{rotating_epoch, rotating_threshold};
-use qlec_net::protocol::{install_heads, nearest_head, Protocol};
-use qlec_net::{Network, NodeId, Target};
+use qlec_net::protocol::{install_heads, NearestHead, Protocol, RoutePlanner};
+use qlec_net::{Network, NodeId};
 use rand::{Rng, RngCore};
 
 /// How the per-round average network energy `Ē(r)` is obtained.
@@ -126,14 +126,8 @@ impl Protocol for DeecProtocol {
         heads
     }
 
-    fn choose_target(
-        &mut self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        _rng: &mut dyn RngCore,
-    ) -> Target {
-        nearest_head(net, src, heads).map_or(Target::Bs, Target::Head)
+    fn planner(&self) -> Option<&dyn RoutePlanner> {
+        Some(&NearestHead)
     }
 }
 

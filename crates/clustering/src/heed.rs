@@ -27,8 +27,8 @@
 //! no learning in the transmission phase.
 
 use qlec_geom::UniformGrid;
-use qlec_net::protocol::{install_heads, nearest_head, Protocol};
-use qlec_net::{Network, NodeId, Target};
+use qlec_net::protocol::{install_heads, NearestHead, Protocol, RoutePlanner};
+use qlec_net::{Network, NodeId};
 use rand::{Rng, RngCore};
 
 /// HEED parameters.
@@ -242,14 +242,8 @@ impl Protocol for HeedProtocol {
         heads
     }
 
-    fn choose_target(
-        &mut self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        _rng: &mut dyn RngCore,
-    ) -> Target {
-        nearest_head(net, src, heads).map_or(Target::Bs, Target::Head)
+    fn planner(&self) -> Option<&dyn RoutePlanner> {
+        Some(&NearestHead)
     }
 }
 

@@ -7,8 +7,8 @@
 //! energy of sensors into consideration" (§2), which is exactly the
 //! weakness the energy-weighted variants fix.
 
-use qlec_net::protocol::{install_heads, nearest_head, Protocol};
-use qlec_net::{Network, NodeId, Target};
+use qlec_net::protocol::{install_heads, NearestHead, Protocol, RoutePlanner};
+use qlec_net::{Network, NodeId};
 use rand::{Rng, RngCore};
 
 /// The rotating election threshold (the paper's Eq. 3):
@@ -95,14 +95,8 @@ impl Protocol for LeachProtocol {
         heads
     }
 
-    fn choose_target(
-        &mut self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        _rng: &mut dyn RngCore,
-    ) -> Target {
-        nearest_head(net, src, heads).map_or(Target::Bs, Target::Head)
+    fn planner(&self) -> Option<&dyn RoutePlanner> {
+        Some(&NearestHead)
     }
 }
 

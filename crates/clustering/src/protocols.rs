@@ -4,7 +4,7 @@
 use crate::fcm::{fcm, FcmConfig};
 use crate::hierarchy::Hierarchy;
 use crate::kmeans::{kmeans, KMeansConfig};
-use qlec_net::protocol::{install_heads, Protocol};
+use qlec_net::protocol::{install_heads, PlanScratch, Protocol, RoutePlanner};
 use qlec_net::{Network, NodeId, Target};
 use rand::RngCore;
 use std::collections::HashMap;
@@ -82,17 +82,30 @@ impl Protocol for KMeansProtocol {
         heads
     }
 
-    fn choose_target(
-        &mut self,
+    fn planner(&self) -> Option<&dyn RoutePlanner> {
+        Some(self)
+    }
+}
+
+/// Member `src`'s head from this round's election, or the BS when the
+/// election gave it none (it is a head, or was not alive then).
+fn member_target(member_head: &HashMap<NodeId, NodeId>, src: NodeId) -> Target {
+    member_head
+        .get(&src)
+        .copied()
+        .map_or(Target::Bs, Target::Head)
+}
+
+impl RoutePlanner for KMeansProtocol {
+    fn plan_target(
+        &self,
         _net: &Network,
         src: NodeId,
         _heads: &[NodeId],
         _rng: &mut dyn RngCore,
+        _scratch: &mut PlanScratch,
     ) -> Target {
-        self.member_head
-            .get(&src)
-            .copied()
-            .map_or(Target::Bs, Target::Head)
+        member_target(&self.member_head, src)
     }
 }
 
@@ -189,17 +202,8 @@ impl Protocol for FcmProtocol {
         heads
     }
 
-    fn choose_target(
-        &mut self,
-        _net: &Network,
-        src: NodeId,
-        _heads: &[NodeId],
-        _rng: &mut dyn RngCore,
-    ) -> Target {
-        self.member_head
-            .get(&src)
-            .copied()
-            .map_or(Target::Bs, Target::Head)
+    fn planner(&self) -> Option<&dyn RoutePlanner> {
+        Some(self)
     }
 
     fn aggregate_route(&mut self, net: &Network, head: NodeId, heads: &[NodeId]) -> Vec<Target> {
@@ -232,6 +236,19 @@ impl Protocol for FcmProtocol {
         }
         route.push(Target::Bs);
         route
+    }
+}
+
+impl RoutePlanner for FcmProtocol {
+    fn plan_target(
+        &self,
+        _net: &Network,
+        src: NodeId,
+        _heads: &[NodeId],
+        _rng: &mut dyn RngCore,
+        _scratch: &mut PlanScratch,
+    ) -> Target {
+        member_target(&self.member_head, src)
     }
 }
 

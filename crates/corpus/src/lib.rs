@@ -16,10 +16,10 @@
 //!   [`MergeOutcome::check_invariants`] (conflict cause split) — where
 //!   a golden ledger would be too big to review.
 //! - **Equivalence** cells byte-diff every documented-equivalent config
-//!   pair in one process: thread counts (on the planner path and on the
-//!   `choose_target` fallback of a protocol without a planner, with and
-//!   without faults), the aggregate event mode across thread counts,
-//!   profiler attached vs not, and the `--spec`-JSON round trip.
+//!   pair in one process: thread counts (for QLEC's stateful planner and
+//!   for the LEACH and FCM baselines' stateless ones, with and without
+//!   faults), the aggregate event mode across thread counts, profiler
+//!   attached vs not, and the `--spec`-JSON round trip.
 //!
 //! Every cell runs through [`qlec_cli::commands::run_spec`] — the same
 //! construction path `qlec-sim run` executes — so a diff here is a diff
@@ -381,12 +381,29 @@ pub fn matrix() -> Vec<Cell> {
             },
             kind: CellKind::Equivalence(Axis::Threads),
         },
-        // LEACH has no route planner, so every thread count runs the
-        // sequential `choose_target` fallback.
+        // LEACH plans through the shared stateless `NearestHead`
+        // planner, fanned out like every protocol, and the merge's
+        // retargets at saturated λ = 1 go through its default
+        // `choose_target`.
         Cell {
-            name: "equivalence/threads-no-planner",
+            name: "equivalence/threads-leach",
             spec: SimSpec {
                 protocol: "leach".to_string(),
+                n: 100,
+                k: 5,
+                lambda: 1.0,
+                rounds: 5,
+                seed: 17,
+                ..SimSpec::default()
+            },
+            kind: CellKind::Equivalence(Axis::Threads),
+        },
+        // FCM plans by lookup in the member map its election builds, and
+        // forwards aggregates over its multi-hop hierarchy.
+        Cell {
+            name: "equivalence/threads-fcm",
+            spec: SimSpec {
+                protocol: "fcm".to_string(),
                 n: 100,
                 k: 5,
                 lambda: 1.0,

@@ -90,13 +90,6 @@ impl Aabb {
         e.x * e.y * e.z
     }
 
-    /// Length of the space diagonal (an upper bound on any pairwise
-    /// distance inside the box).
-    #[inline]
-    pub fn diagonal(&self) -> f64 {
-        self.extent().norm()
-    }
-
     /// Whether `p` lies inside the box (inclusive on all faces).
     #[inline]
     pub fn contains(&self, p: Vec3) -> bool {
@@ -106,35 +99,6 @@ impl Aabb {
             && p.y <= self.max.y
             && p.z >= self.min.z
             && p.z <= self.max.z
-    }
-
-    /// Closest point of the box to `p` (`p` itself when inside).
-    #[inline]
-    pub fn closest_point(&self, p: Vec3) -> Vec3 {
-        p.clamp(self.min, self.max)
-    }
-
-    /// Squared distance from `p` to the box (0 when inside). Used by the
-    /// k-d tree for branch-and-bound pruning.
-    #[inline]
-    pub fn dist_sq(&self, p: Vec3) -> f64 {
-        self.closest_point(p).dist_sq(p)
-    }
-
-    /// Grow the box so it also contains `p`.
-    pub fn expand_to(&mut self, p: Vec3) {
-        self.min = self.min.min(p);
-        self.max = self.max.max(p);
-    }
-
-    /// Whether two boxes overlap (inclusive).
-    pub fn intersects(&self, o: &Aabb) -> bool {
-        self.min.x <= o.max.x
-            && self.max.x >= o.min.x
-            && self.min.y <= o.max.y
-            && self.max.y >= o.min.y
-            && self.min.z <= o.max.z
-            && self.max.z >= o.min.z
     }
 }
 
@@ -148,7 +112,6 @@ mod tests {
         assert_eq!(b.center(), Vec3::splat(100.0));
         assert_eq!(b.extent(), Vec3::splat(200.0));
         assert_eq!(b.volume(), 8_000_000.0);
-        assert!((b.diagonal() - 200.0 * 3f64.sqrt()).abs() < 1e-9);
     }
 
     #[test]
@@ -175,17 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn closest_point_and_dist() {
-        let b = Aabb::cube(1.0);
-        let inside = Vec3::splat(0.25);
-        assert_eq!(b.closest_point(inside), inside);
-        assert_eq!(b.dist_sq(inside), 0.0);
-        let outside = Vec3::new(2.0, 0.5, 0.5);
-        assert_eq!(b.closest_point(outside), Vec3::new(1.0, 0.5, 0.5));
-        assert_eq!(b.dist_sq(outside), 1.0);
-    }
-
-    #[test]
     fn enclosing_points() {
         assert!(Aabb::enclosing(&[]).is_none());
         let pts = [
@@ -199,20 +151,6 @@ mod tests {
         for p in pts {
             assert!(b.contains(p));
         }
-    }
-
-    #[test]
-    fn expand_and_intersect() {
-        let mut b = Aabb::cube(1.0);
-        b.expand_to(Vec3::new(2.0, -1.0, 0.5));
-        assert!(b.contains(Vec3::new(2.0, -1.0, 0.5)));
-
-        let a = Aabb::cube(1.0);
-        let c = Aabb::from_corners(Vec3::splat(0.5), Vec3::splat(2.0));
-        let d = Aabb::from_corners(Vec3::splat(1.5), Vec3::splat(2.0));
-        assert!(a.intersects(&c));
-        assert!(c.intersects(&a));
-        assert!(!a.intersects(&d));
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl KdTree {
         self.points.is_empty()
     }
 
-    /// The indexed points, in the order indices refer to.
-    pub fn points(&self) -> &[Vec3] {
-        &self.points
-    }
-
     /// Indices of the `k` nearest points to `q` with their squared
     /// distances, ascending by `(squared distance, index)`: of two points
     /// at the same squared distance the lower index ranks first, so a tie

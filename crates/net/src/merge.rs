@@ -88,7 +88,7 @@ pub(crate) struct PlannedNode {
     /// One plan per arrival, in arrival order.
     pub(crate) packets: Vec<PacketPlan>,
     /// The planner's scratch, absorbed into the protocol after the merge.
-    pub(crate) scratch: Option<PlanScratch>,
+    pub(crate) scratch: PlanScratch,
     /// Merge read position into `packets`.
     pub(crate) cursor: usize,
 }

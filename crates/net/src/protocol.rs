@@ -9,8 +9,13 @@
 //!   (Algorithm 1 lines 5–9). The protocol receives `&mut Network` so it
 //!   can charge control-message energy (HELLO broadcasts of Algorithm 3)
 //!   and must install roles/rotation bookkeeping itself (helpers below).
-//! * [`Protocol::choose_target`] — the per-packet decision of the *Data
-//!   Transmission Phase* (`Send-Data`, Algorithm 4).
+//! * [`Protocol::planner`] — the per-packet decision of the *Data
+//!   Transmission Phase* (`Send-Data`, Algorithm 4). Every member's
+//!   packets are routed through this [`RoutePlanner`] against the frozen
+//!   post-election network, fanned out across the worker pool.
+//! * [`Protocol::choose_target`] — the merge's live retarget: a packet
+//!   whose planned hop met a full queue or a dead head re-decides against
+//!   the live network. Stateless planners need not implement it.
 //! * [`Protocol::on_hop_result`] — the ACK feedback of §4.2 ("an ACK
 //!   message will be delivered … indicating that the packet … is
 //!   successfully received and processed"), from which QLEC estimates the
@@ -34,11 +39,11 @@ pub type PlanScratch = Box<dyn std::any::Any + Send>;
 
 /// Immutable, thread-safe routing front-end for the parallel round engine.
 ///
-/// A protocol that can decide per-packet targets from shared state (plus a
-/// private per-node scratch) exposes one of these via
-/// [`Protocol::planner`]; the engine then plans every member node's
-/// packets independently — in node-id order sequentially, or fanned out
-/// across threads — and commits the per-node results back through
+/// Every protocol decides per-packet targets from shared state (plus a
+/// private per-node scratch) through the planner it exposes via
+/// [`Protocol::planner`]; the engine plans every member node's packets
+/// independently — in node-id order sequentially, or fanned out across
+/// threads — and commits the per-node results back through
 /// [`Protocol::absorb_plan`] in stable node-id order. Because each node's
 /// plan reads only the frozen post-election network, the shared `&self`
 /// state, and its own scratch, the outcome is identical at every thread
@@ -49,13 +54,24 @@ pub type PlanScratch = Box<dyn std::any::Any + Send>;
 /// the usual [`Protocol::on_hop_result`] replay during the sequential
 /// merge, and per-node learned state (e.g. value updates) is committed in
 /// `absorb_plan`.
+///
+/// A stateless planner (one whose decision is a pure function of the
+/// frozen network, such as [`NearestHead`]) writes only
+/// [`RoutePlanner::plan_target`]; the other hooks default to an empty
+/// scratch and no-ops.
 pub trait RoutePlanner: Sync {
     /// Create the private scratch for planning `src`'s packets this round.
-    fn begin_node(&self, net: &Network, src: NodeId) -> PlanScratch;
+    /// Default: a zero-sized box, which does not allocate.
+    fn begin_node(&self, net: &Network, src: NodeId) -> PlanScratch {
+        let _ = (net, src);
+        Box::new(())
+    }
 
     /// A fresh packet from `src` is about to be planned (reset per-packet
     /// scratch state such as the NACK list).
-    fn begin_packet(&self, src: NodeId, scratch: &mut PlanScratch);
+    fn begin_packet(&self, src: NodeId, scratch: &mut PlanScratch) {
+        let _ = (src, scratch);
+    }
 
     /// Plan the routing decision for one attempt of `src`'s current
     /// packet — the immutable counterpart of [`Protocol::choose_target`].
@@ -78,7 +94,9 @@ pub trait RoutePlanner: Sync {
         target: Target,
         success: bool,
         scratch: &mut PlanScratch,
-    );
+    ) {
+        let _ = (src, target, success, scratch);
+    }
 }
 
 /// A clustering/routing protocol under test.
@@ -106,14 +124,22 @@ pub trait Protocol {
         let _ = src;
     }
 
-    /// Routing decision for one packet originated by member `src`.
+    /// Live routing decision for one attempt of member `src`'s packet,
+    /// made by the merge when a planned hop is refused (dead head, full
+    /// queue, fusion deadline) with retry budget left. Default: the planner's [`RoutePlanner::plan_target`] on a
+    /// fresh node scratch — exact for a stateless planner. A protocol
+    /// whose planner carries per-node or per-packet state overrides it.
     fn choose_target(
         &mut self,
         net: &Network,
         src: NodeId,
         heads: &[NodeId],
         rng: &mut dyn RngCore,
-    ) -> Target;
+    ) -> Target {
+        let planner = required_planner(&*self);
+        let mut scratch = planner.begin_node(net, src);
+        planner.plan_target(net, src, heads, rng, &mut scratch)
+    }
 
     /// ACK feedback for the member-hop attempt (`success == false` covers
     /// link loss, queue refusal, and deadline misses — the paper's ACK
@@ -135,13 +161,10 @@ pub trait Protocol {
         let _ = (net, round, heads);
     }
 
-    /// The protocol's immutable planning front-end, if it has one. `None`
-    /// (the default) makes the engine fall back to sequential per-node
-    /// [`Protocol::choose_target`] calls — still deterministic at every
-    /// thread count, just never fanned out.
-    fn planner(&self) -> Option<&dyn RoutePlanner> {
-        None
-    }
+    /// The protocol's immutable planning front-end, through which the
+    /// engine plans every member's packets. Every protocol has one: the
+    /// engine panics, naming the protocol, on `None`.
+    fn planner(&self) -> Option<&dyn RoutePlanner>;
 
     /// Commit the per-node scratch produced through [`Protocol::planner`]
     /// this round. Called once per planned member node, in ascending
@@ -213,6 +236,13 @@ impl<P: Protocol + ?Sized> Protocol for Box<P> {
     }
 }
 
+/// `protocol`'s planner; a protocol without one is a contract violation.
+pub(crate) fn required_planner<P: Protocol + ?Sized>(protocol: &P) -> &dyn RoutePlanner {
+    protocol
+        .planner()
+        .unwrap_or_else(|| panic!("protocol `{}` has no RoutePlanner", protocol.name()))
+}
+
 /// Promote `heads` in the network for `round` (role + rotation
 /// bookkeeping). Call from `on_round_start` implementations.
 pub fn install_heads(net: &mut Network, round: u32, heads: &[NodeId]) {
@@ -262,48 +292,8 @@ impl Protocol for GreedyEnergyProtocol {
         alive
     }
 
-    fn choose_target(
-        &mut self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        _rng: &mut dyn RngCore,
-    ) -> Target {
-        nearest_head(net, src, heads).map_or(Target::Bs, Target::Head)
-    }
-
     fn planner(&self) -> Option<&dyn RoutePlanner> {
-        Some(self)
-    }
-}
-
-/// Nearest-head routing is a pure function of the frozen network, so the
-/// planner needs no scratch at all.
-impl RoutePlanner for GreedyEnergyProtocol {
-    fn begin_node(&self, _net: &Network, _src: NodeId) -> PlanScratch {
-        Box::new(())
-    }
-
-    fn begin_packet(&self, _src: NodeId, _scratch: &mut PlanScratch) {}
-
-    fn plan_target(
-        &self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        _rng: &mut dyn RngCore,
-        _scratch: &mut PlanScratch,
-    ) -> Target {
-        nearest_head(net, src, heads).map_or(Target::Bs, Target::Head)
-    }
-
-    fn plan_hop_result(
-        &self,
-        _src: NodeId,
-        _target: Target,
-        _success: bool,
-        _scratch: &mut PlanScratch,
-    ) {
+        Some(&NearestHead)
     }
 }
 
@@ -326,28 +316,12 @@ impl Protocol for DirectToBsProtocol {
         Vec::new()
     }
 
-    fn choose_target(
-        &mut self,
-        _net: &Network,
-        _src: NodeId,
-        _heads: &[NodeId],
-        _rng: &mut dyn RngCore,
-    ) -> Target {
-        Target::Bs
-    }
-
     fn planner(&self) -> Option<&dyn RoutePlanner> {
         Some(self)
     }
 }
 
 impl RoutePlanner for DirectToBsProtocol {
-    fn begin_node(&self, _net: &Network, _src: NodeId) -> PlanScratch {
-        Box::new(())
-    }
-
-    fn begin_packet(&self, _src: NodeId, _scratch: &mut PlanScratch) {}
-
     fn plan_target(
         &self,
         _net: &Network,
@@ -358,14 +332,26 @@ impl RoutePlanner for DirectToBsProtocol {
     ) -> Target {
         Target::Bs
     }
+}
 
-    fn plan_hop_result(
+/// Members send to the geometrically nearest alive head ([`nearest_head`]),
+/// or to the BS when no head is alive — DEEC's "nodes that are not
+/// selected as cluster heads dynamically choose the nearest cluster head"
+/// (§3.1), shared by LEACH, DEEC, HEED and [`GreedyEnergyProtocol`]. A
+/// pure function of the frozen network, so it needs no scratch.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NearestHead;
+
+impl RoutePlanner for NearestHead {
+    fn plan_target(
         &self,
-        _src: NodeId,
-        _target: Target,
-        _success: bool,
+        net: &Network,
+        src: NodeId,
+        heads: &[NodeId],
+        _rng: &mut dyn RngCore,
         _scratch: &mut PlanScratch,
-    ) {
+    ) -> Target {
+        nearest_head(net, src, heads).map_or(Target::Bs, Target::Head)
     }
 }
 
@@ -428,6 +414,54 @@ mod tests {
         assert_eq!(nearest_head(&net, NodeId(1), &heads), Some(NodeId(0)));
         assert_eq!(nearest_head(&net, NodeId(2), &heads), Some(NodeId(3)));
         assert_eq!(nearest_head(&net, NodeId(1), &[]), None);
+
+        // The planner and the default live retarget make the same call.
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut greedy = GreedyEnergyProtocol::new(2);
+        for hs in [&heads[..], &[]] {
+            for src in (0..4).map(NodeId) {
+                let want = nearest_head(&net, src, hs).map_or(Target::Bs, Target::Head);
+                let mut scratch = NearestHead.begin_node(&net, src);
+                let planned = NearestHead.plan_target(&net, src, hs, &mut rng, &mut scratch);
+                assert_eq!(planned, want, "planned target of {src}");
+                let live = greedy.choose_target(&net, src, hs, &mut rng);
+                assert_eq!(live, want, "live target of {src}");
+            }
+        }
+    }
+
+    /// A protocol that breaks the contract by exposing no planner.
+    struct NoPlanner;
+
+    impl Protocol for NoPlanner {
+        fn name(&self) -> &str {
+            "no-planner"
+        }
+
+        fn on_round_start(
+            &mut self,
+            _net: &mut Network,
+            _round: u32,
+            _rng: &mut dyn RngCore,
+        ) -> Vec<NodeId> {
+            Vec::new()
+        }
+
+        fn planner(&self) -> Option<&dyn RoutePlanner> {
+            None
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "protocol `no-planner` has no RoutePlanner")]
+    fn engine_refuses_a_protocol_without_a_planner() {
+        let mut cfg = crate::sim::SimConfig::paper(1.0);
+        cfg.rounds = 1;
+        let mut rng = StdRng::seed_from_u64(4);
+        crate::sim::Simulator::builder(line_network())
+            .config(cfg)
+            .build()
+            .run(&mut NoPlanner, &mut rng);
     }
 
     #[test]

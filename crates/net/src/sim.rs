@@ -29,7 +29,7 @@ use crate::metrics::{EnergyBreakdown, LifespanInfo, PacketCounters, RoundMetrics
 use crate::network::Network;
 use crate::node::NodeId;
 use crate::packet::Target;
-use crate::protocol::{PlanScratch, Protocol, RoutePlanner};
+use crate::protocol::{required_planner, PlanScratch, Protocol, RoutePlanner};
 use crate::queue::ChQueue;
 use crate::traffic::PoissonTraffic;
 use qlec_fault::FaultDriver;
@@ -521,7 +521,7 @@ impl Simulator {
                         src: id,
                         arrivals,
                         packets: Vec::new(),
-                        scratch: None,
+                        scratch: Box::new(()),
                         cursor: 0,
                     });
                 }
@@ -542,9 +542,9 @@ impl Simulator {
         // radio samples (LINK stream), and the sender's battery
         // trajectory, tracked locally with exact `Battery::consume`
         // arithmetic — exact because a member's battery is drained only
-        // by its own transmissions. Protocols exposing a [`RoutePlanner`]
-        // fan the member nodes out across the worker pool; the rest plan
-        // sequentially through `choose_target`.
+        // by its own transmissions. The protocol's [`RoutePlanner`] makes
+        // every decision, with the member nodes fanned out across the
+        // worker pool.
         //
         // *Stage 2 — merge.* Plans replay in global (time, node) order:
         // packet ids, battery consumes, head receptions, queue offers,
@@ -564,7 +564,6 @@ impl Simulator {
         let radio = self.net.radio;
 
         let tx_span = self.obs.span_start();
-        let has_planner = protocol.planner().is_some();
         let prof_ref = prof.as_deref();
         let plan_span = self.obs.span_start();
         {
@@ -573,93 +572,66 @@ impl Simulator {
             let stream_seed = self.stream_seed;
             let faults_ref = faults.as_ref();
             let heads_ref = heads.as_slice();
-            if has_planner {
-                let planner = protocol.planner().expect("planner() just returned Some");
-                // `PlanScratch` is `Send` but not `Sync`, so the fan-out
-                // iterates Sync job tuples rather than the nodes proper.
-                let jobs: Vec<(NodeId, usize)> =
-                    planned.iter().map(|pn| (pn.src, pn.arrivals)).collect();
-                let plan_one = |job: &(NodeId, usize)| {
-                    // Worker-local busy measurement: clock reads only,
-                    // no shared state touched from the fan-out.
-                    let t0 = prof_ref.map(|p| p.now_ns());
-                    let (src, arrivals) = *job;
-                    let mut t = PlannerTargeter {
-                        planner,
-                        scratch: planner.begin_node(net, src),
-                    };
-                    let packets = plan_member_packets(
-                        net,
-                        &cfg,
-                        faults_ref,
-                        heads_ref,
-                        head_slot,
-                        stream_seed,
-                        round,
-                        src,
-                        arrivals,
-                        &mut t,
-                    );
-                    let busy_ns = match (prof_ref, t0) {
-                        (Some(p), Some(t0)) => p.now_ns().saturating_sub(t0),
-                        _ => 0,
-                    };
-                    (packets, t.scratch, busy_ns)
+            let planner = required_planner(&*protocol);
+            // `PlanScratch` is `Send` but not `Sync`, so the fan-out
+            // iterates Sync job tuples rather than the nodes proper.
+            let jobs: Vec<(NodeId, usize)> =
+                planned.iter().map(|pn| (pn.src, pn.arrivals)).collect();
+            let plan_one = |job: &(NodeId, usize)| {
+                // Worker-local busy measurement: clock reads only,
+                // no shared state touched from the fan-out.
+                let t0 = prof_ref.map(|p| p.now_ns());
+                let (src, arrivals) = *job;
+                let mut scratch = planner.begin_node(net, src);
+                let packets = plan_member_packets(
+                    net,
+                    &cfg,
+                    faults_ref,
+                    heads_ref,
+                    head_slot,
+                    stream_seed,
+                    round,
+                    src,
+                    arrivals,
+                    planner,
+                    &mut scratch,
+                );
+                let busy_ns = match (prof_ref, t0) {
+                    (Some(p), Some(t0)) => p.now_ns().saturating_sub(t0),
+                    _ => 0,
                 };
-                type PlanJob = (Vec<PacketPlan>, PlanScratch, u64);
-                let results: Vec<PlanJob> = match self.pool.as_ref() {
-                    Some(pool) if jobs.len() > 1 => {
-                        pool.install(|| jobs.par_iter().map(&plan_one).collect())
-                    }
-                    _ => jobs.iter().map(&plan_one).collect(),
+                (packets, scratch, busy_ns)
+            };
+            type PlanJob = (Vec<PacketPlan>, PlanScratch, u64);
+            let results: Vec<PlanJob> = match self.pool.as_ref() {
+                Some(pool) if jobs.len() > 1 => {
+                    pool.install(|| jobs.par_iter().map(&plan_one).collect())
+                }
+                _ => jobs.iter().map(&plan_one).collect(),
+            };
+            drop(jobs);
+            if let Some(p) = prof_ref {
+                // Attribute each job's busy time to the worker slot that
+                // ran it. The vendored rayon splits jobs into contiguous
+                // chunks of ceil(J / W) with W = current_num_threads().min(J),
+                // so job i runs on slot i / chunk_len; the sequential path
+                // is slot 0.
+                let n_jobs = results.len();
+                let workers = match self.pool.as_ref() {
+                    Some(pool) if n_jobs > 1 => pool.current_num_threads().min(n_jobs),
+                    _ => 1,
                 };
-                drop(jobs);
-                if let Some(p) = prof_ref {
-                    // Attribute each job's busy time to the worker slot
-                    // that ran it. The vendored rayon splits jobs into
-                    // contiguous chunks of ceil(J / W) with
-                    // W = current_num_threads().min(J), so job i runs on
-                    // slot i / chunk_len; the sequential path is slot 0.
-                    let n_jobs = results.len();
-                    let workers = match self.pool.as_ref() {
-                        Some(pool) if n_jobs > 1 => pool.current_num_threads().min(n_jobs),
-                        _ => 1,
-                    };
-                    let chunk_len = n_jobs.div_ceil(workers.max(1)).max(1);
-                    for (i, (_, _, busy_ns)) in results.iter().enumerate() {
-                        p.record_busy(Phase::Plan, i / chunk_len, *busy_ns);
-                    }
-                }
-                for (pn, (packets, scratch, _)) in planned.iter_mut().zip(results) {
-                    pn.packets = packets;
-                    pn.scratch = Some(scratch);
-                }
-            } else {
-                for pn in planned.iter_mut() {
-                    let mut t = ChooseTargeter {
-                        protocol: &mut *protocol,
-                    };
-                    pn.packets = plan_member_packets(
-                        net,
-                        &cfg,
-                        faults_ref,
-                        heads_ref,
-                        head_slot,
-                        stream_seed,
-                        round,
-                        pn.src,
-                        pn.arrivals,
-                        &mut t,
-                    );
+                let chunk_len = n_jobs.div_ceil(workers.max(1)).max(1);
+                for (i, (_, _, busy_ns)) in results.iter().enumerate() {
+                    p.record_busy(Phase::Plan, i / chunk_len, *busy_ns);
                 }
             }
+            for (pn, (packets, scratch, _)) in planned.iter_mut().zip(results) {
+                pn.packets = packets;
+                pn.scratch = scratch;
+            }
         }
-        let plan_wall = self.obs.span_end(plan_span, Phase::Plan);
-        if !has_planner {
-            // The choose_target fallback plans on the simulation thread;
-            // the planner path recorded per-job busy above.
-            serial_busy(Phase::Plan, plan_wall);
-        }
+        self.obs.span_end(plan_span, Phase::Plan);
 
         // ---- Stage 2: the merge (crate::merge) -----------------------
         // One explicit API: the immutable round inputs (MergePlan), the
@@ -705,10 +677,8 @@ impl Simulator {
 
         // Absorb planner scratch (Q-value writes, link-table overlays)
         // back into the protocol, in stable ascending node order.
-        for pn in planned.iter_mut() {
-            if let Some(scratch) = pn.scratch.take() {
-                protocol.absorb_plan(pn.src, scratch);
-            }
+        for pn in planned {
+            protocol.absorb_plan(pn.src, pn.scratch);
         }
         self.obs.span_end(tx_span, Phase::Transmission);
 
@@ -915,75 +885,6 @@ impl Simulator {
     }
 }
 
-/// Stage-1 front-end over the two planning paths: a [`RoutePlanner`]
-/// (immutable, parallel-safe) or the bare `&mut Protocol` fallback.
-trait PlanTargeter {
-    fn begin_packet(&mut self, src: NodeId);
-    fn target(
-        &mut self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        rng: &mut dyn RngCore,
-    ) -> Target;
-    fn hop_result(&mut self, src: NodeId, target: Target, success: bool);
-}
-
-struct PlannerTargeter<'a> {
-    planner: &'a dyn RoutePlanner,
-    scratch: PlanScratch,
-}
-
-impl PlanTargeter for PlannerTargeter<'_> {
-    fn begin_packet(&mut self, src: NodeId) {
-        self.planner.begin_packet(src, &mut self.scratch);
-    }
-
-    fn target(
-        &mut self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        rng: &mut dyn RngCore,
-    ) -> Target {
-        self.planner
-            .plan_target(net, src, heads, rng, &mut self.scratch)
-    }
-
-    fn hop_result(&mut self, src: NodeId, target: Target, success: bool) {
-        self.planner
-            .plan_hop_result(src, target, success, &mut self.scratch);
-    }
-}
-
-/// Fallback for protocols without a planner: only `choose_target` is
-/// consulted while planning (always sequentially). The per-packet hook
-/// runs here so `choose_target` sees the per-packet state reset of a
-/// live call sequence; the merge replays it again, which is harmless
-/// because the hook is a reset. Per-hop hooks are replayed at merge
-/// time only, uniformly with the planner path.
-struct ChooseTargeter<'a, P: Protocol + ?Sized> {
-    protocol: &'a mut P,
-}
-
-impl<P: Protocol + ?Sized> PlanTargeter for ChooseTargeter<'_, P> {
-    fn begin_packet(&mut self, src: NodeId) {
-        self.protocol.on_packet_start(src);
-    }
-
-    fn target(
-        &mut self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        rng: &mut dyn RngCore,
-    ) -> Target {
-        self.protocol.choose_target(net, src, heads, rng)
-    }
-
-    fn hop_result(&mut self, _src: NodeId, _target: Target, _success: bool) {}
-}
-
 /// Plan one member's packets against the frozen post-election network
 /// (stage 1 of the transmission phase). The sender's residual is tracked
 /// locally with the exact `Battery::consume` arithmetic, so the merge
@@ -1002,7 +903,8 @@ fn plan_member_packets(
     round: u32,
     src: NodeId,
     arrivals: usize,
-    targeter: &mut dyn PlanTargeter,
+    planner: &dyn RoutePlanner,
+    scratch: &mut PlanScratch,
 ) -> Vec<PacketPlan> {
     let link = net.link;
     let radio = net.radio;
@@ -1018,14 +920,14 @@ fn plan_member_packets(
             packets.push(Vec::new());
             continue;
         }
-        targeter.begin_packet(src);
+        planner.begin_packet(src, scratch);
         let mut attempts = Vec::new();
         let mut resolved = false;
         for _ in 0..=cfg.member_retries {
             if residual <= 0.0 {
                 break;
             }
-            let target = targeter.target(net, src, heads, &mut prng);
+            let target = planner.plan_target(net, src, heads, &mut prng, scratch);
             let d = match target {
                 Target::Bs => net.dist_to_bs(src),
                 Target::Head(h) => net.distance(src, h),
@@ -1035,7 +937,7 @@ fn plan_member_packets(
                 // Partial supply: this draw drains the battery flat.
                 residual = 0.0;
                 attempts.push(PlannedAttempt::Failed { target, e });
-                targeter.hop_result(src, target, false);
+                planner.plan_hop_result(src, target, false, scratch);
                 break;
             }
             residual -= e;
@@ -1043,11 +945,11 @@ fn plan_member_packets(
                 Target::Bs => {
                     if sample_hop(faults, &link, &mut lrng, d, src.0, None) {
                         attempts.push(PlannedAttempt::DeliveredBs { e });
-                        targeter.hop_result(src, target, true);
+                        planner.plan_hop_result(src, target, true, scratch);
                         resolved = true;
                     } else {
                         attempts.push(PlannedAttempt::Failed { target, e });
-                        targeter.hop_result(src, target, false);
+                        planner.plan_hop_result(src, target, false, scratch);
                     }
                 }
                 Target::Head(h) => {
@@ -1055,11 +957,11 @@ fn plan_member_packets(
                     let radio_ok = sample_hop(faults, &link, &mut lrng, d, src.0, Some(h.0));
                     if !radio_ok || !head_alive || head_slot[h.index()] < 0 {
                         attempts.push(PlannedAttempt::Failed { target, e });
-                        targeter.hop_result(src, target, false);
+                        planner.plan_hop_result(src, target, false, scratch);
                     } else {
                         // Optimistic: the queue verdict lands at merge.
                         attempts.push(PlannedAttempt::ToHead { h, e });
-                        targeter.hop_result(src, target, true);
+                        planner.plan_hop_result(src, target, true, scratch);
                         resolved = true;
                     }
                 }

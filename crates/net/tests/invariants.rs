@@ -130,10 +130,9 @@ proptest! {
     }
 
     /// `SimConfig::threads` is a pure throughput knob: for arbitrary
-    /// configurations and either reference protocol (both expose a
-    /// `RoutePlanner`, so multi-threaded runs take the rayon fan-out
-    /// path), the report serializes to exactly the single-threaded
-    /// bytes.
+    /// configurations and either reference protocol (multi-threaded runs
+    /// fan their `RoutePlanner` out over the rayon pool), the report
+    /// serializes to exactly the single-threaded bytes.
     #[test]
     fn thread_count_never_changes_the_report(
         seed in 0u64..500,

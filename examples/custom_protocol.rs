@@ -6,14 +6,23 @@
 //! cube is split into its eight octants; each round, the highest-energy
 //! alive node of each octant serves as that octant's head and members
 //! send to their octant's head. It is a reasonable hand-rolled baseline —
-//! spatially balanced like k-means, energy-rotating like DEEC — and ~40
+//! spatially balanced like k-means, energy-rotating like DEEC — and ~50
 //! lines of code.
+//!
+//! A protocol makes two kinds of decision. `on_round_start` elects the
+//! heads, with `&mut` access to its own state and the network. Each
+//! member's per-packet target comes from the protocol's `RoutePlanner`,
+//! which reads shared state only, so the engine can plan members in
+//! parallel. This one is stateless: it writes only `plan_target`, a
+//! lookup in the routing table the election built, and the trait's
+//! defaults supply the rest (including the merge's live retarget,
+//! `choose_target`).
 //!
 //! Run with: `cargo run --release --example custom_protocol`
 
 use qlec::core::QlecProtocol;
 use qlec::geom::Vec3;
-use qlec::net::protocol::install_heads;
+use qlec::net::protocol::{install_heads, PlanScratch, RoutePlanner};
 use qlec::net::{Network, NetworkBuilder, NodeId, Protocol, SimConfig, Simulator, Target};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -74,12 +83,19 @@ impl Protocol for OctantProtocol {
         heads
     }
 
-    fn choose_target(
-        &mut self,
+    fn planner(&self) -> Option<&dyn RoutePlanner> {
+        Some(self)
+    }
+}
+
+impl RoutePlanner for OctantProtocol {
+    fn plan_target(
+        &self,
         _net: &Network,
         src: NodeId,
         _heads: &[NodeId],
         _rng: &mut dyn RngCore,
+        _scratch: &mut PlanScratch,
     ) -> Target {
         self.member_head
             .get(&src)

@@ -7,12 +7,9 @@ use qlec::clustering::leach::LeachProtocol;
 use qlec::clustering::{FcmProtocol, KMeansProtocol};
 use qlec::core::QlecProtocol;
 use qlec::net::{Network, NetworkBuilder, Protocol, SimConfig, SimReport, Simulator};
-use qlec::obs::{read_events, Event, JsonLinesSink, ObserverSet};
 use qlec::radio::link::{AnyLink, DistanceLossLink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::Write;
-use std::sync::{Arc, Mutex};
 
 fn paper_network(seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -233,63 +230,5 @@ fn graceful_degradation_when_nodes_die() {
     assert!(report.total_energy().is_finite());
     for r in &report.rounds {
         assert!(r.min_residual.is_finite());
-    }
-}
-
-/// The `choose_target` fallback: LEACH has no route planner, so the
-/// engine resolves every packet sequentially. The threads knob must
-/// still leave the deterministic event stream and the report
-/// byte-identical (saturated λ = 1).
-#[test]
-fn fallback_path_is_thread_invariant() {
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    let observed = |threads: usize| -> (String, String) {
-        let buf = SharedBuf::default();
-        let mut obs = ObserverSet::new();
-        let sink = JsonLinesSink::new(buf.clone()).expect("sink");
-        obs.attach(Arc::new(Mutex::new(sink)));
-        let mut cfg = SimConfig::paper(1.0);
-        cfg.rounds = 5;
-        cfg.threads = threads;
-        let mut p = LeachProtocol::new(5);
-        assert!(p.planner().is_none(), "LEACH must take the fallback path");
-        let mut rng = StdRng::seed_from_u64(17);
-        let report = Simulator::builder(paper_network(17))
-            .config(cfg)
-            .observers(obs.clone())
-            .build()
-            .run(&mut p, &mut rng);
-        obs.flush().expect("flush");
-        let stream = String::from_utf8(buf.0.lock().unwrap().clone()).expect("utf8 stream");
-        (stream, qlec_corpus::report_fingerprint(&report))
-    };
-    let (base_stream, base_report) = observed(1);
-    let packets = read_events(&base_stream)
-        .expect("stream parses")
-        .iter()
-        .filter(|e| matches!(e, Event::PacketOutcome { .. }))
-        .count();
-    assert!(packets > 100, "baseline must carry real traffic: {packets}");
-    for threads in [2, 4] {
-        let (stream, report) = observed(threads);
-        assert!(
-            stream == base_stream,
-            "events diverged at threads = {threads}"
-        );
-        assert_eq!(
-            report, base_report,
-            "report diverged at threads = {threads}"
-        );
     }
 }

@@ -19,7 +19,7 @@ use qlec::geom::Vec3;
 use qlec::mdp::mdp::{validate, TabularMdp};
 use qlec::mdp::policy_iteration::policy_iteration;
 use qlec::mdp::solver::value_iteration;
-use qlec::net::protocol::install_heads;
+use qlec::net::protocol::{install_heads, PlanScratch, RoutePlanner};
 use qlec::net::queue::{ChQueue, Offer, QueueDrop};
 use qlec::net::{Network, NetworkBuilder, NodeId, Packet, Protocol, SimConfig, Simulator, Target};
 use qlec::radio::link::{AnyLink, IdealLink};
@@ -341,14 +341,8 @@ impl Protocol for FixedClusters {
         self.heads.clone()
     }
 
-    fn choose_target(
-        &mut self,
-        _net: &Network,
-        src: NodeId,
-        _heads: &[NodeId],
-        _rng: &mut dyn RngCore,
-    ) -> Target {
-        target_of(self.route[src.index()])
+    fn planner(&self) -> Option<&dyn RoutePlanner> {
+        Some(self)
     }
 
     fn on_hop_result(&mut self, src: NodeId, target: Target, success: bool) {
@@ -356,6 +350,19 @@ impl Protocol for FixedClusters {
         if let (Target::Head(h), true) = (target, success) {
             self.accepted.last_mut().expect("in a round")[h.index()] += 1;
         }
+    }
+}
+
+impl RoutePlanner for FixedClusters {
+    fn plan_target(
+        &self,
+        _net: &Network,
+        src: NodeId,
+        _heads: &[NodeId],
+        _rng: &mut dyn RngCore,
+        _scratch: &mut PlanScratch,
+    ) -> Target {
+        target_of(self.route[src.index()])
     }
 }
 
