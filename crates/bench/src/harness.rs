@@ -8,7 +8,7 @@ use qlec_core::params::QlecParams;
 use qlec_fault::{FaultDriver, FaultPlan};
 use qlec_geom::stats::Welford;
 use qlec_net::{Network, NetworkBuilder, Protocol, SimConfig, SimReport, Simulator};
-use qlec_obs::{ObserverSet, Phase, PhaseProfiler, ProfileReport};
+use qlec_obs::{ObserverSet, Phase, ProfileReport};
 use qlec_radio::link::{AnyLink, DistanceLossLink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,7 +16,6 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
 /// The protocols the paper's figures compare (plus the extra baselines
 /// this reproduction adds).
@@ -254,14 +253,13 @@ impl ScenarioBuilder {
 }
 
 /// The wall time one simulation phase took over a whole run (from the
-/// run's [`PhaseProfiler`]).
+/// run's [`qlec_obs::PhaseProfiler`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PhaseWall {
     /// The phase's [`Phase::path`] (`election`, `transmission/merge`, …).
     pub phase: String,
     /// Total wall nanoseconds over the run; a nested phase's wall is
-    /// part of its parent's. In a [`CellResult`], the mean of that total
-    /// over the cell's seeds.
+    /// part of its parent's.
     pub wall_ns: f64,
 }
 
@@ -296,45 +294,29 @@ pub struct CellResult {
     /// Mean retransmission attempts per run (member + aggregate hops) —
     /// the fault benches report it per protocol.
     pub retries_mean: f64,
-    /// Wall-time cost of each simulation phase (empty if run unobserved).
-    pub phase_wall: Vec<PhaseWall>,
 }
 
 /// Run one protocol over every seed of a spec (in parallel) and
-/// aggregate. Each run carries a [`PhaseProfiler`] so the JSON artifacts
-/// record where the wall time went, phase by phase.
+/// aggregate. The result holds seeded figures only, so two runs of a
+/// spec write identical JSON artifacts.
 pub fn run_cell(kind: ProtocolKind, spec: &RunSpec) -> CellResult {
-    let results: Vec<(SimReport, Vec<PhaseWall>)> = spec
+    let reports: Vec<SimReport> = spec
         .seeds
         .par_iter()
         .map(|&seed| {
             let net = spec.network(seed);
-            let profiler = Arc::new(PhaseProfiler::new());
-            let obs = ObserverSet::new().with_profiler(profiler.clone());
-            let mut protocol = kind.build_observed(&spec.qlec_params(), &obs);
+            let mut protocol = kind.build(&spec.qlec_params());
             // Offset the protocol RNG from the deployment RNG.
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-            let mut sim = Simulator::builder(net).config(spec.sim).observers(obs);
+            let mut sim = Simulator::builder(net).config(spec.sim);
             if let Some(plan) = &spec.faults {
                 let driver = FaultDriver::new(plan.clone()).expect("invalid fault plan");
                 sim = sim.faults(driver);
             }
-            let report = sim.build().run(protocol.as_mut(), &mut rng);
-            (report, phase_walls(&profiler.report()))
+            sim.build().run(protocol.as_mut(), &mut rng)
         })
         .collect();
-    let reports: Vec<SimReport> = results.iter().map(|(r, _)| r.clone()).collect();
-    let mut cell = aggregate(kind.to_string(), spec.sim.mean_interarrival, &reports);
-    let runs = results.len().max(1) as f64;
-    cell.phase_wall = Phase::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, p)| PhaseWall {
-            phase: p.path().to_string(),
-            wall_ns: results.iter().map(|(_, w)| w[i].wall_ns).sum::<f64>() / runs,
-        })
-        .collect();
-    cell
+    aggregate(kind.to_string(), spec.sim.mean_interarrival, &reports)
 }
 
 /// Aggregate a set of per-seed reports into one cell.
@@ -367,7 +349,6 @@ pub fn aggregate(protocol: String, lambda: f64, reports: &[SimReport]) -> CellRe
         lifespan_mean_rounds: lifespan.mean().unwrap_or(0.0),
         head_count_mean: heads.mean().unwrap_or(0.0),
         retries_mean: retries.mean().unwrap_or(0.0),
-        phase_wall: Vec::new(),
     }
 }
 
@@ -439,17 +420,6 @@ mod tests {
             assert!(cell.energy_mean_j > 0.0, "{kind:?}");
             assert!(cell.head_count_mean > 0.0, "{kind:?}");
             assert_eq!(cell.protocol, kind.to_string());
-        }
-    }
-
-    #[test]
-    fn run_cell_records_phase_wall_times() {
-        let cell = run_cell(ProtocolKind::Qlec, &tiny_spec(5.0));
-        assert_eq!(cell.phase_wall.len(), Phase::ALL.len());
-        // A QLEC run goes through every phase, so each costs wall time.
-        for (pw, phase) in cell.phase_wall.iter().zip(Phase::ALL) {
-            assert_eq!(pw.phase, phase.path());
-            assert!(pw.wall_ns > 0.0, "phase {} should cost wall time", pw.phase);
         }
     }
 

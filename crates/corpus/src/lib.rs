@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Schema tag of the checked-in golden ledgers.
-pub const GOLDEN_SCHEMA: &str = "qlec-corpus-golden/v1";
+pub const GOLDEN_SCHEMA: &str = "qlec-corpus-golden/v2";
 
 /// The repo's golden-ledger directory (resolved relative to this
 /// crate, so tests and the `qlec-corpus` binary agree on it).
@@ -470,7 +470,26 @@ fn ledger_value(cell: &Cell, run: &CellRun) -> Value {
             "report".to_string(),
             serde_json::from_str(&report_fingerprint(&run.report)).expect("fingerprint parses"),
         ),
+        ("merge".to_string(), outcome_value(&run.outcome)),
     ])
+}
+
+/// The whole-run merge totals as a ledger object, so a refactor that
+/// moves a count between conflict causes or the live path shows as a
+/// ledger diff even when every packet keeps its fate.
+fn outcome_value(o: &MergeOutcome) -> Value {
+    Value::Object(
+        [
+            ("conflicts", o.conflicts()),
+            ("retargets", o.retargets()),
+            ("conflict_dead_head", o.conflict_dead_head()),
+            ("conflict_queue_full", o.conflict_queue_full()),
+            ("conflict_deadline", o.conflict_deadline()),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), Value::UInt(v)))
+        .collect(),
+    )
 }
 
 fn golden_path(dir: &Path, name: &str) -> PathBuf {
@@ -550,6 +569,12 @@ fn expect_identical(label: &str, base: &CellRun, variant: &CellRun) -> Result<()
     }
     if report_fingerprint(&base.report) != report_fingerprint(&variant.report) {
         return Err(format!("report diverged ({label})"));
+    }
+    if base.outcome != variant.outcome {
+        return Err(format!(
+            "merge outcome diverged ({label}): {:?} vs {:?}",
+            base.outcome, variant.outcome
+        ));
     }
     Ok(())
 }

@@ -9,19 +9,26 @@
 //! [`commit`]: a single ordered walk over the round's events in global
 //! `(time, node)` order, at every thread count.
 //!
-//! A planned packet meets one of three merge-time fates:
+//! Each member packet runs one attempt loop, the Data Transmission rule
+//! of Alg. 1 with §4.2's ACK/retry: the sender pays the transmit draw,
+//! the hop is acknowledged or refused, and a refusal retries while the
+//! budget lasts. An attempt's target and radio verdict come from one of
+//! two places:
 //!
-//! * **replayed** — its plan resolves against the live network as
-//!   stage 1 predicted it: a BS delivery, link-failure exhaustion, the
-//!   sender's own battery death, or an accepted queue offer. No master
-//!   RNG.
-//! * **conflicted** — its terminal hop meets a head that died mid-merge
-//!   or a queue verdict (full or past the fusion deadline) stage 1 could
-//!   not know. Counted per cause in [`MergeOutcome`]; with the retry
-//!   budget spent, the refusal is the packet's fate.
-//! * **retargeted** — a conflict with retry budget left. The packet
-//!   re-enters `choose_target` against the live network and every hop
-//!   samples the *master* RNG, so it must run in exact global order.
+//! * **the plan**, while it lasts. No master RNG is drawn. A planned hop
+//!   that lands on a head which died earlier in the merge, or that the
+//!   head's queue refuses (full, or past the fusion deadline), met a
+//!   verdict stage 1 could not know: that refusal is a *conflict*,
+//!   counted per cause in [`MergeOutcome`].
+//! * **the live network**, once the plan is spent with the packet's fate
+//!   still open and retry budget left. The packet goes live once
+//!   (counted in `retargets`); each further attempt asks
+//!   `Protocol::choose_target` and samples the *master* RNG, so it must
+//!   run in exact global order. A live refusal is an ordinary retry, not
+//!   a conflict.
+//!
+//! Every terminal fate is settled by one helper, [`settle`], which the
+//! aggregation phase in `sim.rs` shares.
 //!
 //! Retargets interleave with replays in that order, and under saturation
 //! they come early in the round (N = 10k at λ = 5 retargets 63 % of
@@ -45,32 +52,20 @@ use qlec_obs::{Event, ObserverSet, PacketFate};
 use qlec_radio::link::{AnyLink, LinkModel};
 use rand::{Rng, RngCore};
 
-/// Terminal failure cause of a member packet, attributed to its final
-/// attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum FailCause {
-    Dead,
-    Link,
-    QueueFull,
-    Deadline,
-}
-
-/// One planned radio attempt of a member packet (stage 1). `e` is the
-/// *requested* transmit draw; the merge replays it against the live
-/// battery with the same `can_supply`/`consume` guards as a live
-/// attempt, so a battery death planned in stage 1 (or induced by an
-/// earlier live continuation) resolves identically.
+/// One radio attempt of a member packet: its target, the *requested*
+/// transmit draw `e`, and the radio verdict `ok`. A planned attempt's
+/// verdict is stage 1's: for a head hop, the radio landed on a head that
+/// was alive with a queue slot at plan time (the head's aliveness at
+/// reception and the queue verdict resolve at merge time). The merge
+/// replays `e` against the live battery with the same
+/// `can_supply`/`consume` guards as a live attempt, so a battery death
+/// planned in stage 1 (or induced by an earlier live continuation)
+/// resolves identically.
 #[derive(Clone, Copy)]
-pub(crate) enum PlannedAttempt {
-    /// The hop failed: a radio/link loss, or the sender's battery could
-    /// not cover the draw (the merge's `can_supply` guard re-detects
-    /// the death).
-    Failed { target: Target, e: f64 },
-    /// A direct hop to the BS succeeded.
-    DeliveredBs { e: f64 },
-    /// The radio hop to head `h` landed; the queue verdict (and the
-    /// head's aliveness at reception) resolve at merge time.
-    ToHead { h: NodeId, e: f64 },
+pub(crate) struct PlannedAttempt {
+    pub(crate) target: Target,
+    pub(crate) e: f64,
+    pub(crate) ok: bool,
 }
 
 /// Stage-1 plan for one member packet: its attempts in order. Empty when
@@ -120,6 +115,39 @@ pub(crate) fn sample_hop(
     }
     let p = 1.0 - ((1.0 - link.delivery_probability(d)) * mult).min(1.0);
     rng.gen::<f64>() < p
+}
+
+/// Settle one packet's terminal fate: bump its counter, push its latency
+/// when it was delivered, and emit its `PacketOutcome` when observed.
+/// Every fate of the round — a head's own refused packet, a member
+/// packet's walk, and the aggregation phase — is settled here.
+pub(crate) fn settle(
+    counters: &mut PacketCounters,
+    latency: &mut Welford,
+    obs: &ObserverSet,
+    round: u32,
+    src: NodeId,
+    fate: PacketFate,
+) {
+    counters.record(&fate);
+    if let PacketFate::Delivered { latency_slots } = fate {
+        latency.push(latency_slots);
+    }
+    if obs.is_active() {
+        obs.emit(Event::PacketOutcome {
+            round,
+            src: src.0,
+            fate,
+        });
+    }
+}
+
+/// The fate of a packet a head queue refused.
+fn refused(reason: QueueDrop) -> PacketFate {
+    match reason {
+        QueueDrop::Full => PacketFate::DroppedQueueFull,
+        QueueDrop::Deadline => PacketFate::DroppedDeadline,
+    }
 }
 
 /// The immutable inputs of one round's merge: the time-ordered event
@@ -238,330 +266,191 @@ impl MergeOutcome {
     }
 }
 
+impl<P: Protocol + ?Sized> MergeState<'_, P> {
+    /// Stamp the next packet id on a packet `src` generated at `time`,
+    /// and count it generated.
+    fn generate(&mut self, src: NodeId, time: f64, bits: u64) -> Packet {
+        self.counters.generated += 1;
+        let id = *self.next_packet_id;
+        *self.next_packet_id += 1;
+        Packet {
+            id,
+            src,
+            created_at: time,
+            bits,
+        }
+    }
+}
+
 /// Commit one round's plans: the ordered walk.
 ///
-/// Replays plans in global `(time, node)` order: packet ids, battery
-/// consumes, head receptions, queue offers, counters, latency, events,
-/// and the per-hop protocol hooks — all sequential and deterministic.
-/// Queue verdicts and head aliveness are decided here (a head's battery
-/// evolves with the merged receptions): a planned hop onto a head that
-/// died mid-merge is a link drop, and a refused queue offer is terminal;
-/// both push the packet into the live continuation, which re-decides
-/// against the live network with the master RNG (the MDP's self-loop
-/// semantics).
+/// Walks the round's events in global `(time, node)` order: packet ids,
+/// battery consumes, head receptions, queue offers, settled fates,
+/// events, and the per-hop protocol hooks — all sequential and
+/// deterministic. A head's own sensing packet goes straight into its
+/// queue; a member packet runs the attempt loop of [`walk_packet`].
 pub(crate) fn commit<P: Protocol + ?Sized>(
     plan: &MergePlan<'_>,
     planned: &mut [PlannedNode],
     st: &mut MergeState<'_, P>,
 ) -> MergeOutcome {
-    let cfg = plan.cfg;
-    let round = plan.round;
-    let link = st.net.link;
-    let radio = st.net.radio;
     let mut stats = MergeOutcome::default();
-
     for &(time, src) in plan.events.iter() {
         let pi = plan.plan_index[src.index()];
-        if pi < 0 {
+        let fate = if pi < 0 {
             // A head's own sensing packet: checked and queued live —
             // its battery is drained by the merged receptions, so its
             // aliveness is only known here.
             if !st.net.node(src).is_alive() {
                 continue; // died earlier this round; generates nothing
             }
-            st.counters.generated += 1;
-            let pkt = Packet {
-                id: *st.next_packet_id,
-                src,
-                created_at: time,
-                bits: cfg.packet_bits,
-            };
-            *st.next_packet_id += 1;
-            let src_slot = plan.head_slot[src.index()];
-            debug_assert!(src_slot >= 0, "unplanned generator must be a head");
-            let q = &mut st.queues[src_slot as usize];
-            let fate = match q.offer(pkt, time) {
+            let pkt = st.generate(src, time, plan.cfg.packet_bits);
+            let slot = plan.head_slot[src.index()];
+            debug_assert!(slot >= 0, "unplanned generator must be a head");
+            match st.queues[slot as usize].offer(pkt, time) {
                 Offer::Accepted { .. } => None,
-                Offer::Dropped(QueueDrop::Full) => {
-                    st.counters.dropped_queue_full += 1;
-                    Some(PacketFate::DroppedQueueFull)
-                }
-                Offer::Dropped(QueueDrop::Deadline) => {
-                    st.counters.dropped_deadline += 1;
-                    Some(PacketFate::DroppedDeadline)
-                }
-            };
-            if st.obs.is_active() {
-                if let Some(fate) = fate {
-                    st.obs.emit(Event::PacketOutcome {
-                        round,
-                        src: src.0,
-                        fate,
-                    });
-                }
+                Offer::Dropped(reason) => Some(refused(reason)),
             }
-            continue;
-        }
-
-        let k = {
+        } else {
             let pn = &mut planned[pi as usize];
             let k = pn.cursor;
             pn.cursor += 1;
-            k
-        };
-        if !st.net.node(src).is_alive() {
-            continue; // died earlier this round; generates nothing
-        }
-        let pkt_plan = &planned[pi as usize].packets[k];
-        st.counters.generated += 1;
-        let pkt = Packet {
-            id: *st.next_packet_id,
-            src,
-            created_at: time,
-            bits: cfg.packet_bits,
-        };
-        *st.next_packet_id += 1;
-
-        // Replay the planned attempts against the live network.
-        // Exactly one outcome bucket is incremented per packet,
-        // attributed to the *final* attempt's failure cause.
-        let mut fail = FailCause::Link;
-        let mut resolved = false;
-        let mut attempt: u32 = 0;
-        st.protocol.on_packet_start(src);
-        for att in pkt_plan.iter() {
             if !st.net.node(src).is_alive() {
-                fail = FailCause::Dead;
-                break;
+                continue; // died earlier this round; generates nothing
             }
-            if attempt > 0 {
-                st.counters.retried += 1;
-                if st.obs.is_active() {
-                    st.obs.emit(Event::PacketRetried {
-                        round,
-                        src: src.0,
-                        attempt,
-                    });
-                }
-            }
-            let attempt_time = time + attempt as f64 * cfg.hop_delay;
-            let (target, e) = match *att {
-                PlannedAttempt::Failed { target, e } => (target, e),
-                PlannedAttempt::DeliveredBs { e } => (Target::Bs, e),
-                PlannedAttempt::ToHead { h, e } => (Target::Head(h), e),
-            };
-            let sender = st.net.node_mut(src);
-            if !sender.battery.can_supply(e) {
-                // The planned draw drains the battery flat — the
-                // plan's own death, or an earlier live continuation
-                // spent extra energy the plan didn't know about.
-                st.breakdown.member_tx += sender.battery.consume(e);
-                st.protocol.on_hop_result(src, target, false);
-                fail = FailCause::Dead;
-                break;
-            }
-            sender.battery.consume(e);
-            st.breakdown.member_tx += e;
-            match *att {
-                PlannedAttempt::Failed { .. } => {
-                    fail = FailCause::Link;
-                    st.protocol.on_hop_result(src, target, false);
-                }
-                PlannedAttempt::DeliveredBs { .. } => {
-                    st.counters.delivered += 1;
-                    let lat = attempt_time + cfg.hop_delay - pkt.created_at;
-                    st.latency.push(lat);
-                    if st.obs.is_active() {
-                        st.obs.emit(Event::PacketOutcome {
-                            round,
-                            src: src.0,
-                            fate: PacketFate::Delivered { latency_slots: lat },
-                        });
-                    }
-                    st.protocol.on_hop_result(src, target, true);
-                    resolved = true;
-                }
-                PlannedAttempt::ToHead { h, .. } => {
-                    let h_slot = plan.head_slot[h.index()];
-                    if !st.net.node(h).is_alive() || h_slot < 0 {
-                        // The head ran dry earlier in the merge: the
-                        // planned hop lands on a dead radio.
-                        stats.conflicts += 1;
-                        stats.conflict_dead_head += 1;
-                        fail = FailCause::Link;
-                        st.protocol.on_hop_result(src, target, false);
-                    } else {
-                        // Reception costs the head energy even if its
-                        // queue then refuses the packet.
-                        st.breakdown.head_rx += st
-                            .net
-                            .node_mut(h)
-                            .battery
-                            .consume(radio.rx_energy(cfg.packet_bits));
-                        let q = &mut st.queues[h_slot as usize];
-                        match q.offer(pkt, attempt_time + cfg.hop_delay) {
-                            Offer::Accepted { .. } => {
-                                st.protocol.on_hop_result(src, target, true);
-                                resolved = true;
-                            }
-                            Offer::Dropped(reason) => {
-                                // A planned hop refused by the live
-                                // queue state — stage 1 could not
-                                // have known.
-                                stats.conflicts += 1;
-                                fail = match reason {
-                                    QueueDrop::Full => {
-                                        stats.conflict_queue_full += 1;
-                                        FailCause::QueueFull
-                                    }
-                                    QueueDrop::Deadline => {
-                                        stats.conflict_deadline += 1;
-                                        FailCause::Deadline
-                                    }
-                                };
-                                st.protocol.on_hop_result(src, target, false);
-                            }
-                        }
-                    }
-                }
-            }
-            attempt += 1;
-            if resolved {
-                break;
-            }
+            let pkt = st.generate(src, time, plan.cfg.packet_bits);
+            st.protocol.on_packet_start(src);
+            walk_packet(plan, &planned[pi as usize].packets[k], pkt, st, &mut stats)
+        };
+        if let Some(fate) = fate {
+            settle(st.counters, st.latency, st.obs, plan.round, src, fate);
         }
+    }
+    stats
+}
 
-        // Live continuation: the plan ended on a contingency stage 1
-        // could not resolve — a queue refusal or a head that died
-        // mid-merge. The remaining retries re-decide against the
-        // live network (the MDP's self-loop semantics), drawing from
-        // the master RNG; the walk is sequential, so this stays
-        // identical at every thread count.
-        if !resolved && !matches!(fail, FailCause::Dead) {
-            if attempt <= cfg.member_retries {
+/// The attempt loop of one member packet. Attempts come from its plan
+/// while the plan lasts; after that, while retry budget is left, from
+/// the protocol's `choose_target` against the live network with a
+/// master-RNG radio sample. Returns the packet's terminal fate, or
+/// `None` when a head queue accepted it (the aggregation phase settles
+/// it at round end).
+fn walk_packet<P: Protocol + ?Sized>(
+    plan: &MergePlan<'_>,
+    attempts: &[PlannedAttempt],
+    pkt: Packet,
+    st: &mut MergeState<'_, P>,
+    stats: &mut MergeOutcome,
+) -> Option<PacketFate> {
+    let cfg = plan.cfg;
+    let src = pkt.src;
+    let link = st.net.link;
+    let radio = st.net.radio;
+    // The latest attempt's failure: the packet's fate if no retry follows.
+    let mut fate = PacketFate::DroppedLink;
+    let mut attempt: u32 = 0;
+    loop {
+        let next = attempts.get(attempt as usize).copied();
+        let planned = next.is_some();
+        if !planned {
+            if attempt > cfg.member_retries {
+                return Some(fate);
+            }
+            if attempt as usize == attempts.len() {
+                // The plan ran out on a contingency stage 1 could not
+                // resolve: the remaining retries re-decide against the
+                // live network (the MDP's self-loop semantics).
                 stats.retargets += 1;
             }
-            while attempt <= cfg.member_retries {
-                if !st.net.node(src).is_alive() {
-                    fail = FailCause::Dead;
-                    break;
-                }
-                if attempt > 0 {
-                    st.counters.retried += 1;
-                    if st.obs.is_active() {
-                        st.obs.emit(Event::PacketRetried {
-                            round,
-                            src: src.0,
-                            attempt,
-                        });
-                    }
-                }
-                let attempt_time = time + attempt as f64 * cfg.hop_delay;
-                let target = st
-                    .protocol
-                    .choose_target(st.net, src, plan.heads, &mut *st.rng);
-                let d = match target {
-                    Target::Bs => st.net.dist_to_bs(src),
-                    Target::Head(h) => st.net.distance(src, h),
-                };
-                let e = radio.tx_energy(cfg.packet_bits, d);
-                let sender = st.net.node_mut(src);
-                if !sender.battery.can_supply(e) {
-                    st.breakdown.member_tx += sender.battery.consume(e);
-                    st.protocol.on_hop_result(src, target, false);
-                    fail = FailCause::Dead;
-                    break;
-                }
-                sender.battery.consume(e);
-                st.breakdown.member_tx += e;
-                match target {
-                    Target::Bs => {
-                        if sample_hop(st.faults, &link, &mut *st.rng, d, src.0, None) {
-                            st.counters.delivered += 1;
-                            let lat = attempt_time + cfg.hop_delay - pkt.created_at;
-                            st.latency.push(lat);
-                            if st.obs.is_active() {
-                                st.obs.emit(Event::PacketOutcome {
-                                    round,
-                                    src: src.0,
-                                    fate: PacketFate::Delivered { latency_slots: lat },
-                                });
-                            }
-                            st.protocol.on_hop_result(src, target, true);
-                            resolved = true;
-                        } else {
-                            fail = FailCause::Link;
-                            st.protocol.on_hop_result(src, target, false);
-                        }
-                    }
-                    Target::Head(h) => {
-                        let head_alive = st.net.node(h).is_alive();
-                        let radio_ok =
-                            sample_hop(st.faults, &link, &mut *st.rng, d, src.0, Some(h.0));
-                        let h_slot = plan.head_slot[h.index()];
-                        if !radio_ok || !head_alive || h_slot < 0 {
-                            fail = FailCause::Link;
-                            st.protocol.on_hop_result(src, target, false);
-                        } else {
-                            st.breakdown.head_rx += st
-                                .net
-                                .node_mut(h)
-                                .battery
-                                .consume(radio.rx_energy(cfg.packet_bits));
-                            let q = &mut st.queues[h_slot as usize];
-                            match q.offer(pkt, attempt_time + cfg.hop_delay) {
-                                Offer::Accepted { .. } => {
-                                    st.protocol.on_hop_result(src, target, true);
-                                    resolved = true;
-                                }
-                                Offer::Dropped(reason) => {
-                                    fail = match reason {
-                                        QueueDrop::Full => FailCause::QueueFull,
-                                        QueueDrop::Deadline => FailCause::Deadline,
-                                    };
-                                    st.protocol.on_hop_result(src, target, false);
-                                }
-                            }
-                        }
-                    }
-                }
-                attempt += 1;
-                if resolved {
-                    break;
-                }
-            }
         }
-
-        if !resolved {
-            let fate = match fail {
-                FailCause::Dead => {
-                    st.counters.dropped_dead += 1;
-                    PacketFate::DroppedDead
-                }
-                FailCause::Link => {
-                    st.counters.dropped_link += 1;
-                    PacketFate::DroppedLink
-                }
-                FailCause::QueueFull => {
-                    st.counters.dropped_queue_full += 1;
-                    PacketFate::DroppedQueueFull
-                }
-                FailCause::Deadline => {
-                    st.counters.dropped_deadline += 1;
-                    PacketFate::DroppedDeadline
-                }
-            };
+        if !st.net.node(src).is_alive() {
+            return Some(PacketFate::DroppedDead);
+        }
+        if attempt > 0 {
+            st.counters.retried += 1;
             if st.obs.is_active() {
-                st.obs.emit(Event::PacketOutcome {
-                    round,
+                st.obs.emit(Event::PacketRetried {
+                    round: plan.round,
                     src: src.0,
-                    fate,
+                    attempt,
                 });
             }
         }
+        let att = next.unwrap_or_else(|| {
+            let target = st
+                .protocol
+                .choose_target(st.net, src, plan.heads, &mut *st.rng);
+            let (d, dst) = match target {
+                Target::Bs => (st.net.dist_to_bs(src), None),
+                Target::Head(h) => (st.net.distance(src, h), Some(h.0)),
+            };
+            let e = radio.tx_energy(cfg.packet_bits, d);
+            // The radio is sampled only for a draw the battery can pay,
+            // and a head hop is sampled whether or not the head is alive.
+            let ok = st.net.node(src).battery.can_supply(e)
+                && sample_hop(st.faults, &link, &mut *st.rng, d, src.0, dst);
+            PlannedAttempt { target, e, ok }
+        });
+        let sender = &mut st.net.node_mut(src).battery;
+        if !sender.can_supply(att.e) {
+            // The draw drains the battery flat — the plan's own death,
+            // or an earlier live continuation spent extra energy the
+            // plan didn't know about.
+            st.breakdown.member_tx += sender.consume(att.e);
+            st.protocol.on_hop_result(src, att.target, false);
+            return Some(PacketFate::DroppedDead);
+        }
+        sender.consume(att.e);
+        st.breakdown.member_tx += att.e;
+        let landed = pkt.created_at + attempt as f64 * cfg.hop_delay + cfg.hop_delay;
+        // `Ok` ends the walk (`None`: a head queue took the packet);
+        // `Err` is this attempt's failure.
+        let verdict = match att.target {
+            _ if !att.ok => Err(PacketFate::DroppedLink),
+            Target::Bs => Ok(Some(PacketFate::Delivered {
+                latency_slots: landed - pkt.created_at,
+            })),
+            Target::Head(h) => {
+                let slot = plan.head_slot[h.index()];
+                if !st.net.node(h).is_alive() || slot < 0 {
+                    // The head ran dry earlier in the merge: the hop
+                    // lands on a dead radio.
+                    if planned {
+                        stats.conflicts += 1;
+                        stats.conflict_dead_head += 1;
+                    }
+                    Err(PacketFate::DroppedLink)
+                } else {
+                    // Reception costs the head energy even if its queue
+                    // then refuses the packet.
+                    st.breakdown.head_rx += st
+                        .net
+                        .node_mut(h)
+                        .battery
+                        .consume(radio.rx_energy(cfg.packet_bits));
+                    match st.queues[slot as usize].offer(pkt, landed) {
+                        Offer::Accepted { .. } => Ok(None),
+                        Offer::Dropped(reason) => {
+                            if planned {
+                                stats.conflicts += 1;
+                                match reason {
+                                    QueueDrop::Full => stats.conflict_queue_full += 1,
+                                    QueueDrop::Deadline => stats.conflict_deadline += 1,
+                                }
+                            }
+                            Err(refused(reason))
+                        }
+                    }
+                }
+            }
+        };
+        st.protocol.on_hop_result(src, att.target, verdict.is_ok());
+        match verdict {
+            Ok(done) => return done,
+            Err(failed) => fate = failed,
+        }
+        attempt += 1;
     }
-
-    stats
 }
 
 #[cfg(test)]

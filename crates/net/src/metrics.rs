@@ -11,6 +11,7 @@
 //! tests and checked (debug) at the end of every round.
 
 use qlec_geom::stats::Welford;
+use qlec_obs::PacketFate;
 use serde::{Deserialize, Serialize};
 
 /// Packet outcome counters for one round (or aggregated over a run).
@@ -59,6 +60,19 @@ impl PacketCounters {
         } else {
             self.delivered as f64 / self.generated as f64
         }
+    }
+
+    /// Count one packet's terminal fate: `delivered`, or the matching
+    /// `dropped_*` bucket.
+    pub(crate) fn record(&mut self, fate: &PacketFate) {
+        *match fate {
+            PacketFate::Delivered { .. } => &mut self.delivered,
+            PacketFate::DroppedLink => &mut self.dropped_link,
+            PacketFate::DroppedQueueFull => &mut self.dropped_queue_full,
+            PacketFate::DroppedDeadline => &mut self.dropped_deadline,
+            PacketFate::DroppedAggregate => &mut self.dropped_aggregate,
+            PacketFate::DroppedDead => &mut self.dropped_dead,
+        } += 1;
     }
 
     /// Accumulate another counter set.
@@ -419,6 +433,45 @@ mod tests {
         assert!(c.is_conserved());
         assert_eq!(c.total_dropped(), 3);
         assert!((c.pdr() - 0.7).abs() < 1e-12);
+    }
+
+    /// Each fate lands in exactly one bucket — `delivered` or its own
+    /// `dropped_*` — so a settled mix balances against `generated`.
+    #[test]
+    fn record_counts_each_fate_in_its_own_bucket() {
+        let fates = [
+            PacketFate::Delivered { latency_slots: 2.5 },
+            PacketFate::DroppedLink,
+            PacketFate::DroppedQueueFull,
+            PacketFate::DroppedDeadline,
+            PacketFate::DroppedAggregate,
+            PacketFate::DroppedDead,
+        ];
+        let buckets = |c: &PacketCounters| {
+            [
+                c.delivered,
+                c.dropped_link,
+                c.dropped_queue_full,
+                c.dropped_deadline,
+                c.dropped_aggregate,
+                c.dropped_dead,
+            ]
+        };
+        for (i, fate) in fates.iter().enumerate() {
+            let mut c = PacketCounters::default();
+            c.record(fate);
+            let mut want = [0; 6];
+            want[i] = 1;
+            assert_eq!(buckets(&c), want, "{fate:?}");
+            assert_eq!((c.generated, c.retried), (0, 0), "{fate:?}");
+        }
+        let mut mix = PacketCounters::default();
+        for fate in fates.iter().cycle().take(23) {
+            mix.generated += 1;
+            mix.record(fate);
+        }
+        assert!(mix.is_conserved(), "{mix:?}");
+        assert_eq!(mix.delivered, 4);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! across protocols, does not.
 
 use crate::merge::{
-    self, sample_hop, MergeOutcome, MergePlan, MergeState, PacketPlan, PlannedAttempt, PlannedNode,
+    self, sample_hop, settle, MergeOutcome, MergePlan, MergeState, PacketPlan, PlannedAttempt,
+    PlannedNode,
 };
 use crate::metrics::{EnergyBreakdown, LifespanInfo, PacketCounters, RoundMetrics, SimReport};
 use crate::network::Network;
@@ -80,11 +81,11 @@ pub struct SimConfig {
     /// Whether heads sense and contribute their own packets (fed straight
     /// into their queue, no radio hop).
     pub heads_generate: bool,
-    /// Worker threads for the data-parallel phases of the round engine
-    /// (`0` = use every available core). Pure throughput knob: traffic
-    /// generation and member routing draw from per-(seed, round, node)
-    /// RNG streams and are merged in stable node order, so event streams
-    /// and reports are byte-identical at every setting.
+    /// Worker threads for stage-1 member planning, the round engine's one
+    /// data-parallel phase (`0` = use every available core). Pure
+    /// throughput knob: planning draws from per-(seed, round, node) RNG
+    /// streams and is merged in stable node order, so event streams and
+    /// reports are byte-identical at every setting.
     pub threads: usize,
 }
 
@@ -548,13 +549,12 @@ impl Simulator {
         //
         // *Stage 2 — merge.* Plans replay in global (time, node) order:
         // packet ids, battery consumes, head receptions, queue offers,
-        // counters, latency, events, and the per-hop protocol hooks —
-        // all sequential and deterministic. Queue verdicts and head
+        // settled fates, events, and the per-hop protocol hooks — all
+        // sequential and deterministic. Queue verdicts and head
         // aliveness are decided here (a head's battery evolves with the
-        // merged receptions): a planned hop onto a head that died
-        // mid-merge is a link drop, and a refused queue offer is
-        // terminal. Planner scratch is absorbed back in ascending node
-        // order.
+        // merged receptions); a packet whose plan meets one it could
+        // not know retries live (`crate::merge`). Planner scratch is
+        // absorbed back in ascending node order.
         let mut counters = PacketCounters::default();
         let mut latency = Welford::new();
         let mut breakdown = EnergyBreakdown::default();
@@ -805,31 +805,16 @@ impl Simulator {
                 }
             }
 
-            if ok {
-                for (pkt, completed_at) in processed {
-                    counters.delivered += 1;
+            for (pkt, completed_at) in processed {
+                let fate = if ok {
                     let queueing = completed_at - pkt.created_at;
-                    let lat = queueing + hops_done as f64 * cfg.hop_delay;
-                    latency.push(lat);
-                    if self.obs.is_active() {
-                        self.obs.emit(Event::PacketOutcome {
-                            round,
-                            src: pkt.src.0,
-                            fate: PacketFate::Delivered { latency_slots: lat },
-                        });
+                    PacketFate::Delivered {
+                        latency_slots: queueing + hops_done as f64 * cfg.hop_delay,
                     }
-                }
-            } else {
-                counters.dropped_aggregate += processed.len() as u64;
-                if self.obs.is_active() {
-                    for (pkt, _) in processed {
-                        self.obs.emit(Event::PacketOutcome {
-                            round,
-                            src: pkt.src.0,
-                            fate: PacketFate::DroppedAggregate,
-                        });
-                    }
-                }
+                } else {
+                    PacketFate::DroppedAggregate
+                };
+                settle(&mut counters, &mut latency, &self.obs, round, pkt.src, fate);
             }
         }
         serial_busy(
@@ -922,51 +907,36 @@ fn plan_member_packets(
         }
         planner.begin_packet(src, scratch);
         let mut attempts = Vec::new();
-        let mut resolved = false;
         for _ in 0..=cfg.member_retries {
             if residual <= 0.0 {
                 break;
             }
             let target = planner.plan_target(net, src, heads, &mut prng, scratch);
-            let d = match target {
-                Target::Bs => net.dist_to_bs(src),
-                Target::Head(h) => net.distance(src, h),
+            let (d, dst) = match target {
+                Target::Bs => (net.dist_to_bs(src), None),
+                Target::Head(h) => (net.distance(src, h), Some(h.0)),
             };
             let e = radio.tx_energy(cfg.packet_bits, d);
-            if residual < e {
+            let ok = if residual < e {
                 // Partial supply: this draw drains the battery flat.
                 residual = 0.0;
-                attempts.push(PlannedAttempt::Failed { target, e });
-                planner.plan_hop_result(src, target, false, scratch);
-                break;
-            }
-            residual -= e;
-            match target {
-                Target::Bs => {
-                    if sample_hop(faults, &link, &mut lrng, d, src.0, None) {
-                        attempts.push(PlannedAttempt::DeliveredBs { e });
-                        planner.plan_hop_result(src, target, true, scratch);
-                        resolved = true;
-                    } else {
-                        attempts.push(PlannedAttempt::Failed { target, e });
-                        planner.plan_hop_result(src, target, false, scratch);
+                false
+            } else {
+                residual -= e;
+                // The radio verdict is drawn before the head's aliveness
+                // is tested, so a dead head costs the same LINK draw.
+                let radio_ok = sample_hop(faults, &link, &mut lrng, d, src.0, dst);
+                match target {
+                    Target::Bs => radio_ok,
+                    // Optimistic: the queue verdict lands at merge.
+                    Target::Head(h) => {
+                        radio_ok && net.node(h).is_alive() && head_slot[h.index()] >= 0
                     }
                 }
-                Target::Head(h) => {
-                    let head_alive = net.node(h).is_alive();
-                    let radio_ok = sample_hop(faults, &link, &mut lrng, d, src.0, Some(h.0));
-                    if !radio_ok || !head_alive || head_slot[h.index()] < 0 {
-                        attempts.push(PlannedAttempt::Failed { target, e });
-                        planner.plan_hop_result(src, target, false, scratch);
-                    } else {
-                        // Optimistic: the queue verdict lands at merge.
-                        attempts.push(PlannedAttempt::ToHead { h, e });
-                        planner.plan_hop_result(src, target, true, scratch);
-                        resolved = true;
-                    }
-                }
-            }
-            if resolved {
+            };
+            attempts.push(PlannedAttempt { target, e, ok });
+            planner.plan_hop_result(src, target, ok, scratch);
+            if ok {
                 break;
             }
         }

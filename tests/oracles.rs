@@ -682,7 +682,7 @@ fn plain_election_draws_match_the_rotating_threshold() {
 /// last-resort promotion fills the empty rounds. QLEC's top-up and trim
 /// restore the count but not the rotation.
 #[test]
-#[ignore = "known defect: DEEC eligibility has no epoch reset (ROADMAP item 5)"]
+#[ignore = "known defect: DEEC eligibility has no epoch reset (ROADMAP item 2(a))"]
 fn plain_election_keeps_k_heads_in_every_epoch() {
     let p = ELECTION_K as f64 / ELECTION_N as f64;
     let epochs = 3;
