@@ -21,7 +21,6 @@ use qlec_net::{Network, NodeId, Protocol, Target};
 use qlec_obs::{Event, ObserverSet, Phase};
 use rand::RngCore;
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// `retarget_slot` entry of a source not ranked yet this round.
 const UNRANKED: (u32, u32) = (u32::MAX, 0);
@@ -121,9 +120,8 @@ fn alive_prefix(
 ) {
     out.clear();
     for id in ranking {
-        let h = NodeId(id);
-        if net.node(h).is_alive() {
-            out.push(h);
+        if net.arena().is_alive(id as usize) {
+            out.push(NodeId(id));
             if out.len() == c {
                 break;
             }
@@ -629,10 +627,14 @@ impl Protocol for QlecProtocol {
 /// and `updates` are the bookkeeping that [`QlecProtocol::absorb_plan`]
 /// commits.
 struct QlecPlanScratch {
+    /// `V*(src)`, carried across this node's planned packets.
     v_src: f64,
-    /// Pending link-belief updates, keyed by destination (`u32::MAX` =
-    /// BS) — all entries share `src`, so the source id is implicit.
-    overlay: HashMap<u32, f64>,
+    /// Pending link beliefs `(destination, P̂)` (`u32::MAX` = BS), one
+    /// entry per target this node's planned attempts reached. All share
+    /// `src`, so the source id is implicit. A node only ever targets its
+    /// candidate window plus the BS, a handful of entries, so a linear
+    /// scan beats hashing.
+    overlay: Vec<(u32, f64)>,
     /// Targets that NACKed the packet currently being planned.
     nacked: Vec<Target>,
     /// This node's pruned candidate set, computed on its first planned
@@ -659,7 +661,7 @@ impl RoutePlanner for QlecProtocol {
     fn begin_node(&self, _net: &Network, src: NodeId) -> PlanScratch {
         Box::new(QlecPlanScratch {
             v_src: self.router.as_ref().map_or(0.0, |r| r.v_of(src)),
-            overlay: HashMap::new(),
+            overlay: Vec::new(),
             nacked: Vec::new(),
             candidate_buf: Vec::new(),
             knn_ready: false,
@@ -730,10 +732,11 @@ impl RoutePlanner for QlecProtocol {
             } else {
                 heads
             };
-            let overlay_ref: &HashMap<u32, f64> = overlay;
+            let overlay: &[(u32, f64)] = overlay;
             let p_base = |t: Target| -> f64 {
-                match overlay_ref.get(&overlay_key(t)) {
-                    Some(&p) => p,
+                let key = overlay_key(t);
+                match overlay.iter().find(|e| e.0 == key) {
+                    Some(&(_, p)) => p,
                     None => router.links().probability(src, t),
                 }
             };
@@ -764,14 +767,14 @@ impl RoutePlanner for QlecProtocol {
             .downcast_mut::<QlecPlanScratch>()
             .expect("QlecProtocol scratch");
         if let Some(router) = self.router.as_ref() {
-            let key = overlay_key(target);
-            let current = s
-                .overlay
-                .get(&key)
-                .copied()
-                .unwrap_or_else(|| router.links().probability(src, target));
-            s.overlay
-                .insert(key, router.links().updated(current, success));
+            let (links, key) = (router.links(), overlay_key(target));
+            match s.overlay.iter_mut().find(|e| e.0 == key) {
+                Some((_, p)) => *p = links.updated(*p, success),
+                None => {
+                    let p = links.updated(links.probability(src, target), success);
+                    s.overlay.push((key, p));
+                }
+            }
         }
         if !success {
             s.nacked.push(target);
@@ -917,8 +920,9 @@ mod tests {
 
     #[test]
     fn candidate_pruning_off_or_inert_is_identical() {
-        // The knob defaults off; a budget the head set never exceeds must
-        // also leave every code path untouched. Identical RNG streams ⇒
+        // The default `CandidatePolicy::Auto` is inert at k = 5 (its
+        // budget is k), as is a budget the head set never exceeds: both
+        // runs take the unpruned path. Identical RNG streams ⇒
         // identical reports.
         let run = |c: Option<usize>| {
             let net = paper_net(21, AnyLink::Ideal(IdealLink));
@@ -1113,6 +1117,77 @@ mod tests {
             p.choose_target(&net, src, &heads, &mut StdRng::seed_from_u64(0));
             assert_eq!(p.candidate_buf, uncached_candidates(&p, &net, src), "{src}");
         }
+    }
+
+    #[test]
+    fn planner_path_is_bit_identical_to_the_live_path() {
+        // Production runs plan through `plan_target` / `plan_hop_result`,
+        // which keep V*(src) and the pending link beliefs in the per-node
+        // scratch; the live path (`choose_target` + `on_hop_result`)
+        // writes both in place. For one source over many packets, with
+        // NACK churn and a dead head in its candidate window, the two
+        // must agree bit for bit: targets, per-decision deltas, the final
+        // V*(src) and the elementary-update count.
+        let setup = || {
+            let mut rng = StdRng::seed_from_u64(81);
+            let mut net = NetworkBuilder::new()
+                .link(AnyLink::Ideal(IdealLink))
+                .uniform_cube(&mut rng, 400, 200.0, 5.0);
+            let mut p = QlecProtocol::builder().k(40).candidate_heads(4).build();
+            let heads = p.on_round_start(&mut net, 0, &mut rng);
+            (net, p, heads)
+        };
+        let (mut net, mut planned, heads) = setup();
+        let (mut live_net, mut live, live_heads) = setup();
+        assert_eq!(heads, live_heads);
+        assert!(planned.candidates_active, "premise: pruning is binding");
+        let src = net.ids().find(|id| !heads.contains(id)).expect("a member");
+        // Kill the nearest head of `src`'s window in both networks.
+        let victim = uncached_candidates(&planned, &net, src)[0];
+        net.node_mut(victim).battery.consume(10.0);
+        live_net.node_mut(victim).battery.consume(10.0);
+
+        let planner = planned.planner().expect("QLEC plans");
+        let mut scratch = planner.begin_node(&net, src);
+        let mut rng = StdRng::seed_from_u64(0);
+        let (mut live_deltas, mut targets) = (Vec::new(), Vec::new());
+        let mut x: u64 = 0x2545_F491;
+        for packet in 0..300 {
+            planner.begin_packet(src, &mut scratch);
+            live.on_packet_start(src);
+            for attempt in 0..4 {
+                let a = planner.plan_target(&net, src, &heads, &mut rng, &mut scratch);
+                let b = live.choose_target(&live_net, src, &heads, &mut rng);
+                assert_eq!(a, b, "packet {packet} attempt {attempt}");
+                assert_ne!(a, Target::Head(victim), "dead head chosen");
+                live_deltas.push(live.router().expect("router").last_delta());
+                targets.push(a);
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let success = (x >> 33).is_multiple_of(3);
+                planner.plan_hop_result(src, a, success, &mut scratch);
+                live.on_hop_result(src, b, success);
+                if success {
+                    break;
+                }
+            }
+        }
+        targets.sort_unstable_by_key(|t| match t {
+            Target::Head(h) => h.0,
+            Target::Bs => u32::MAX,
+        });
+        targets.dedup();
+        assert!(targets.len() >= 3, "premise: NACKs move the argmax");
+        let s = scratch
+            .downcast_ref::<QlecPlanScratch>()
+            .expect("QlecProtocol scratch");
+        let bits = |d: &[f64]| d.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&s.deltas), bits(&live_deltas), "per-decision deltas");
+        planned.absorb_plan(src, scratch);
+        let v = |p: &QlecProtocol| p.router().expect("router").v_of(src).to_bits();
+        assert_eq!(v(&planned), v(&live), "V*(src) bits");
+        assert_eq!(planned.q_updates(), live.q_updates(), "update counts");
     }
 
     #[test]

@@ -29,27 +29,58 @@ use crate::params::QlecParams;
 use qlec_mdp::UpdateCounter;
 use qlec_net::{Network, NodeId, Target};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Key for the link-probability table: `(source, destination)` with
-/// `u32::MAX` standing in for the base station.
-type LinkKey = (u32, u32);
-
+/// Destination half of a link key that stands for the base station.
 const BS_KEY: u32 = u32::MAX;
 
-fn key_of(src: NodeId, target: Target) -> LinkKey {
-    match target {
-        Target::Bs => (src.0, BS_KEY),
-        Target::Head(h) => (src.0, h.0),
+/// Key for the link-probability table: the source id in the high half,
+/// the destination id (or [`BS_KEY`]) in the low half.
+fn key_of(src: NodeId, target: Target) -> u64 {
+    let dst = match target {
+        Target::Bs => BS_KEY,
+        Target::Head(h) => h.0,
+    };
+    u64::from(src.0) << 32 | u64::from(dst)
+}
+
+/// The link table's hasher: one 64×64→128-bit multiply folded to 64
+/// bits, which spreads both key halves over the bucket index and the
+/// control bits. Keys are node ids the program assigns, not outside
+/// input, so SipHash's flooding resistance buys nothing here, while its
+/// cost was paid on every Send-Data action.
+#[derive(Default)]
+struct LinkKeyHasher(u64);
+
+impl Hasher for LinkKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("link keys hash through write_u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let m = u128::from(key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ (m >> 64) as u64;
     }
 }
 
 /// ACK-ratio link-probability estimator (§4.2, following \[2\]): an EWMA
 /// of transmission outcomes per directed link, with an optimistic prior.
+///
+/// One table holds every link, keyed by the packed `(src, dst)` id pair
+/// (see `key_of`) under a fixed integer hasher. Per-source rows of
+/// `(target, P̂)` pairs were measured as the alternative: no faster on
+/// the `saturated-10k` benchmark workload, and on `sparse-100k` they
+/// would add 24 B per node plus one allocation per transmitting source,
+/// about 3 MiB of a 35–38 MiB peak.
 #[derive(Debug, Clone)]
 pub struct LinkEstimator {
     weight: f64,
     prior: f64,
-    table: HashMap<LinkKey, f64>,
+    table: HashMap<u64, f64, BuildHasherDefault<LinkKeyHasher>>,
 }
 
 impl LinkEstimator {
@@ -60,7 +91,7 @@ impl LinkEstimator {
         LinkEstimator {
             weight,
             prior,
-            table: HashMap::new(),
+            table: HashMap::default(),
         }
     }
 
@@ -97,8 +128,10 @@ impl LinkEstimator {
     /// links survive as long as their source does (the BS is
     /// mains-powered).
     pub fn prune_dead(&mut self, net: &Network) {
-        self.table.retain(|&(src, dst), _| {
-            net.node(NodeId(src)).is_alive() && (dst == BS_KEY || net.node(NodeId(dst)).is_alive())
+        let arena = net.arena();
+        self.table.retain(|&key, _| {
+            let (src, dst) = ((key >> 32) as usize, key as u32);
+            arena.is_alive(src) && (dst == BS_KEY || arena.is_alive(dst as usize))
         });
     }
 }
@@ -180,7 +213,7 @@ impl QRouter {
 
     /// Normalized residual fraction `x(b_i)`.
     fn x(&self, net: &Network, id: NodeId) -> f64 {
-        let b = &net.node(id).battery;
+        let b = &net.arena().batteries()[id.index()];
         if b.initial() > 0.0 {
             b.residual() / b.initial()
         } else {
@@ -198,27 +231,32 @@ impl QRouter {
         net.radio.amp_energy(1, d) / self.y_ref
     }
 
-    /// Eq. 17 / Eq. 19: reward for a *successful* hop from `src` to
-    /// `target`. `penalize_bs` applies the `l` penalty of Eq. 19 (true
-    /// for members, false for heads doing their aggregate duty).
-    fn reward_success(&self, net: &Network, src: NodeId, target: Target, penalize_bs: bool) -> f64 {
+    /// Eq. 17 / Eq. 19: reward for a *successful* hop, from the source's
+    /// `x(b_i)`, the target's `x(h_j)` (`x_bs` for the BS) and the hop's
+    /// `y(b_i, h_j)`. `bs_penalty` applies the `l` penalty of Eq. 19
+    /// (a member's BS hop; heads doing their aggregate duty are exempt).
+    fn reward_success(&self, x_src: f64, x_target: f64, y: f64, bs_penalty: bool) -> f64 {
         let p = &self.params;
-        let x_target = match target {
-            Target::Bs => p.x_bs,
-            Target::Head(h) => self.x(net, h),
-        };
-        let mut r =
-            -p.g + p.alpha1 * (self.x(net, src) + x_target) - p.alpha2 * self.y(net, src, target);
-        if penalize_bs && target == Target::Bs {
+        let mut r = -p.g + p.alpha1 * (x_src + x_target) - p.alpha2 * y;
+        if bs_penalty {
             r -= p.l;
         }
         r
     }
 
     /// Eq. 20: reward for a failed hop (stay in state `b_i`).
-    fn reward_failure(&self, net: &Network, src: NodeId, target: Target) -> f64 {
+    fn reward_failure(&self, x_src: f64, y: f64) -> f64 {
         let p = &self.params;
-        -p.g + p.beta1 * self.x(net, src) - p.beta2 * self.y(net, src, target)
+        -p.g + p.beta1 * x_src - p.beta2 * y
+    }
+
+    /// `x(h_j)` of a hop's target: the residual fraction of a head, the
+    /// pinned `x_bs` of the base station.
+    fn x_target(&self, net: &Network, target: Target) -> f64 {
+        match target {
+            Target::Bs => self.params.x_bs,
+            Target::Head(h) => self.x(net, h),
+        }
     }
 
     /// One Algorithm 4 Q-value: Eq. 16 expected reward plus the discounted
@@ -247,8 +285,10 @@ impl QRouter {
         p_ok: f64,
         v_src: f64,
     ) -> f64 {
-        let r_t = p_ok * self.reward_success(net, src, target, penalize_bs)
-            + (1.0 - p_ok) * self.reward_failure(net, src, target);
+        let (x_src, y) = (self.x(net, src), self.y(net, src, target));
+        let bs_penalty = penalize_bs && target == Target::Bs;
+        let r_t = p_ok * self.reward_success(x_src, self.x_target(net, target), y, bs_penalty)
+            + (1.0 - p_ok) * self.reward_failure(x_src, y);
         let v_target = match target {
             Target::Bs => 0.0, // terminal
             Target::Head(h) => self.v[h.index()],
@@ -318,16 +358,21 @@ impl QRouter {
     /// Q-computation counts accumulate in `updates`.
     ///
     /// Within one call the network is frozen (`&Network`) and the NACK
-    /// list fixed, so each action's link belief `P`, Eq. 16 expected
-    /// reward `R_t`, and target `V*` are sweep invariants: they are
-    /// computed once into `actions` (the caller-owned buffer, cleared
-    /// here, so per-packet calls allocate nothing in steady state), and
-    /// only the failure self-loop term `γ·(1−P)·V*(src)` is re-evaluated
-    /// per sweep. The expression tree `R_t + γ·(P·V*(target) +
-    /// (1−P)·V*(src))` is the textbook Q-value's, so every intermediate
-    /// f64 — and the elementary-update count, the paper's `X` — matches
-    /// a per-sweep recomputation bit for bit. The tests keep that
-    /// recomputation as the oracle (`cached_kernel_is_bit_identical`).
+    /// list fixed, so the work is hoisted in two levels. Per call: the
+    /// source's residual fraction `x(src)`, read once. Per action: the
+    /// target's `x(h_j)` and the Eq. 18 `y(src, h_j)` (one distance each),
+    /// which feed both the Eq. 17/19 success and the Eq. 20 failure
+    /// reward, then the link belief `P`, the Eq. 16 expected reward `R_t`
+    /// and the target's `V*`. These go once into `actions` (the
+    /// caller-owned buffer, cleared here, so per-packet calls allocate
+    /// nothing in steady state), and only the failure self-loop term
+    /// `γ·(1−P)·V*(src)` is re-evaluated per sweep. Aliveness and
+    /// batteries are read from the arena's columns. The reward and
+    /// Q-value expression trees are the textbook ones, so every
+    /// intermediate f64 — and the elementary-update count, the paper's
+    /// `X` — matches a per-sweep recomputation bit for bit. The tests
+    /// keep that recomputation as the oracle
+    /// (`cached_kernel_is_bit_identical`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_data_core(
         &self,
@@ -342,38 +387,34 @@ impl QRouter {
     ) -> Target {
         let p_of = |t: Target| -> f64 {
             let n = nacked.iter().filter(|&&x| x == t).count() as i32;
-            p_base(t) * 0.5f64.powi(n)
+            // `P·0.5⁰` is `P` bit for bit: skip the `powi` call.
+            if n == 0 {
+                p_base(t)
+            } else {
+                p_base(t) * 0.5f64.powi(n)
+            }
         };
 
         // Dead heads are skipped before the elementary-update counter, and
         // the BS action comes last, fixing the argmax comparison order.
+        let x_src = self.x(net, src);
         actions.clear();
-        for &h in heads {
-            if !net.node(h).is_alive() {
-                continue;
-            }
-            let t = Target::Head(h);
-            let p_ok = p_of(t);
-            let r_t = p_ok * self.reward_success(net, src, t, true)
-                + (1.0 - p_ok) * self.reward_failure(net, src, t);
+        let mut push = |target: Target, v_target: f64| {
+            let (p_ok, y) = (p_of(target), self.y(net, src, target));
+            let r_success =
+                self.reward_success(x_src, self.x_target(net, target), y, target == Target::Bs);
+            let r_t = p_ok * r_success + (1.0 - p_ok) * self.reward_failure(x_src, y);
             actions.push(ActionConst {
-                target: t,
+                target,
                 p_ok,
                 r_t,
-                v_target: self.v[h.index()],
+                v_target,
             });
+        };
+        for &h in heads.iter().filter(|h| net.arena().is_alive(h.index())) {
+            push(Target::Head(h), self.v[h.index()]);
         }
-        {
-            let p_ok = p_of(Target::Bs);
-            let r_t = p_ok * self.reward_success(net, src, Target::Bs, true)
-                + (1.0 - p_ok) * self.reward_failure(net, src, Target::Bs);
-            actions.push(ActionConst {
-                target: Target::Bs,
-                p_ok,
-                r_t,
-                v_target: 0.0, // terminal
-            });
-        }
+        push(Target::Bs, 0.0); // terminal
 
         let mut action = Target::Bs;
         for _ in 0..MAX_SWEEPS {

@@ -366,6 +366,67 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&p), "p = {p}");
         }
     }
+
+    /// The link table equals a reference `(src, dst)`-keyed EWMA under
+    /// random `record`, `probability` and `prune_dead` steps, over head
+    /// and BS targets on a small network whose nodes die (battery) or go
+    /// dark and come back (`online`): the same links tracked, and every
+    /// estimate the same bits, after every step.
+    #[test]
+    fn link_table_matches_the_reference(
+        seed in 0u64..1000,
+        n in 2usize..12,
+        weight in 0.01f64..1.0,
+        prior in 0.0f64..1.0,
+        ops in prop::collection::vec(0u32..u32::MAX, 1..200),
+    ) {
+        use qlec_core::qrouting::LinkEstimator;
+        use std::collections::BTreeMap;
+        const BS: u32 = u32::MAX;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net = NetworkBuilder::new().uniform_cube(&mut rng, n, 200.0, 5.0);
+        let mut est = LinkEstimator::new(weight, prior);
+        let mut reference: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        let target_of = |dst: u32| if dst == BS { Target::Bs } else { Target::Head(NodeId(dst)) };
+        for (step, &w) in ops.iter().enumerate() {
+            // One op per word: kind, source, destination (n = the BS)
+            // and ACK outcome from disjoint bit fields.
+            let src = (w >> 4) % n as u32;
+            let dst = match (w >> 12) % (n as u32 + 1) {
+                d if d == n as u32 => BS,
+                d => d,
+            };
+            let success = (w >> 24) & 1 == 1;
+            match w % 16 {
+                0..=8 => {
+                    est.record(NodeId(src), target_of(dst), success);
+                    let p = reference.entry((src, dst)).or_insert(prior);
+                    *p += weight * (if success { 1.0 } else { 0.0 } - *p);
+                }
+                9 => {
+                    net.node_mut(NodeId(src)).battery.consume(10.0);
+                }
+                10 => {
+                    let online = net.node_mut(NodeId(src)).online;
+                    *online = !*online;
+                }
+                11 | 12 => {
+                    est.prune_dead(&net);
+                    let alive = |id: u32| net.node(NodeId(id)).is_alive();
+                    reference.retain(|&(s, d), _| alive(s) && (d == BS || alive(d)));
+                }
+                _ => {} // a probability-only step
+            }
+            prop_assert_eq!((step, est.links_tracked()), (step, reference.len()));
+            let want = reference.get(&(src, dst)).copied().unwrap_or(prior);
+            let got = est.probability(NodeId(src), target_of(dst));
+            prop_assert_eq!((step, got.to_bits()), (step, want.to_bits()));
+            for (&(s, d), &p) in &reference {
+                let got = est.probability(NodeId(s), target_of(d));
+                prop_assert_eq!((step, s, d, got.to_bits()), (step, s, d, p.to_bits()));
+            }
+        }
+    }
 }
 
 proptest! {
