@@ -9,6 +9,16 @@
 //! [`commit`]: a single ordered walk over the round's events in global
 //! `(time, node)` order, at every thread count.
 //!
+//! The plans arrive in one round-scoped arena, not one allocation per
+//! packet: every planned attempt of the round sits in one flat
+//! [`PlannedAttempt`] buffer, packet after packet in `(node, arrival)`
+//! order, and a bounds vector delimits each packet's range. A member's
+//! packets are contiguous, so a [`PlannedNode`] carries only its first
+//! packet index and a read cursor. Stage 1 fills the arena from one
+//! chunk of nodes per worker and appends the chunks in node order; the
+//! engine keeps the buffers from round to round, so once their capacity
+//! is reached a round allocates only the planner's per-node scratch.
+//!
 //! Each member packet runs one attempt loop, the Data Transmission rule
 //! of Alg. 1 with §4.2's ACK/retry: the sender pays the transmit draw,
 //! the hop is acknowledged or refused, and a refusal retries while the
@@ -43,7 +53,7 @@ use crate::metrics::{EnergyBreakdown, PacketCounters};
 use crate::network::Network;
 use crate::node::NodeId;
 use crate::packet::{Packet, Target};
-use crate::protocol::{PlanScratch, Protocol};
+use crate::protocol::Protocol;
 use crate::queue::{ChQueue, Offer, QueueDrop};
 use crate::sim::SimConfig;
 use qlec_fault::FaultDriver;
@@ -61,6 +71,13 @@ use rand::{Rng, RngCore};
 /// `can_supply`/`consume` guards as a live attempt, so a battery death
 /// planned in stage 1 (or induced by an earlier live continuation)
 /// resolves identically.
+///
+/// A round's planned attempts live in one arena, packet after packet in
+/// `(node, arrival)` order: packet `p`'s attempts are
+/// `attempts[bounds[p]..bounds[p + 1]]` (see [`MergePlan`]). The range is
+/// empty when the sender was already dead at the arrival time (the
+/// merge's live aliveness check skips the packet — a dead plan implies a
+/// dead live battery, since the live trajectory only ever drains more).
 #[derive(Clone, Copy)]
 pub(crate) struct PlannedAttempt {
     pub(crate) target: Target,
@@ -68,24 +85,19 @@ pub(crate) struct PlannedAttempt {
     pub(crate) ok: bool,
 }
 
-/// Stage-1 plan for one member packet: its attempts in order. Empty when
-/// the sender was already dead at the arrival time (the merge's live
-/// aliveness check skips the packet — a dead plan implies a dead live
-/// battery, since the live trajectory only ever drains more).
-pub(crate) type PacketPlan = Vec<PlannedAttempt>;
-
-/// One member node's stage-1 state for the current round.
+/// One member node's stage-1 entry for the current round.
+#[derive(Clone)]
 pub(crate) struct PlannedNode {
     pub(crate) src: NodeId,
     /// This node's packet arrivals this round (their times live in the
     /// round's event list; planning needs only the count).
-    pub(crate) arrivals: usize,
-    /// One plan per arrival, in arrival order.
-    pub(crate) packets: Vec<PacketPlan>,
-    /// The planner's scratch, absorbed into the protocol after the merge.
-    pub(crate) scratch: PlanScratch,
-    /// Merge read position into `packets`.
-    pub(crate) cursor: usize,
+    pub(crate) arrivals: u32,
+    /// Arena index of this node's first packet: its packets are
+    /// `first_packet..first_packet + arrivals`, one per arrival, in
+    /// arrival order.
+    pub(crate) first_packet: u32,
+    /// Merge read position: the packets already walked.
+    pub(crate) cursor: u32,
 }
 
 /// Sample one radio transmission, honouring any active fault directives:
@@ -151,11 +163,17 @@ fn refused(reason: QueueDrop) -> PacketFate {
 }
 
 /// The immutable inputs of one round's merge: the time-ordered event
-/// list, the per-node lookup tables built during election/traffic, and
-/// the round configuration.
+/// list, the stage-1 plan arena, the per-node lookup tables built during
+/// election/traffic, and the round configuration.
 pub(crate) struct MergePlan<'a> {
     /// (arrival time, source) packet-generation events, time-ordered.
     pub(crate) events: &'a [(f64, NodeId)],
+    /// Every planned attempt of the round, packet after packet.
+    pub(crate) attempts: &'a [PlannedAttempt],
+    /// Packet `p`'s attempts are `attempts[bounds[p]..bounds[p + 1]]`:
+    /// one entry per planned packet plus a leading 0, non-decreasing,
+    /// ending at `attempts.len()`.
+    pub(crate) bounds: &'a [u32],
     /// node index → position in the member-plan list (`-1` = unplanned:
     /// a head, a dead node, or no arrivals).
     pub(crate) plan_index: &'a [i32],
@@ -313,14 +331,15 @@ pub(crate) fn commit<P: Protocol + ?Sized>(
             }
         } else {
             let pn = &mut planned[pi as usize];
-            let k = pn.cursor;
+            let p = (pn.first_packet + pn.cursor) as usize;
             pn.cursor += 1;
             if !st.net.node(src).is_alive() {
                 continue; // died earlier this round; generates nothing
             }
             let pkt = st.generate(src, time, plan.cfg.packet_bits);
             st.protocol.on_packet_start(src);
-            walk_packet(plan, &planned[pi as usize].packets[k], pkt, st, &mut stats)
+            let attempts = &plan.attempts[plan.bounds[p] as usize..plan.bounds[p + 1] as usize];
+            walk_packet(plan, attempts, pkt, st, &mut stats)
         };
         if let Some(fate) = fate {
             settle(st.counters, st.latency, st.obs, plan.round, src, fate);

@@ -464,6 +464,40 @@ mod tests {
             .run(&mut NoPlanner, &mut rng);
     }
 
+    /// A protocol that breaks the contract by electing one head twice.
+    struct DuplicateHead;
+
+    impl Protocol for DuplicateHead {
+        fn name(&self) -> &str {
+            "duplicate-head"
+        }
+
+        fn on_round_start(
+            &mut self,
+            _net: &mut Network,
+            _round: u32,
+            _rng: &mut dyn RngCore,
+        ) -> Vec<NodeId> {
+            vec![NodeId(2), NodeId(1), NodeId(2)]
+        }
+
+        fn planner(&self) -> Option<&dyn RoutePlanner> {
+            Some(&NearestHead)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "protocol `duplicate-head` returned head b2 twice in round 0")]
+    fn engine_refuses_a_duplicate_head() {
+        let mut cfg = crate::sim::SimConfig::paper(1.0);
+        cfg.rounds = 1;
+        let mut rng = StdRng::seed_from_u64(5);
+        crate::sim::Simulator::builder(line_network())
+            .config(cfg)
+            .build()
+            .run(&mut DuplicateHead, &mut rng);
+    }
+
     #[test]
     fn nearest_head_ignores_dead_heads() {
         let mut net = line_network();

@@ -23,8 +23,7 @@
 //! across protocols, does not.
 
 use crate::merge::{
-    self, sample_hop, settle, MergeOutcome, MergePlan, MergeState, PacketPlan, PlannedAttempt,
-    PlannedNode,
+    self, sample_hop, settle, MergeOutcome, MergePlan, MergeState, PlannedAttempt, PlannedNode,
 };
 use crate::metrics::{EnergyBreakdown, LifespanInfo, PacketCounters, RoundMetrics, SimReport};
 use crate::network::Network;
@@ -36,10 +35,12 @@ use crate::traffic::PoissonTraffic;
 use qlec_fault::FaultDriver;
 use qlec_geom::randx::{stream_tag, StreamRng};
 use qlec_geom::stats::Welford;
-use qlec_obs::{Event, ObserverSet, PacketFate, Phase};
+use qlec_obs::{Event, ObserverSet, PacketFate, Phase, PhaseProfiler};
 use rand::{Rng, RngCore};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// Simulation parameters. Defaults mirror §5.1/Table 2 where the paper
 /// specifies them; the queueing/timing constants the paper leaves implicit
@@ -163,6 +164,68 @@ struct RoundScratch {
     /// node index → position in this round's member-plan list (`-1` =
     /// not a planned member: a head, a dead node, or no arrivals).
     plan_index: Vec<i32>,
+    /// This round's planned members, in ascending node order.
+    planned: Vec<PlannedNode>,
+    /// Stage-1 plans, one chunk per planning worker. Chunk 0 is the
+    /// round's plan arena: the later chunks are appended to it after the
+    /// fan-out.
+    plan_chunks: Vec<Mutex<PlanChunk>>,
+}
+
+/// One planning worker's share of a round's stage 1: a contiguous run of
+/// planned members and everything planning them produced. The buffers
+/// keep their capacity from round to round.
+#[derive(Default)]
+struct PlanChunk {
+    /// Indices into the round's planned-member list.
+    nodes: Range<usize>,
+    /// Planned attempts, packet after packet in `(node, arrival)` order.
+    attempts: Vec<PlannedAttempt>,
+    /// Packet `p`'s attempts are `attempts[bounds[p]..bounds[p + 1]]`;
+    /// starts at 0 and ends at `attempts.len()`.
+    bounds: Vec<u32>,
+    /// Each planned member's planner scratch, in node order.
+    scratches: Vec<PlanScratch>,
+    /// Clock time spent planning the chunk (profiled runs only).
+    busy_ns: u64,
+}
+
+impl PlanChunk {
+    /// Empty the buffers for a new round, keeping their capacity.
+    fn clear(&mut self) {
+        self.attempts.clear();
+        self.bounds.clear();
+        self.bounds.push(0);
+        self.scratches.clear();
+        self.busy_ns = 0;
+    }
+
+    /// Append a later chunk's packets and scratches, rebasing its bounds
+    /// past this chunk's attempts. `other` is left empty, capacity kept.
+    fn append(&mut self, other: &mut PlanChunk) {
+        let base = self.attempts.len() as u32;
+        self.attempts.append(&mut other.attempts);
+        assert!(
+            u32::try_from(self.attempts.len()).is_ok(),
+            "plan arena exceeds u32 offsets"
+        );
+        self.bounds
+            .extend(other.bounds[1..].iter().map(|&b| b + base));
+        self.scratches.append(&mut other.scratches);
+    }
+}
+
+/// The frozen inputs of one round's stage 1, shared by every planning
+/// worker.
+struct PlanRound<'a> {
+    net: &'a Network,
+    cfg: &'a SimConfig,
+    faults: Option<&'a FaultDriver>,
+    heads: &'a [NodeId],
+    head_slot: &'a [i32],
+    stream_seed: u64,
+    round: u32,
+    planner: &'a dyn RoutePlanner,
 }
 
 /// Runs a [`Protocol`] over a [`Network`] for the configured rounds.
@@ -298,27 +361,7 @@ impl Simulator {
         protocol: &mut P,
         rng: &mut dyn RngCore,
     ) -> (SimReport, MergeOutcome) {
-        let threads = if self.cfg.threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.cfg.threads
-        };
-        if threads > 1 {
-            self.pool = Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("worker pool"),
-            );
-        }
-        protocol.configure_threads(threads);
-        if let Some(prof) = self.obs.profiler() {
-            prof.set_threads(threads);
-        }
-        // Root all per-(round, node) streams in one draw so the caller's
-        // RNG advances identically at every thread count.
-        self.stream_seed = rng.next_u64();
-
+        let threads = self.start(protocol, rng);
         let mut rounds_out = Vec::with_capacity(self.cfg.rounds as usize);
         let mut totals = PacketCounters::default();
         let mut latency_all = Welford::new();
@@ -371,6 +414,32 @@ impl Simulator {
             threads,
         };
         (report, self.merge_totals)
+    }
+
+    /// Resolve the worker count, build the planning pool, and root the
+    /// per-(round, node) RNG streams. Returns the resolved thread count.
+    fn start<P: Protocol + ?Sized>(&mut self, protocol: &mut P, rng: &mut dyn RngCore) -> usize {
+        let threads = if self.cfg.threads == 0 {
+            std::thread::available_parallelism().map_or(1, usize::from)
+        } else {
+            self.cfg.threads
+        };
+        if threads > 1 {
+            self.pool = Some(
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("worker pool"),
+            );
+        }
+        protocol.configure_threads(threads);
+        if let Some(prof) = self.obs.profiler() {
+            prof.set_threads(threads);
+        }
+        // Root all per-(round, node) streams in one draw so the caller's
+        // RNG advances identically at every thread count.
+        self.stream_seed = rng.next_u64();
+        threads
     }
 
     /// Execute one round; returns its metrics and latency accumulator.
@@ -477,7 +546,11 @@ impl Simulator {
             queues.push(ChQueue::new(cfg.queue_capacity, cfg.service_time, deadline));
         }
         for (si, &h) in heads.iter().enumerate() {
-            debug_assert_eq!(self.scratch.head_slot[h.index()], -1, "duplicate head {h}");
+            assert!(
+                self.scratch.head_slot[h.index()] == -1,
+                "protocol `{}` returned head {h} twice in round {round}",
+                protocol.name()
+            );
             self.scratch.head_slot[h.index()] = si as i32;
         }
 
@@ -493,7 +566,9 @@ impl Simulator {
         events.clear();
         self.scratch.plan_index.clear();
         self.scratch.plan_index.resize(self.net.len(), -1);
-        let mut planned: Vec<PlannedNode> = Vec::new();
+        let mut planned = std::mem::take(&mut self.scratch.planned);
+        planned.clear();
+        let mut packets = 0usize;
         for idx in 0..self.net.len() {
             let id = NodeId(idx as u32);
             let node = self.net.node(id);
@@ -511,7 +586,7 @@ impl Simulator {
                     events.push((t, id));
                 });
             } else {
-                let mut arrivals = 0;
+                let mut arrivals = 0u32;
                 traffic.for_each_arrival(&mut trng, round_start, cfg.slots_per_round, |t| {
                     arrivals += 1;
                     events.push((t, id));
@@ -521,10 +596,11 @@ impl Simulator {
                     planned.push(PlannedNode {
                         src: id,
                         arrivals,
-                        packets: Vec::new(),
-                        scratch: Box::new(()),
+                        first_packet: u32::try_from(packets)
+                            .expect("round packet count exceeds u32"),
                         cursor: 0,
                     });
+                    packets += arrivals as usize;
                 }
             }
         }
@@ -566,70 +642,55 @@ impl Simulator {
         let tx_span = self.obs.span_start();
         let prof_ref = prof.as_deref();
         let plan_span = self.obs.span_start();
+        let mut chunks = std::mem::take(&mut self.scratch.plan_chunks);
         {
-            let net = &self.net;
-            let head_slot = self.scratch.head_slot.as_slice();
-            let stream_seed = self.stream_seed;
-            let faults_ref = faults.as_ref();
-            let heads_ref = heads.as_slice();
-            let planner = required_planner(&*protocol);
-            // `PlanScratch` is `Send` but not `Sync`, so the fan-out
-            // iterates Sync job tuples rather than the nodes proper.
-            let jobs: Vec<(NodeId, usize)> =
-                planned.iter().map(|pn| (pn.src, pn.arrivals)).collect();
-            let plan_one = |job: &(NodeId, usize)| {
-                // Worker-local busy measurement: clock reads only,
-                // no shared state touched from the fan-out.
-                let t0 = prof_ref.map(|p| p.now_ns());
-                let (src, arrivals) = *job;
-                let mut scratch = planner.begin_node(net, src);
-                let packets = plan_member_packets(
-                    net,
-                    &cfg,
-                    faults_ref,
-                    heads_ref,
-                    head_slot,
-                    stream_seed,
-                    round,
-                    src,
-                    arrivals,
-                    planner,
-                    &mut scratch,
+            let ctx = PlanRound {
+                net: &self.net,
+                cfg: &cfg,
+                faults: faults.as_ref(),
+                heads: &heads,
+                head_slot: &self.scratch.head_slot,
+                stream_seed: self.stream_seed,
+                round,
+                planner: required_planner(&*protocol),
+            };
+            // One contiguous chunk of members per worker; a run without
+            // a pool is the one-chunk case. Chunk `c` runs on worker
+            // slot `c`, so its busy time is that slot's.
+            let workers = self.pool.as_ref().map_or(1, |p| p.current_num_threads());
+            let chunk_len = planned.len().div_ceil(workers).max(1);
+            let n_chunks = planned.len().div_ceil(chunk_len).max(1);
+            chunks.resize_with(n_chunks, Default::default);
+            for (c, chunk) in chunks.iter_mut().enumerate() {
+                chunk.get_mut().expect("plan chunk lock").nodes =
+                    c * chunk_len..((c + 1) * chunk_len).min(planned.len());
+            }
+            let planned = planned.as_slice();
+            let fan_out = || {
+                chunks.par_iter().map(|chunk| {
+                    let mut chunk = chunk.lock().expect("plan chunk lock");
+                    ctx.plan_chunk(planned, &mut chunk, prof_ref);
+                })
+            };
+            let () = match self.pool.as_ref() {
+                Some(pool) => pool.install(|| fan_out().collect()),
+                None => fan_out().collect(),
+            };
+        }
+        if let Some(p) = prof_ref {
+            for (c, chunk) in chunks.iter_mut().enumerate() {
+                p.record_busy(
+                    Phase::Plan,
+                    c,
+                    chunk.get_mut().expect("plan chunk lock").busy_ns,
                 );
-                let busy_ns = match (prof_ref, t0) {
-                    (Some(p), Some(t0)) => p.now_ns().saturating_sub(t0),
-                    _ => 0,
-                };
-                (packets, scratch, busy_ns)
-            };
-            type PlanJob = (Vec<PacketPlan>, PlanScratch, u64);
-            let results: Vec<PlanJob> = match self.pool.as_ref() {
-                Some(pool) if jobs.len() > 1 => {
-                    pool.install(|| jobs.par_iter().map(&plan_one).collect())
-                }
-                _ => jobs.iter().map(&plan_one).collect(),
-            };
-            drop(jobs);
-            if let Some(p) = prof_ref {
-                // Attribute each job's busy time to the worker slot that
-                // ran it. The vendored rayon splits jobs into contiguous
-                // chunks of ceil(J / W) with W = current_num_threads().min(J),
-                // so job i runs on slot i / chunk_len; the sequential path
-                // is slot 0.
-                let n_jobs = results.len();
-                let workers = match self.pool.as_ref() {
-                    Some(pool) if n_jobs > 1 => pool.current_num_threads().min(n_jobs),
-                    _ => 1,
-                };
-                let chunk_len = n_jobs.div_ceil(workers.max(1)).max(1);
-                for (i, (_, _, busy_ns)) in results.iter().enumerate() {
-                    p.record_busy(Phase::Plan, i / chunk_len, *busy_ns);
-                }
             }
-            for (pn, (packets, scratch, _)) in planned.iter_mut().zip(results) {
-                pn.packets = packets;
-                pn.scratch = scratch;
-            }
+        }
+        // Chunk 0 is the arena; the others follow it in node order.
+        let (arena, rest) = chunks.split_first_mut().expect("at least one plan chunk");
+        let arena = arena.get_mut().expect("plan chunk lock");
+        for chunk in rest {
+            arena.append(chunk.get_mut().expect("plan chunk lock"));
         }
         self.obs.span_end(plan_span, Phase::Plan);
 
@@ -643,6 +704,8 @@ impl Simulator {
         let outcome = {
             let mplan = MergePlan {
                 events: &events,
+                attempts: &arena.attempts,
+                bounds: &arena.bounds,
                 plan_index: &self.scratch.plan_index,
                 head_slot: &self.scratch.head_slot,
                 heads: &heads,
@@ -677,8 +740,8 @@ impl Simulator {
 
         // Absorb planner scratch (Q-value writes, link-table overlays)
         // back into the protocol, in stable ascending node order.
-        for pn in planned {
-            protocol.absorb_plan(pn.src, pn.scratch);
+        for (pn, scratch) in planned.iter().zip(arena.scratches.drain(..)) {
+            protocol.absorb_plan(pn.src, scratch);
         }
         self.obs.span_end(tx_span, Phase::Transmission);
 
@@ -861,6 +924,8 @@ impl Simulator {
         }
         self.faults = faults;
         self.scratch.events = events;
+        self.scratch.planned = planned;
+        self.scratch.plan_chunks = chunks;
         self.scratch.queues = queues;
         self.scratch.relay_overflow = relay_overflow;
         if let (Some(p), Some(t0)) = (&prof, round_t0) {
@@ -870,79 +935,96 @@ impl Simulator {
     }
 }
 
-/// Plan one member's packets against the frozen post-election network
-/// (stage 1 of the transmission phase). The sender's residual is tracked
-/// locally with the exact `Battery::consume` arithmetic, so the merge
-/// replay is bit-identical; head aliveness is frozen here and re-checked
-/// at merge time. Target choices draw from the node's PROTOCOL stream
-/// and radio samples from its LINK stream, making the plan independent
-/// of scheduling and thread count.
-#[allow(clippy::too_many_arguments)]
-fn plan_member_packets(
-    net: &Network,
-    cfg: &SimConfig,
-    faults: Option<&FaultDriver>,
-    heads: &[NodeId],
-    head_slot: &[i32],
-    stream_seed: u64,
-    round: u32,
-    src: NodeId,
-    arrivals: usize,
-    planner: &dyn RoutePlanner,
-    scratch: &mut PlanScratch,
-) -> Vec<PacketPlan> {
-    let link = net.link;
-    let radio = net.radio;
-    let mut prng = StreamRng::for_node(stream_seed, round, src.0, stream_tag::PROTOCOL);
-    let mut lrng = StreamRng::for_node(stream_seed, round, src.0, stream_tag::LINK);
-    let mut residual = net.node(src).battery.residual();
-    let mut packets = Vec::with_capacity(arrivals);
-    for _ in 0..arrivals {
-        // Mid-round, a member's `is_alive` reduces to battery state: the
-        // `online` flag cannot change within a round, and it was online
-        // when it generated this arrival.
-        if residual <= 0.0 {
-            packets.push(Vec::new());
-            continue;
+impl PlanRound<'_> {
+    /// Plan one chunk's members into its buffers, in node order.
+    fn plan_chunk(
+        &self,
+        planned: &[PlannedNode],
+        chunk: &mut PlanChunk,
+        prof: Option<&PhaseProfiler>,
+    ) {
+        // Worker-local busy measurement: clock reads only, no shared
+        // state touched from the fan-out.
+        let t0 = prof.map(|p| p.now_ns());
+        chunk.clear();
+        for pn in &planned[chunk.nodes.clone()] {
+            let mut scratch = self.planner.begin_node(self.net, pn.src);
+            self.plan_member_packets(pn, &mut scratch, &mut chunk.attempts, &mut chunk.bounds);
+            chunk.scratches.push(scratch);
         }
-        planner.begin_packet(src, scratch);
-        let mut attempts = Vec::new();
-        for _ in 0..=cfg.member_retries {
-            if residual <= 0.0 {
-                break;
-            }
-            let target = planner.plan_target(net, src, heads, &mut prng, scratch);
-            let (d, dst) = match target {
-                Target::Bs => (net.dist_to_bs(src), None),
-                Target::Head(h) => (net.distance(src, h), Some(h.0)),
-            };
-            let e = radio.tx_energy(cfg.packet_bits, d);
-            let ok = if residual < e {
-                // Partial supply: this draw drains the battery flat.
-                residual = 0.0;
-                false
-            } else {
-                residual -= e;
-                // The radio verdict is drawn before the head's aliveness
-                // is tested, so a dead head costs the same LINK draw.
-                let radio_ok = sample_hop(faults, &link, &mut lrng, d, src.0, dst);
-                match target {
-                    Target::Bs => radio_ok,
-                    // Optimistic: the queue verdict lands at merge.
-                    Target::Head(h) => {
-                        radio_ok && net.node(h).is_alive() && head_slot[h.index()] >= 0
-                    }
-                }
-            };
-            attempts.push(PlannedAttempt { target, e, ok });
-            planner.plan_hop_result(src, target, ok, scratch);
-            if ok {
-                break;
-            }
+        if let (Some(p), Some(t0)) = (prof, t0) {
+            chunk.busy_ns = p.now_ns().saturating_sub(t0);
         }
-        packets.push(attempts);
     }
-    packets
+
+    /// Plan one member's packets against the frozen post-election
+    /// network (stage 1 of the transmission phase), appending each
+    /// packet's attempts to `attempts` and its end offset to `bounds`.
+    /// The sender's residual is tracked locally with the exact
+    /// `Battery::consume` arithmetic, so the merge replay is
+    /// bit-identical; head aliveness is frozen here and re-checked at
+    /// merge time. Target choices draw from the node's PROTOCOL stream
+    /// and radio samples from its LINK stream, making the plan
+    /// independent of scheduling and thread count.
+    fn plan_member_packets(
+        &self,
+        pn: &PlannedNode,
+        scratch: &mut PlanScratch,
+        attempts: &mut Vec<PlannedAttempt>,
+        bounds: &mut Vec<u32>,
+    ) {
+        let (net, cfg, planner, src) = (self.net, self.cfg, self.planner, pn.src);
+        let link = net.link;
+        let radio = net.radio;
+        let mut prng =
+            StreamRng::for_node(self.stream_seed, self.round, src.0, stream_tag::PROTOCOL);
+        let mut lrng = StreamRng::for_node(self.stream_seed, self.round, src.0, stream_tag::LINK);
+        let mut residual = net.node(src).battery.residual();
+        for _ in 0..pn.arrivals {
+            // Mid-round, a member's `is_alive` reduces to battery state:
+            // the `online` flag cannot change within a round, and it was
+            // online when it generated this arrival. A packet whose
+            // sender is already dead gets an empty range.
+            if residual > 0.0 {
+                planner.begin_packet(src, scratch);
+            }
+            for _ in 0..=cfg.member_retries {
+                if residual <= 0.0 {
+                    break;
+                }
+                let target = planner.plan_target(net, src, self.heads, &mut prng, scratch);
+                let (d, dst) = match target {
+                    Target::Bs => (net.dist_to_bs(src), None),
+                    Target::Head(h) => (net.distance(src, h), Some(h.0)),
+                };
+                let e = radio.tx_energy(cfg.packet_bits, d);
+                let ok = if residual < e {
+                    // Partial supply: this draw drains the battery flat.
+                    residual = 0.0;
+                    false
+                } else {
+                    residual -= e;
+                    // The radio verdict is drawn before the head's
+                    // aliveness is tested, so a dead head costs the same
+                    // LINK draw.
+                    let radio_ok = sample_hop(self.faults, &link, &mut lrng, d, src.0, dst);
+                    match target {
+                        Target::Bs => radio_ok,
+                        // Optimistic: the queue verdict lands at merge.
+                        Target::Head(h) => {
+                            radio_ok && net.node(h).is_alive() && self.head_slot[h.index()] >= 0
+                        }
+                    }
+                };
+                attempts.push(PlannedAttempt { target, e, ok });
+                planner.plan_hop_result(src, target, ok, scratch);
+                if ok {
+                    break;
+                }
+            }
+            bounds.push(u32::try_from(attempts.len()).expect("plan arena exceeds u32 offsets"));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1385,5 +1467,130 @@ mod head_load_tests {
             .map(|h| h.drops_full)
             .sum();
         assert!(full_drops > 0);
+    }
+}
+
+#[cfg(test)]
+mod arena_tests {
+    use super::*;
+    use crate::network::NetworkBuilder;
+    use crate::protocol::GreedyEnergyProtocol;
+    use qlec_radio::link::{AnyLink, DistanceLossLink};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// One round's stage-1 output: the arena as `(target, e bits, ok)`
+    /// records, its bounds, and the planned members.
+    struct Planned {
+        attempts: Vec<(Target, u64, bool)>,
+        bounds: Vec<u32>,
+        members: Vec<PlannedNode>,
+        events: Vec<(f64, NodeId)>,
+        /// Every node's residual when the round was planned.
+        residuals: Vec<f64>,
+        chunks: usize,
+    }
+
+    /// Plan and commit round 0 at `threads` on a lossy, low-energy
+    /// network: members drain their batteries within the round, so the
+    /// arena holds retries, drained draws and dead-at-arrival packets.
+    fn plan_round(threads: usize) -> Planned {
+        let mut rng = StdRng::seed_from_u64(41);
+        let net = NetworkBuilder::new()
+            .link(AnyLink::DistanceLoss(DistanceLossLink::for_cube(200.0)))
+            .uniform_cube(&mut rng, 60, 200.0, 0.004);
+        let mut cfg = SimConfig::paper(1.0);
+        cfg.threads = threads;
+        let mut sim = Simulator::builder(net).config(cfg).build();
+        // Greedy election charges no energy, so each member's residual
+        // at plan time is its residual before the round.
+        let residuals = sim.net.iter().map(|n| n.residual()).collect();
+        let mut protocol = GreedyEnergyProtocol::new(4);
+        let mut run_rng = StdRng::seed_from_u64(42);
+        sim.start(&mut protocol, &mut run_rng);
+        sim.run_round(&mut protocol, &mut run_rng, 0);
+        let chunks = sim.scratch.plan_chunks.len();
+        let arena = sim.scratch.plan_chunks[0].get_mut().unwrap();
+        Planned {
+            attempts: arena
+                .attempts
+                .iter()
+                .map(|a| (a.target, a.e.to_bits(), a.ok))
+                .collect(),
+            bounds: arena.bounds.clone(),
+            members: sim.scratch.planned.clone(),
+            events: sim.scratch.events.clone(),
+            residuals,
+            chunks,
+        }
+    }
+
+    #[test]
+    fn plan_arena_is_thread_invariant_and_well_formed() {
+        let cfg = SimConfig::paper(1.0);
+        let base = plan_round(1);
+        assert_eq!(base.chunks, 1);
+        for threads in [2, 3] {
+            let other = plan_round(threads);
+            assert_eq!(other.chunks, threads, "one chunk per worker");
+            assert!(other.attempts == base.attempts, "attempts at {threads}");
+            assert_eq!(other.bounds, base.bounds, "bounds at {threads}");
+        }
+
+        let Planned {
+            attempts,
+            bounds,
+            members,
+            events,
+            residuals,
+            ..
+        } = base;
+        assert_eq!(bounds[0], 0);
+        assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "bounds decrease");
+        assert_eq!(*bounds.last().unwrap() as usize, attempts.len());
+
+        let mut next_packet = 0u32;
+        let (mut dead_packets, mut retried, mut drained) = (0, 0, 0);
+        for pn in &members {
+            let arrivals = events.iter().filter(|&&(_, id)| id == pn.src).count();
+            assert_eq!(pn.arrivals as usize, arrivals, "arrivals of {}", pn.src);
+            assert_eq!(pn.first_packet, next_packet, "first packet of {}", pn.src);
+            next_packet += pn.arrivals;
+            // Replay the sender's battery over its packets.
+            let mut residual = residuals[pn.src.index()];
+            for p in pn.first_packet..next_packet {
+                let p = p as usize;
+                let range = &attempts[bounds[p] as usize..bounds[p + 1] as usize];
+                if residual <= 0.0 {
+                    assert!(range.is_empty(), "dead-at-arrival packet {p} planned");
+                    dead_packets += 1;
+                    continue;
+                }
+                assert!(!range.is_empty(), "live packet {p} has no attempt");
+                assert!(range.len() <= cfg.member_retries as usize + 1);
+                retried += usize::from(range.len() > 1);
+                for (i, &(_, e_bits, ok)) in range.iter().enumerate() {
+                    let e = f64::from_bits(e_bits);
+                    if residual < e {
+                        residual = 0.0;
+                        drained += 1;
+                        assert!(!ok, "a drained draw cannot succeed");
+                    } else {
+                        residual -= e;
+                    }
+                    let last = i + 1 == range.len();
+                    assert!(last || (!ok && residual > 0.0), "packet {p} continues");
+                }
+            }
+        }
+        assert_eq!(
+            next_packet as usize + 1,
+            bounds.len(),
+            "one bound per packet"
+        );
+        assert!(
+            dead_packets > 0 && retried > 0 && drained > 0,
+            "network too easy"
+        );
     }
 }
