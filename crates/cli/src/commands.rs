@@ -55,9 +55,11 @@ NOTES:
   instead embed the plan inline under its `faults` key (what the soak
   harness writes for its reproducers); combining an inline plan with
   --faults is an error.
-  --events - streams the event log to stdout instead of a file. No
-  stream carries wall-clock timings (those go to --profile), so
-  identical seeds and plans give byte-identical streams.
+  --events - streams the event log to stdout instead of a file, and
+  the report (text or --json, with any --profile table) goes to stderr,
+  so stdout holds only JSON lines. No stream carries wall-clock timings
+  (those go to --profile), so identical seeds and plans give
+  byte-identical streams.
   --events-mode sample:R keeps roughly the fraction R of the per-packet
   events (counter-based, still deterministic); aggregate replaces them
   with one RoundSummary digest per round.
@@ -117,6 +119,12 @@ pub fn dispatch(args: &ParsedArgs) -> Result<String, String> {
         "" | "help" | "--help" => Ok(USAGE.to_string()),
         other => Err(format!("unknown subcommand {other:?}\n\n{USAGE}")),
     }
+}
+
+/// Whether `args` is a `run` whose `--events -` stream owns stdout: its
+/// report then belongs on stderr, so stdout stays pure JSON lines.
+pub fn stdout_is_event_stream(args: &ParsedArgs) -> bool {
+    args.command == "run" && args.get("events") == Some("-")
 }
 
 /// Build the spec's protocol instance against the given observer set.

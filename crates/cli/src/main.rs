@@ -13,6 +13,7 @@ fn main() {
         }
     };
     match commands::dispatch(&parsed) {
+        Ok(out) if commands::stdout_is_event_stream(&parsed) => eprint!("{out}"),
         Ok(out) => print!("{out}"),
         Err(e) => {
             eprintln!("error: {e}");

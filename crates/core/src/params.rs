@@ -9,8 +9,9 @@ use serde::{Deserialize, Serialize};
 /// set; at 10k-node scale with Theorem 1's `k_opt` in the dozens that
 /// scan dominates the round. The policy resolves, per round, to a
 /// candidate budget `c`: when the head set is larger than `c`, each
-/// packet only evaluates its `c` nearest *alive* heads (k-d tree
-/// query); otherwise the full paper-exact scan runs.
+/// packet only evaluates its `c` nearest *alive* heads (a k-nearest
+/// query on a grid over the round's heads); otherwise the full
+/// paper-exact scan runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CandidatePolicy {
     /// Derive the budget from Theorem 1:

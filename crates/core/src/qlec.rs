@@ -15,7 +15,7 @@ use crate::deec_improved::{select_heads_from_roster, SelectionFeatures, Selectio
 use crate::kopt;
 use crate::params::{CandidatePolicy, QlecParams};
 use crate::qrouting::{ActionConst, QRouter};
-use qlec_geom::{KdTree, UniformGrid, Vec3};
+use qlec_geom::{UniformGrid, Vec3};
 use qlec_net::protocol::{nearest_head, PlanScratch, RoutePlanner};
 use qlec_net::{Network, NodeId, Protocol, Target};
 use qlec_obs::{Event, ObserverSet, Phase};
@@ -58,14 +58,15 @@ pub struct QlecProtocol {
     /// Round currently in flight (protocol hooks that lack a round
     /// argument stamp their events with it).
     current_round: u32,
-    /// k-d tree over this round's head positions, built in
-    /// `on_round_start`; tree point `i` is head `head_ids[i]`. Only
-    /// queried while `candidates_active`.
-    head_tree: KdTree,
+    /// Grid over this round's head positions, built in
+    /// `on_round_start`; grid point `i` is head `head_ids[i]`, ids
+    /// ascending, so the grid's `(d², index)` order is the `(d², id)`
+    /// order. Only queried while `candidates_active`.
+    head_grid: UniformGrid,
     head_ids: Vec<u32>,
     /// Whether this round's candidate budget is binding — i.e.
     /// `params.candidates` resolved to a budget smaller than the head
-    /// set and `head_tree` holds this round's heads.
+    /// set and `head_grid` holds this round's heads.
     candidates_active: bool,
     /// The resolved per-packet candidate budget for the current round
     /// (meaningless while `candidates_active` is false).
@@ -85,9 +86,9 @@ pub struct QlecProtocol {
     /// Per-round cache of the merge-time retargets' k-nearest head
     /// ranking: node id → `(start, len)` into `retarget_ids`
     /// ([`UNRANKED`] until the node's first retarget this round). The
-    /// ranking depends only on the source position and `head_tree` —
+    /// ranking depends only on the source position and `head_grid` —
     /// both frozen between `on_round_start` calls — so the first
-    /// retarget of a node pays the tree walk and later ones reuse it;
+    /// retarget of a node pays the grid query and later ones reuse it;
     /// the alive filter stays live, so the candidate set (and every
     /// downstream byte) matches the uncached query exactly.
     retarget_slot: Vec<(u32, u32)>,
@@ -101,7 +102,6 @@ pub struct QlecProtocol {
 /// until `absorb_plan`.
 #[derive(Default)]
 struct ThreadBufs {
-    knn_buf: Vec<(u32, f64)>,
     knn_out: Vec<(u32, f64)>,
     actions: Vec<ActionConst>,
 }
@@ -265,7 +265,7 @@ impl QlecBuilder {
             name: self.name,
             obs: self.obs,
             current_round: 0,
-            head_tree: KdTree::default(),
+            head_grid: UniformGrid::build(std::iter::empty()),
             head_ids: Vec::new(),
             candidates_active: false,
             candidate_budget: 0,
@@ -401,19 +401,13 @@ impl QlecProtocol {
     }
 
     /// The `k` heads nearest `q` as `(id, squared distance)`, ascending by
-    /// `(squared distance, id)`. `scratch` is caller-owned so `&self`
+    /// `(squared distance, id)`. `out` is caller-owned so `&self`
     /// queries can run from parallel planners.
-    fn nearest_heads_into(
-        &self,
-        q: Vec3,
-        k: usize,
-        scratch: &mut Vec<(u32, f64)>,
-        out: &mut Vec<(u32, f64)>,
-    ) {
-        self.head_tree.k_nearest_into(q, k, scratch);
-        out.clear();
-        out.extend(scratch.iter().map(|&(i, d)| (self.head_ids[i as usize], d)));
-        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    fn nearest_heads_into(&self, q: Vec3, k: usize, out: &mut Vec<(u32, f64)>) {
+        self.head_grid.k_nearest_into(q, k, out);
+        for entry in out.iter_mut() {
+            entry.0 = self.head_ids[entry.0 as usize];
+        }
     }
 
     /// `src`'s head ranking for merge-time retargets, as a range of
@@ -426,12 +420,7 @@ impl QlecProtocol {
         }
         let (start, window) = (self.retarget_ids.len(), self.knn_window());
         THREAD_BUFS.with_borrow_mut(|bufs| {
-            self.nearest_heads_into(
-                net.node(src).pos,
-                window,
-                &mut bufs.knn_buf,
-                &mut bufs.knn_out,
-            );
+            self.nearest_heads_into(net.node(src).pos, window, &mut bufs.knn_out);
             self.retarget_ids
                 .extend(bufs.knn_out.iter().map(|&(id, _)| id));
         });
@@ -484,9 +473,11 @@ impl Protocol for QlecProtocol {
         if let Some(c) = self.params.candidates.budget(k) {
             if self.q_routing && heads.len() > c {
                 let index_span = self.obs.span_start();
-                self.head_tree = KdTree::build(heads.iter().map(|&h| net.node(h).pos).collect());
                 self.head_ids.clear();
                 self.head_ids.extend(heads.iter().map(|h| h.0));
+                self.head_ids.sort_unstable();
+                self.head_grid =
+                    UniformGrid::build(self.head_ids.iter().map(|&h| net.node(NodeId(h)).pos));
                 self.candidate_budget = c;
                 self.candidates_active = true;
                 self.retarget_slot.resize(net.len(), UNRANKED);
@@ -713,7 +704,6 @@ impl RoutePlanner for QlecProtocol {
                     self.nearest_heads_into(
                         net.node(src).pos,
                         self.knn_window(),
-                        &mut bufs.knn_buf,
                         &mut bufs.knn_out,
                     );
                     alive_prefix(

@@ -1,4 +1,4 @@
-//! Uniform-grid spatial index for fixed-radius queries.
+//! Uniform-grid spatial index for fixed-radius and k-nearest queries.
 //!
 //! Algorithm 3 of the paper (redundancy reduction) requires, for every
 //! freshly elected cluster head, the set of nodes within the cluster
@@ -6,6 +6,13 @@
 //! `N = 2 896` nodes (§5.3) and up to `k = 272` heads per round, a naive
 //! `O(N·k)` scan per round is affordable but wasteful; the grid makes each
 //! query touch only the cells overlapping the query ball.
+//!
+//! The same cells answer QLEC's Send-Data candidate query (Alg. 1
+//! lines 10–12: each member's `c` nearest heads): a grid rebuilt each
+//! round over that round's heads, queried with
+//! [`UniformGrid::k_nearest_into`]. That query is ball-first — guess a
+//! radius from the live density, scan the ball, grow it until it holds
+//! `k` points — so it costs about one radius query.
 //!
 //! Nodes never move or join, so the index is built once over the
 //! deployment positions and afterwards only shrinks:
@@ -27,6 +34,27 @@ const TARGET_PER_CELL: usize = 8;
 /// Tombstones, as a fraction of the live points, that a removal may leave
 /// in the cell lists before it compacts them.
 const COMPACT_FRACTION: f64 = 0.25;
+
+/// Points the first k-nearest ball should hold on average, per point
+/// asked for.
+const KNN_FILL: f64 = 1.2;
+
+/// Radius factor for the next k-nearest ball when one holds fewer than
+/// `k` live points.
+const KNN_GROWTH: f64 = 1.6;
+
+/// Relative margin by which a query's cell range over-covers its ball, so
+/// rounding in the cell arithmetic never drops a point the exact
+/// `d² <= r²` test keeps.
+const CELL_MARGIN: f64 = 1e-12;
+
+/// Volume of the unit ball in 0, 1, 2 and 3 dimensions.
+const UNIT_BALL: [f64; 4] = [
+    1.0,
+    2.0,
+    std::f64::consts::PI,
+    4.0 / 3.0 * std::f64::consts::PI,
+];
 
 /// A uniform spatial hash over a fixed point set, with removal.
 ///
@@ -192,13 +220,45 @@ impl UniformGrid {
         &self.points
     }
 
+    /// Cells along `axis` that cover `[c - radius, c + radius]`, widened
+    /// by [`CELL_MARGIN`] of the radius and of `|c|` (the rounding of
+    /// `c ± radius` scales with both).
     #[inline]
-    fn axis_range(&self, lo: f64, hi: f64, axis: usize) -> (usize, usize) {
+    fn axis_range(&self, c: f64, radius: f64, axis: usize) -> (usize, usize) {
+        let reach = radius + (radius + c.abs()) * CELL_MARGIN;
         let min = self.bounds.min()[axis];
-        let c = self.cell[axis];
-        let a = (((lo - min) / c).floor().max(0.0)) as usize;
-        let b = (((hi - min) / c).floor().max(0.0)) as usize;
+        let side = self.cell[axis];
+        let a = (((c - reach - min) / side).floor().max(0.0)) as usize;
+        let b = (((c + reach - min) / side).floor().max(0.0)) as usize;
         (a.min(self.dims[axis] - 1), b.min(self.dims[axis] - 1))
+    }
+
+    /// Visit every live point within `radius` of `center` (inclusive) as
+    /// `(index, squared distance)`, cell by cell, ascending within a cell.
+    #[inline]
+    fn for_each_within(&self, center: Vec3, radius: f64, mut visit: impl FnMut(u32, f64)) {
+        let r_sq = radius * radius;
+        let (x0, x1) = self.axis_range(center.x, radius, 0);
+        let (y0, y1) = self.axis_range(center.y, radius, 1);
+        let (z0, z1) = self.axis_range(center.z, radius, 2);
+        for iz in z0..=z1 {
+            for iy in y0..=y1 {
+                let row = (iz * self.dims[1] + iy) * self.dims[0];
+                // The cells x0..=x1 of one row are contiguous in `entries`.
+                let s = self.starts[row + x0] as usize;
+                let e = self.starts[row + x1 + 1] as usize;
+                for &idx in &self.entries[s..e] {
+                    let i = idx as usize;
+                    // Fast path: with no tombstones every entry is live.
+                    if self.stale == 0 || self.alive[i] {
+                        let d_sq = self.points[i].dist_sq(center);
+                        if d_sq <= r_sq {
+                            visit(idx, d_sq);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Indices of all live points within `radius` of `center` (inclusive),
@@ -211,34 +271,7 @@ impl UniformGrid {
         if self.alive_count == 0 || radius < 0.0 {
             return;
         }
-        let r_sq = radius * radius;
-        let (x0, x1) = self.axis_range(center.x - radius, center.x + radius, 0);
-        let (y0, y1) = self.axis_range(center.y - radius, center.y + radius, 1);
-        let (z0, z1) = self.axis_range(center.z - radius, center.z + radius, 2);
-        for iz in z0..=z1 {
-            for iy in y0..=y1 {
-                for ix in x0..=x1 {
-                    let c = (iz * self.dims[1] + iy) * self.dims[0] + ix;
-                    let s = self.starts[c] as usize;
-                    let e = self.starts[c + 1] as usize;
-                    if self.stale == 0 {
-                        // Fast path: every entry is live.
-                        for &idx in &self.entries[s..e] {
-                            if self.points[idx as usize].dist_sq(center) <= r_sq {
-                                out.push(idx);
-                            }
-                        }
-                    } else {
-                        for &idx in &self.entries[s..e] {
-                            let i = idx as usize;
-                            if self.alive[i] && self.points[i].dist_sq(center) <= r_sq {
-                                out.push(idx);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.for_each_within(center, radius, |idx, _| out.push(idx));
     }
 
     /// Convenience wrapper returning a fresh `Vec`.
@@ -246,6 +279,85 @@ impl UniformGrid {
         let mut out = Vec::new();
         self.within_radius_into(center, radius, &mut out);
         out
+    }
+
+    /// The `k` live points nearest `q` as `(index, squared distance)`,
+    /// ascending by `(squared distance, index)`: of two points at the same
+    /// squared distance the lower index ranks first, so a tie at the
+    /// `k`-th place keeps the lower index. Holds fewer than `k` only when
+    /// fewer points are live. `out` is cleared first and doubles as the
+    /// scan buffer.
+    ///
+    /// Scans a ball around `q` sized to hold about `1.2·k` points, growing
+    /// it until it holds at least `k`. Every point outside that ball is
+    /// strictly farther than every point inside, so the ranking is exact.
+    ///
+    /// ```
+    /// use qlec_geom::{UniformGrid, Vec3};
+    /// let grid = UniformGrid::build((0..5).map(|i| Vec3::new(i as f64, 0.0, 0.0)));
+    /// let mut near = Vec::new();
+    /// grid.k_nearest_into(Vec3::new(2.5, 0.0, 0.0), 3, &mut near);
+    /// // Points 2 and 3 tie at 0.25; the lower index ranks first.
+    /// assert_eq!(near, vec![(2, 0.25), (3, 0.25), (1, 2.25)]);
+    /// ```
+    pub fn k_nearest_into(&self, q: Vec3, k: usize, out: &mut Vec<(u32, f64)>) {
+        out.clear();
+        let k = k.min(self.alive_count);
+        if k == 0 {
+            return;
+        }
+        // A ball this wide holds every point in the bounds.
+        let far_sq = (q - self.bounds.min()).max(self.bounds.max() - q).norm_sq();
+        let mut r = self.knn_radius(q, k);
+        loop {
+            self.for_each_within(q, r, |idx, d_sq| out.push((idx, d_sq)));
+            // Stop once the ball covers the bounds (or `q` is NaN).
+            if out.len() >= k || r * r >= far_sq * (1.0 + 1e-9) || r.is_nan() {
+                break;
+            }
+            out.clear();
+            r = if r > 0.0 {
+                r * KNN_GROWTH
+            } else {
+                far_sq.sqrt()
+            };
+        }
+        let rank = |a: &(u32, f64), b: &(u32, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
+        if out.len() > k {
+            out.select_nth_unstable_by(k - 1, rank);
+            out.truncate(k);
+        }
+        out.sort_unstable_by(rank);
+    }
+
+    /// First k-nearest radius for `q`: the ball that holds
+    /// [`KNN_FILL`]`·k` points at the grid's live density, measured over
+    /// the bounds' non-flat axes. It is widened for the share of its
+    /// bounding cube that falls outside the bounds, and centred on the
+    /// bounds point nearest `q`, whose distance to `q` is added.
+    fn knn_radius(&self, q: Vec3, k: usize) -> f64 {
+        let (lo, hi) = (self.bounds.min(), self.bounds.max());
+        let nearest = q.clamp(lo, hi);
+        let ext = self.bounds.extent();
+        let flat = |a: usize| ext[a] <= 0.0;
+        let dim = (0..3).filter(|&a| !flat(a)).count();
+        if dim == 0 {
+            // Every point sits at `nearest`.
+            return q.dist(nearest);
+        }
+        let volume: f64 = (0..3).filter(|&a| !flat(a)).map(|a| ext[a]).product();
+        let want = KNN_FILL * k as f64 * volume / (self.alive_count as f64 * UNIT_BALL[dim]);
+        let root = |x: f64| match dim {
+            1 => x,
+            2 => x.sqrt(),
+            _ => x.cbrt(),
+        };
+        let r = root(want);
+        let inside: f64 = (0..3)
+            .filter(|&a| !flat(a))
+            .map(|a| ((nearest[a] + r).min(hi[a]) - (nearest[a] - r).max(lo[a])) / (2.0 * r))
+            .product();
+        q.dist(nearest) + root(want / inside)
     }
 }
 
@@ -265,6 +377,31 @@ mod tests {
             .collect();
         v.sort_unstable();
         v
+    }
+
+    /// The reference ranking: every live point by `(squared distance,
+    /// index)`, cut to `k`.
+    fn brute_k_nearest(
+        points: &[Vec3],
+        alive: impl Fn(usize) -> bool,
+        q: Vec3,
+        k: usize,
+    ) -> Vec<(u32, f64)> {
+        let mut all: Vec<(u32, f64)> = points
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| alive(i))
+            .map(|(i, p)| (i as u32, p.dist_sq(q)))
+            .collect();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+
+    fn k_nearest(g: &UniformGrid, q: Vec3, k: usize) -> Vec<(u32, f64)> {
+        let mut out = vec![(7, 7.0)]; // stale contents must not leak
+        g.k_nearest_into(q, k, &mut out);
+        out
     }
 
     #[test]
@@ -399,5 +536,230 @@ mod tests {
         }
         assert!(g.stale > 0);
         check(&g, &dead);
+    }
+
+    #[test]
+    fn k_nearest_matches_brute_force() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let b = Aabb::cube(200.0);
+        let pts = uniform_points_in_aabb(&mut rng, &b, 1_000);
+        let g = UniformGrid::build(pts.clone());
+        for q in uniform_points_in_aabb(&mut rng, &b, 100) {
+            for &k in &[1usize, 5, 17, 28, 300] {
+                assert_eq!(
+                    k_nearest(&g, q, k),
+                    brute_k_nearest(&pts, |_| true, q, k),
+                    "{q:?} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn k_nearest_breaks_ties_by_index_on_lattices_and_duplicates() {
+        // A 6×6×6 integer lattice listed twice: every distance is shared
+        // by at least two points, and queries at lattice and half-lattice
+        // points tie many more at the k-th place.
+        let lattice: Vec<Vec3> = (0..216)
+            .map(|i| Vec3::new((i % 6) as f64, (i / 6 % 6) as f64, (i / 36) as f64))
+            .collect();
+        let pts: Vec<Vec3> = lattice.iter().chain(&lattice).copied().collect();
+        let g = UniformGrid::build(pts.clone());
+        for (j, &p) in lattice.iter().enumerate().step_by(7) {
+            for q in [p, p + Vec3::splat(0.5), p + Vec3::new(0.5, 0.0, 0.0)] {
+                for k in [1, 2, 3, 7, 13, 27, 40] {
+                    let got = k_nearest(&g, q, k);
+                    assert_eq!(
+                        got,
+                        brute_k_nearest(&pts, |_| true, q, k),
+                        "point {j} q {q:?} k={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn k_nearest_finds_points_on_cell_boundaries() {
+        // 125 lattice points at multiples of 3 in [0, 12]³, each listed
+        // three times: 375 points build 4 cells per axis of side exactly
+        // 3, so every point lies on a cell boundary.
+        let lattice: Vec<Vec3> = (0..125)
+            .map(|i| Vec3::new((i % 5) as f64, (i / 5 % 5) as f64, (i / 25) as f64) * 3.0)
+            .collect();
+        let pts: Vec<Vec3> = (0..3).flat_map(|_| lattice.iter().copied()).collect();
+        let g = UniformGrid::build(pts.clone());
+        assert_eq!((g.dims, g.cell), ([4; 3], Vec3::splat(3.0)));
+        for &p in lattice.iter().step_by(3) {
+            for q in [
+                p,
+                p + Vec3::new(1.5, 0.0, 0.0),
+                p + Vec3::new(3.0, 1.5, 0.0),
+            ] {
+                for k in [1, 3, 4, 10, 19, 50] {
+                    assert_eq!(
+                        k_nearest(&g, q, k),
+                        brute_k_nearest(&pts, |_| true, q, k),
+                        "{q:?} k={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn k_nearest_from_outside_the_bounds() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let b = Aabb::cube(50.0);
+        let pts = uniform_points_in_aabb(&mut rng, &b, 400);
+        let g = UniformGrid::build(pts.clone());
+        let queries = [
+            Vec3::new(-1.0, 25.0, 25.0),
+            Vec3::new(25.0, 51.0, 25.0),
+            Vec3::splat(-0.5),
+            Vec3::splat(55.0),
+            Vec3::new(1e4, -3e3, 20.0),
+        ];
+        for q in queries {
+            for k in [1, 8, 33, 400, 500] {
+                assert_eq!(
+                    k_nearest(&g, q, k),
+                    brute_k_nearest(&pts, |_| true, q, k),
+                    "{q:?} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn k_nearest_edge_cases() {
+        let empty = UniformGrid::build(std::iter::empty());
+        assert!(k_nearest(&empty, Vec3::ZERO, 3).is_empty());
+
+        let pts = vec![Vec3::ZERO, Vec3::ONE, Vec3::splat(2.0)];
+        let g = UniformGrid::build(pts.clone());
+        assert!(k_nearest(&g, Vec3::ZERO, 0).is_empty());
+        for k in [3, 10] {
+            assert_eq!(
+                k_nearest(&g, Vec3::splat(1.9), k),
+                brute_k_nearest(&pts, |_| true, Vec3::splat(1.9), 3)
+            );
+        }
+
+        // Flat point sets: a plane, a line, and one repeated point, queried
+        // on and off them.
+        let plane: Vec<Vec3> = (0..100)
+            .map(|i| Vec3::new(i as f64, (i * 7 % 13) as f64, 4.0))
+            .collect();
+        let line: Vec<Vec3> = (0..60)
+            .map(|i| Vec3::new(0.0, i as f64 * 0.5, 0.0))
+            .collect();
+        let point = vec![Vec3::splat(5.0); 9];
+        for pts in [plane, line, point] {
+            let g = UniformGrid::build(pts.clone());
+            for q in [
+                pts[3],
+                pts[3] + Vec3::new(0.25, 0.0, 0.0),
+                pts[0] + Vec3::splat(3.0),
+                Vec3::splat(-20.0),
+            ] {
+                for k in [1, 4, 9, 200] {
+                    assert_eq!(
+                        k_nearest(&g, q, k),
+                        brute_k_nearest(&pts, |_| true, q, k),
+                        "{q:?} k={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn k_nearest_skips_tombstones_before_and_after_compaction() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let b = Aabb::cube(80.0);
+        let pts = uniform_points_in_aabb(&mut rng, &b, 400);
+        let queries = uniform_points_in_aabb(&mut rng, &b, 15);
+        let mut g = UniformGrid::build(pts.clone());
+        let mut dead = vec![false; pts.len()];
+        let check = |g: &UniformGrid, dead: &[bool]| {
+            for &q in &queries {
+                for k in [1, 6, 25, 399] {
+                    assert_eq!(
+                        k_nearest(g, q, k),
+                        brute_k_nearest(&pts, |i| !dead[i], q, k),
+                        "{q:?} k={k}"
+                    );
+                }
+            }
+        };
+        let (mut tombstoned, mut compacted) = (false, false);
+        for i in (0..pts.len()).step_by(3) {
+            assert!(g.remove(i as u32));
+            dead[i] = true;
+            if g.stale > 0 && !tombstoned {
+                check(&g, &dead);
+                tombstoned = true;
+            }
+            if g.stale == 0 {
+                check(&g, &dead);
+                compacted = true;
+                break;
+            }
+        }
+        assert!(tombstoned && compacted);
+        // Every point but one removed: that one is the answer everywhere.
+        let last = dead.len() - 1;
+        for (i, d) in dead[..last].iter_mut().enumerate() {
+            g.remove(i as u32);
+            *d = true;
+        }
+        check(&g, &dead);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `k_nearest_into` equals the brute-force `(d², index)` ranking
+        /// of the live points, down to which index wins a tie at the
+        /// `k`-th place. Point sets are uniform, on an 8×8×8 integer
+        /// lattice (many exact ties), on a plane, or one repeated point;
+        /// some points are removed; half the queries sit on a point and
+        /// the rest at integer or half-integer places; `k` runs from 0
+        /// past the live count.
+        #[test]
+        fn k_nearest_matches_the_brute_force_ranking(
+            seed in 0u64..100_000,
+            n in 1usize..150,
+            k_raw in 0usize..1000,
+            shape in 0u8..4,
+            removed in 0usize..100,
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let draw = |rng: &mut StdRng, step: f64| -> Vec3 {
+                let mut c = || rng.gen_range(0..8u32) as f64 * step;
+                match shape {
+                    0 => Vec3::new(c(), c(), c()) * 6.25,
+                    1 => Vec3::new(c(), c(), c()),
+                    2 => Vec3::new(c(), c(), 3.0),
+                    _ => Vec3::splat(2.0),
+                }
+            };
+            let pts: Vec<Vec3> = (0..n).map(|_| draw(&mut rng, 1.0)).collect();
+            let mut g = UniformGrid::build(pts.clone());
+            let mut dead = vec![false; n];
+            for _ in 0..removed * n / 100 {
+                let i = rng.gen_range(0..n);
+                g.remove(i as u32);
+                dead[i] = true;
+            }
+            let k = k_raw % (n + 5);
+            for j in 0..6 {
+                let q = if j % 2 == 0 { pts[rng.gen_range(0..n)] } else { draw(&mut rng, 0.5) };
+                let want = brute_k_nearest(&pts, |i| !dead[i], q, k);
+                proptest::prop_assert_eq!(k_nearest(&g, q, k), want);
+            }
+        }
     }
 }

@@ -10,9 +10,9 @@
 //! * [`Aabb`] — axis-aligned boxes (the deployment cube and sub-volumes),
 //! * [`sample`] — seeded uniform sampling in cubes, balls, and spheres,
 //! * [`grid::UniformGrid`] — a uniform spatial hash for radius queries
-//!   (the HELLO broadcast of Algorithm 3 touches every node within `d_c`),
-//! * [`kdtree::KdTree`] — a k-d tree for k-nearest queries (QLEC prunes
-//!   each member's Send-Data candidates to its nearest heads),
+//!   (the HELLO broadcast of Algorithm 3 touches every node within `d_c`)
+//!   and k-nearest queries (QLEC prunes each member's Send-Data
+//!   candidates to its nearest heads, over a grid of the round's heads),
 //! * [`stats`] — streaming and batch statistics used by the metrics code,
 //! * [`randx`] — exponential / normal / log-normal sampling built on `rand`
 //!   (kept local instead of adding a `rand_distr` dependency).
@@ -22,7 +22,6 @@
 
 pub mod aabb;
 pub mod grid;
-pub mod kdtree;
 pub mod randx;
 pub mod sample;
 pub mod stats;
@@ -30,5 +29,4 @@ pub mod vec3;
 
 pub use aabb::Aabb;
 pub use grid::UniformGrid;
-pub use kdtree::KdTree;
 pub use vec3::Vec3;

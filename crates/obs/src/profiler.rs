@@ -43,8 +43,8 @@ pub enum Phase {
     /// The Algorithm 3 HELLO redundancy-reduction broadcast (timed by
     /// `qlec-core` inside the improved-DEEC selection).
     Broadcast,
-    /// Spatial-index upkeep: the per-round grid maintenance and the
-    /// Send-Data head kd-tree build (timed by `qlec-core`).
+    /// Spatial-index upkeep: the per-round node-grid maintenance and
+    /// the Send-Data head grid build (timed by `qlec-core`).
     IndexMaintenance,
     /// Per-node Poisson packet generation.
     Traffic,
