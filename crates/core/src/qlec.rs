@@ -85,12 +85,14 @@ pub struct QlecProtocol {
     candidate_buf: Vec<NodeId>,
     /// Per-round cache of the merge-time retargets' k-nearest head
     /// ranking: node id → `(start, len)` into `retarget_ids`
-    /// ([`UNRANKED`] until the node's first retarget this round). The
-    /// ranking depends only on the source position and `head_grid` —
-    /// both frozen between `on_round_start` calls — so the first
-    /// retarget of a node pays the grid query and later ones reuse it;
-    /// the alive filter stays live, so the candidate set (and every
-    /// downstream byte) matches the uncached query exactly.
+    /// ([`UNRANKED`] until the node's first retarget this round). A
+    /// ranking holds the `c` nearest heads, or the whole `knn_window`
+    /// once a dead head among those `c` made a retarget widen it. It
+    /// depends only on the source position and `head_grid` — both frozen
+    /// between `on_round_start` calls — so the first retarget of a node
+    /// pays the grid query and later ones reuse it; the alive filter
+    /// stays live, so the candidate set (and every downstream byte)
+    /// matches the uncached query exactly.
     retarget_slot: Vec<(u32, u32)>,
     /// Head ids of every ranking cached this round, nearest first.
     retarget_ids: Vec<u32>,
@@ -110,14 +112,23 @@ thread_local! {
     static THREAD_BUFS: RefCell<ThreadBufs> = RefCell::new(ThreadBufs::default());
 }
 
-/// Fill `out` with the first `c` alive heads of `ranking` (nearest
-/// first).
+/// Fill `out` with the first `c` alive heads of `ranking` (head ids,
+/// nearest first), and return whether the caller must widen `ranking` to
+/// the `window` nearest heads and filter again: `ranking` is shorter than
+/// the window and holds fewer than `c` alive heads.
+///
+/// The `(d², id)` ranking is prefix-consistent, so a narrow ranking of the
+/// `c` nearest heads that are all alive is exactly the first `c` alive
+/// heads of the window. Both Send-Data paths ask for `c` heads first and
+/// for the window only when this returns `true`.
 fn alive_prefix(
     net: &Network,
-    ranking: impl Iterator<Item = u32>,
+    ranking: impl ExactSizeIterator<Item = u32>,
     c: usize,
+    window: usize,
     out: &mut Vec<NodeId>,
-) {
+) -> bool {
+    let narrow = ranking.len() < window;
     out.clear();
     for id in ranking {
         if net.arena().is_alive(id as usize) {
@@ -127,6 +138,7 @@ fn alive_prefix(
             }
         }
     }
+    narrow && out.len() < c
 }
 
 /// Fluent configuration for [`QlecProtocol`] — the one way to assemble a
@@ -393,9 +405,11 @@ impl QlecProtocol {
         }
     }
 
-    /// The k-nearest window behind every pruned candidate set: `c + 8`
-    /// heads, padding so a few mid-round head deaths still leave `c`
-    /// alive candidates.
+    /// The widened k-nearest window behind a pruned candidate set: `c + 8`
+    /// heads, so a few dead heads among the `c` nearest still leave `c`
+    /// alive candidates. It is queried only when the `c` nearest heads
+    /// are not all alive (see [`alive_prefix`]); the candidate set is the
+    /// first `c` alive heads of this window either way.
     fn knn_window(&self) -> usize {
         (self.candidate_budget + 8).min(self.head_ids.len())
     }
@@ -410,17 +424,18 @@ impl QlecProtocol {
         }
     }
 
-    /// `src`'s head ranking for merge-time retargets, as a range of
-    /// `retarget_ids`: queried on the node's first retarget of the
-    /// round, cached for the rest.
-    fn retarget_ranking(&mut self, net: &Network, src: NodeId) -> std::ops::Range<usize> {
+    /// `src`'s ranking of at least its `k` nearest heads for merge-time
+    /// retargets, as a range of `retarget_ids`: the cached ranking if it
+    /// holds `k`, else a fresh query of `k` that replaces it for the rest
+    /// of the round.
+    fn retarget_ranking(&mut self, net: &Network, src: NodeId, k: usize) -> std::ops::Range<usize> {
         let (start, len) = self.retarget_slot[src.index()];
-        if (start, len) != UNRANKED {
+        if len as usize >= k {
             return start as usize..(start + len) as usize;
         }
-        let (start, window) = (self.retarget_ids.len(), self.knn_window());
+        let start = self.retarget_ids.len();
         THREAD_BUFS.with_borrow_mut(|bufs| {
-            self.nearest_heads_into(net.node(src).pos, window, &mut bufs.knn_out);
+            self.nearest_heads_into(net.node(src).pos, k, &mut bufs.knn_out);
             self.retarget_ids
                 .extend(bufs.knn_out.iter().map(|&(id, _)| id));
         });
@@ -521,16 +536,18 @@ impl Protocol for QlecProtocol {
             return nearest_head(net, src, heads).map_or(Target::Bs, Target::Head);
         }
         // Pruned candidate set: the c nearest alive heads of the cached
-        // ranking; an all-dead window falls back to the full list (the
-        // router skips dead heads itself).
+        // ranking, widened to the window once a dead head calls for it; an
+        // all-dead window falls back to the full list (the router skips
+        // dead heads itself).
         let candidates: &[NodeId] = if self.candidates_active {
-            let ranking = self.retarget_ranking(net, src);
-            alive_prefix(
-                net,
-                self.retarget_ids[ranking].iter().copied(),
-                self.candidate_budget,
-                &mut self.candidate_buf,
-            );
+            let (c, window) = (self.candidate_budget, self.knn_window());
+            for k in [c, window] {
+                let ranking = self.retarget_ranking(net, src, k);
+                let ranking = self.retarget_ids[ranking].iter().copied();
+                if !alive_prefix(net, ranking, c, window, &mut self.candidate_buf) {
+                    break;
+                }
+            }
             if self.candidate_buf.is_empty() {
                 heads
             } else {
@@ -696,22 +713,21 @@ impl RoutePlanner for QlecProtocol {
             updates,
         } = s;
         THREAD_BUFS.with_borrow_mut(|bufs| {
-            // Same pruned-candidate query as `choose_target`, computed once
-            // per node on the worker's buffers (the index itself is only
-            // read — `&self` planning stays free of interior mutation).
+            // Same pruned-candidate rule as `choose_target` (the `c`
+            // nearest heads, widened to the window only if one of them is
+            // dead), computed once per node on the worker's buffers (the
+            // index itself is only read — `&self` planning stays free of
+            // interior mutation).
             let candidates: &[NodeId] = if self.candidates_active {
                 if !*knn_ready {
-                    self.nearest_heads_into(
-                        net.node(src).pos,
-                        self.knn_window(),
-                        &mut bufs.knn_out,
-                    );
-                    alive_prefix(
-                        net,
-                        bufs.knn_out.iter().map(|&(id, _)| id),
-                        self.candidate_budget,
-                        candidate_buf,
-                    );
+                    let (c, window) = (self.candidate_budget, self.knn_window());
+                    for k in [c, window] {
+                        self.nearest_heads_into(net.node(src).pos, k, &mut bufs.knn_out);
+                        let ranking = bufs.knn_out.iter().map(|&(id, _)| id);
+                        if !alive_prefix(net, ranking, c, window, candidate_buf) {
+                            break;
+                        }
+                    }
                     *knn_ready = true;
                 }
                 if candidate_buf.is_empty() {
@@ -1079,23 +1095,42 @@ mod tests {
             p.choose_target(net, src, &heads, &mut StdRng::seed_from_u64(0));
             assert_eq!(p.candidate_buf, uncached_candidates(p, net, src), "{src}");
         };
+        let (c, window) = (p.candidate_budget, p.knn_window());
+        assert!(c < window, "premise: the window is wider than the budget");
         for &src in &members {
             retarget(&mut p, &net, src);
-            assert_ne!(p.retarget_slot[src.index()], UNRANKED, "{src} cached");
+            assert_eq!(
+                p.retarget_slot[src.index()].1 as usize,
+                c,
+                "{src} caches c heads"
+            );
         }
-        // A mid-round head death: the cached ranking is reused, and the
+        assert_eq!(p.retarget_ids.len(), members.len() * c);
+        // A mid-round death of the nearest of `src`'s own candidates: the
+        // next retarget widens the ranking to the window once, and the
         // live alive filter drops the dead head from the candidate set.
         let src = members[0];
+        retarget(&mut p, &net, src);
         let victim = p.candidate_buf[0];
         net.node_mut(victim).battery.consume(10.0);
+        retarget(&mut p, &net, src);
+        assert!(!p.candidate_buf.contains(&victim), "dead head filtered out");
+        assert_eq!(p.candidate_buf.len(), c, "the window refills the set");
+        let widened = p.retarget_slot[src.index()];
+        assert_eq!(widened.1 as usize, window, "ranking widened to the window");
+        // Later retargets reuse the widened ranking without a query.
         let ranked = p.retarget_ids.len();
         retarget(&mut p, &net, src);
         assert_eq!(
-            p.retarget_ids.len(),
-            ranked,
-            "ranking reused, not re-queried"
+            p.retarget_slot[src.index()],
+            widened,
+            "widened ranking reused"
         );
-        assert!(!p.candidate_buf.contains(&victim), "dead head filtered out");
+        assert_eq!(p.retarget_ids.len(), ranked, "not re-queried");
+        assert!(
+            !p.candidate_buf.contains(&victim),
+            "dead head still filtered out"
+        );
         // A round boundary drops every cached ranking; the next retarget
         // queries the new round's index.
         p.on_round_end(&mut net, 0, &heads);

@@ -12,7 +12,10 @@
 //! round over that round's heads, queried with
 //! [`UniformGrid::k_nearest_into`]. That query is ball-first — guess a
 //! radius from the live density, scan the ball, grow it until it holds
-//! `k` points — so it costs about one radius query.
+//! `k` points — so it costs about one radius query. Both queries run one
+//! scan that is branchless in its hit test: every scanned entry is
+//! written to the caller's buffer and the write cursor steps past hits
+//! only.
 //!
 //! Nodes never move or join, so the index is built once over the
 //! deployment positions and afterwards only shrinks:
@@ -233,32 +236,51 @@ impl UniformGrid {
         (a.min(self.dims[axis] - 1), b.min(self.dims[axis] - 1))
     }
 
-    /// Visit every live point within `radius` of `center` (inclusive) as
-    /// `(index, squared distance)`, cell by cell, ascending within a cell.
+    /// Append every live point within `radius` of `center` (inclusive) to
+    /// `out` as `entry(index, squared distance)`, cell by cell, ascending
+    /// within a cell.
+    ///
+    /// The scan is branchless in its hit test. Each grid row's entries are
+    /// all written past the hits found so far, and the write cursor steps
+    /// over an entry only if it is a hit, so a miss is overwritten by the
+    /// next entry and cut by the final truncation. Only about one scanned
+    /// entry in eight is a hit, so a branch on the test would mispredict
+    /// often. The liveness term keeps its short circuit: with no
+    /// tombstones (`stale == 0`) it reads no `alive` flag.
     #[inline]
-    fn for_each_within(&self, center: Vec3, radius: f64, mut visit: impl FnMut(u32, f64)) {
+    fn scan_within<T: Copy + Default>(
+        &self,
+        center: Vec3,
+        radius: f64,
+        out: &mut Vec<T>,
+        entry: impl Fn(u32, f64) -> T,
+    ) {
         let r_sq = radius * radius;
+        let all_live = self.stale == 0;
         let (x0, x1) = self.axis_range(center.x, radius, 0);
         let (y0, y1) = self.axis_range(center.y, radius, 1);
         let (z0, z1) = self.axis_range(center.z, radius, 2);
+        let mut len = out.len();
         for iz in z0..=z1 {
             for iy in y0..=y1 {
                 let row = (iz * self.dims[1] + iy) * self.dims[0];
                 // The cells x0..=x1 of one row are contiguous in `entries`.
                 let s = self.starts[row + x0] as usize;
                 let e = self.starts[row + x1 + 1] as usize;
-                for &idx in &self.entries[s..e] {
+                let cells = &self.entries[s..e];
+                out.resize(len + cells.len(), T::default());
+                let dst = &mut out[len..];
+                let mut hits = 0;
+                for &idx in cells {
                     let i = idx as usize;
-                    // Fast path: with no tombstones every entry is live.
-                    if self.stale == 0 || self.alive[i] {
-                        let d_sq = self.points[i].dist_sq(center);
-                        if d_sq <= r_sq {
-                            visit(idx, d_sq);
-                        }
-                    }
+                    let d_sq = self.points[i].dist_sq(center);
+                    dst[hits] = entry(idx, d_sq);
+                    hits += ((d_sq <= r_sq) & (all_live || self.alive[i])) as usize;
                 }
+                len += hits;
             }
         }
+        out.truncate(len);
     }
 
     /// Indices of all live points within `radius` of `center` (inclusive),
@@ -271,7 +293,7 @@ impl UniformGrid {
         if self.alive_count == 0 || radius < 0.0 {
             return;
         }
-        self.for_each_within(center, radius, |idx, _| out.push(idx));
+        self.scan_within(center, radius, out, |idx, _| idx);
     }
 
     /// Convenience wrapper returning a fresh `Vec`.
@@ -310,7 +332,7 @@ impl UniformGrid {
         let far_sq = (q - self.bounds.min()).max(self.bounds.max() - q).norm_sq();
         let mut r = self.knn_radius(q, k);
         loop {
-            self.for_each_within(q, r, |idx, d_sq| out.push((idx, d_sq)));
+            self.scan_within(q, r, out, |idx, d_sq| (idx, d_sq));
             // Stop once the ball covers the bounds (or `q` is NaN).
             if out.len() >= k || r * r >= far_sq * (1.0 + 1e-9) || r.is_nan() {
                 break;
@@ -719,6 +741,65 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `within_radius_into` holds exactly the brute-force ball of the
+        /// live points, in cell order: ascending cell, ascending index
+        /// within a cell. Point sets are uniform, on an 8×8×8 integer
+        /// lattice, on a plane, or one repeated point. Points are removed
+        /// one at a time and every query reruns after each removal, so the
+        /// scan meets tombstones before and after a compaction. Queries
+        /// sit on a point or anywhere in and around the bounds; radii are
+        /// 0, exactly the distance to a point, a random one, and one wider
+        /// than the bounds.
+        #[test]
+        fn within_radius_matches_the_brute_force_ball(
+            seed in 0u64..100_000,
+            n in 1usize..150,
+            shape in 0u8..4,
+            removed in 0usize..=100,
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let draw = |rng: &mut StdRng| -> Vec3 {
+                let mut lattice = || rng.gen_range(0..8u32) as f64;
+                match shape {
+                    0 => Vec3::new(lattice(), lattice(), lattice()) * 6.25
+                        + Vec3::new(rng.gen(), rng.gen(), rng.gen()) * 6.25,
+                    1 => Vec3::new(lattice(), lattice(), lattice()),
+                    2 => Vec3::new(lattice(), lattice(), 3.0),
+                    _ => Vec3::splat(2.0),
+                }
+            };
+            let pts: Vec<Vec3> = (0..n).map(|_| draw(&mut rng)).collect();
+            let mut queries = Vec::new();
+            for j in 0..4 {
+                let q = if j % 2 == 0 {
+                    pts[rng.gen_range(0..n)]
+                } else {
+                    draw(&mut rng) + Vec3::new(rng.gen(), rng.gen(), rng.gen()) - Vec3::splat(0.5)
+                };
+                let on = pts[rng.gen_range(0..n)].dist(q);
+                for r in [0.0, on, rng.gen_range(0.0..20.0), 1e3] {
+                    queries.push((q, r));
+                }
+            }
+            let mut g = UniformGrid::build(pts.clone());
+            let mut dead = vec![false; n];
+            let mut out = vec![7]; // stale contents must not leak
+            for step in 0..=removed * n / 100 {
+                if step > 0 {
+                    let i = rng.gen_range(0..n);
+                    g.remove(i as u32);
+                    dead[i] = true;
+                }
+                for &(q, r) in &queries {
+                    g.within_radius_into(q, r, &mut out);
+                    let mut want = brute_within(&pts, |i| !dead[i], q, r);
+                    want.sort_by_key(|&i| (g.cell_of(pts[i as usize]), i));
+                    proptest::prop_assert_eq!((q, r, step, &out), (q, r, step, &want));
+                }
+            }
+        }
 
         /// `k_nearest_into` equals the brute-force `(d², index)` ranking
         /// of the live points, down to which index wins a tie at the

@@ -604,7 +604,9 @@ impl Simulator {
                 }
             }
         }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        // `(t, id)` is the whole element and the order is total, so equal
+        // elements are identical and the unstable sort is the stable one.
+        events.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         serial_busy(
             Phase::Traffic,
             self.obs.span_end(traffic_span, Phase::Traffic),
