@@ -29,10 +29,6 @@ use qlec_obs::{Event, ObserverSet, Phase};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
-/// Top-up candidates ranked up front, per head short of `k`. The passes
-/// rarely walk further; when one does, the rest is ranked then.
-const TOP_UP_PREFIX: usize = 4;
-
 /// Eq. 4: the minimum residual energy node `i` needs at round `r` (out of
 /// planned `total_rounds`) to be eligible as a cluster head.
 ///
@@ -130,10 +126,8 @@ pub fn select_heads(
 /// Per-round cost, for `N` alive nodes and target `k`: the O(N) Alg. 2
 /// pass; one grid ball query per elected head for Alg. 3 (see
 /// [`redundancy_withdrawals`]); and, when the head set is short, an
-/// O(N) selection of the top-up candidates' best few times the
-/// shortfall, sorted (all of them only if a pass walks past that prefix),
-/// whose separation test is one ball query against a head-only cell grid
-/// per candidate tried.
+/// O(N log N) sort of the top-up candidates, whose separation test is
+/// one ball query against a head-only cell grid per candidate tried.
 /// Nothing scales with `N · k`.
 ///
 /// # Panics
@@ -240,9 +234,6 @@ pub fn select_heads_from_roster(
         }
         // (passes, residual, id), read once. The order is total (ids are
         // unique), so the unstable sort is the stable sort's permutation.
-        let rank = |&(pa, ra, a): &(bool, f64, NodeId), &(pb, rb, b): &(bool, f64, NodeId)| {
-            pb.cmp(&pa).then(rb.total_cmp(&ra)).then(a.cmp(&b))
-        };
         let mut candidates: Vec<(bool, f64, NodeId)> = alive
             .iter()
             .copied()
@@ -256,33 +247,19 @@ pub fn select_heads_from_roster(
                 (passes, residual, id)
             })
             .collect();
-        // The passes take only a few candidates: rank a prefix of
-        // TOP_UP_PREFIX times the shortfall and sort the rest only if a
-        // pass walks past it. `candidates[..sorted]` is always in final
-        // order, so both passes visit the fully sorted sequence.
-        let mut sorted = (TOP_UP_PREFIX * (k - heads.len())).min(candidates.len());
-        if sorted < candidates.len() {
-            candidates.select_nth_unstable_by(sorted, rank);
-        }
-        candidates[..sorted].sort_unstable_by(rank);
-        let mut next = |candidates: &mut [(bool, f64, NodeId)], i: usize| {
-            if i == sorted {
-                candidates[sorted..].sort_unstable_by(rank);
-                sorted = candidates.len();
-            }
-            candidates[i].2
-        };
+        candidates.sort_unstable_by(|&(pa, ra, a), &(pb, rb, b)| {
+            pb.cmp(&pa).then(rb.total_cmp(&ra)).then(a.cmp(&b))
+        });
         // Pass 1: respect the d_c separation. The head cells narrow each
         // candidate's test to the heads in nearby cells; the final call
         // is still `net.distance(id, h) <= dc`.
         let mut separation = features
             .redundancy_reduction
             .then(|| HeadCells::new(net, &heads, dc, k.min(alive.len())));
-        for i in 0..candidates.len() {
+        for &(_, _, id) in &candidates {
             if heads.len() >= k {
                 break;
             }
-            let id = next(&mut candidates, i);
             if let Some(cells) = separation.as_mut() {
                 let pos = net.node(id).pos;
                 if cells.any_within(pos, dc * (1.0 + 1e-12), |h| net.distance(id, h) <= dc) {
@@ -295,11 +272,10 @@ pub fn select_heads_from_roster(
             topped_up += 1;
         }
         // Pass 2: demand still unmet — relax the separation.
-        for i in 0..candidates.len() {
+        for &(_, _, id) in &candidates {
             if heads.len() >= k {
                 break;
             }
-            let id = next(&mut candidates, i);
             if !is_head[id.index()] {
                 heads.push(id);
                 topped_up += 1;

@@ -113,22 +113,13 @@ thread_local! {
 }
 
 /// Fill `out` with the first `c` alive heads of `ranking` (head ids,
-/// nearest first), and return whether the caller must widen `ranking` to
-/// the `window` nearest heads and filter again: `ranking` is shorter than
-/// the window and holds fewer than `c` alive heads.
-///
-/// The `(d², id)` ranking is prefix-consistent, so a narrow ranking of the
-/// `c` nearest heads that are all alive is exactly the first `c` alive
-/// heads of the window. Both Send-Data paths ask for `c` heads first and
-/// for the window only when this returns `true`.
+/// nearest first) and return how many it found.
 fn alive_prefix(
     net: &Network,
-    ranking: impl ExactSizeIterator<Item = u32>,
+    ranking: impl Iterator<Item = u32>,
     c: usize,
-    window: usize,
     out: &mut Vec<NodeId>,
-) -> bool {
-    let narrow = ranking.len() < window;
+) -> usize {
     out.clear();
     for id in ranking {
         if net.arena().is_alive(id as usize) {
@@ -138,7 +129,20 @@ fn alive_prefix(
             }
         }
     }
-    narrow && out.len() < c
+    out.len()
+}
+
+/// Send-Data's pruned candidate set, the one rule the planner and the
+/// merge follow: the first `c` alive heads of the `window` nearest.
+/// `fill(k)` fills the set with the first `c` alive heads of the `k`
+/// nearest and returns how many it found. The `(d², id)` ranking is
+/// prefix-consistent, so when the `c` nearest heads are all alive they
+/// are that set; the window (wider than `c` whenever the set is pruned)
+/// is queried only when one of them is dead.
+fn fill_candidates(c: usize, window: usize, mut fill: impl FnMut(usize) -> usize) {
+    if fill(c) < c {
+        fill(window);
+    }
 }
 
 /// Fluent configuration for [`QlecProtocol`] — the one way to assemble a
@@ -408,7 +412,7 @@ impl QlecProtocol {
     /// The widened k-nearest window behind a pruned candidate set: `c + 8`
     /// heads, so a few dead heads among the `c` nearest still leave `c`
     /// alive candidates. It is queried only when the `c` nearest heads
-    /// are not all alive (see [`alive_prefix`]); the candidate set is the
+    /// are not all alive (see [`fill_candidates`]); the candidate set is the
     /// first `c` alive heads of this window either way.
     fn knn_window(&self) -> usize {
         (self.candidate_budget + 8).min(self.head_ids.len())
@@ -541,13 +545,12 @@ impl Protocol for QlecProtocol {
         // dead heads itself).
         let candidates: &[NodeId] = if self.candidates_active {
             let (c, window) = (self.candidate_budget, self.knn_window());
-            for k in [c, window] {
+            let mut buf = std::mem::take(&mut self.candidate_buf);
+            fill_candidates(c, window, |k| {
                 let ranking = self.retarget_ranking(net, src, k);
-                let ranking = self.retarget_ids[ranking].iter().copied();
-                if !alive_prefix(net, ranking, c, window, &mut self.candidate_buf) {
-                    break;
-                }
-            }
+                alive_prefix(net, self.retarget_ids[ranking].iter().copied(), c, &mut buf)
+            });
+            self.candidate_buf = buf;
             if self.candidate_buf.is_empty() {
                 heads
             } else {
@@ -713,21 +716,18 @@ impl RoutePlanner for QlecProtocol {
             updates,
         } = s;
         THREAD_BUFS.with_borrow_mut(|bufs| {
-            // Same pruned-candidate rule as `choose_target` (the `c`
-            // nearest heads, widened to the window only if one of them is
-            // dead), computed once per node on the worker's buffers (the
-            // index itself is only read — `&self` planning stays free of
-            // interior mutation).
+            // Same pruned-candidate rule as `choose_target`
+            // ([`fill_candidates`]), computed once per node on the
+            // worker's buffers (the index itself is only read — `&self`
+            // planning stays free of interior mutation).
             let candidates: &[NodeId] = if self.candidates_active {
                 if !*knn_ready {
                     let (c, window) = (self.candidate_budget, self.knn_window());
-                    for k in [c, window] {
+                    fill_candidates(c, window, |k| {
                         self.nearest_heads_into(net.node(src).pos, k, &mut bufs.knn_out);
                         let ranking = bufs.knn_out.iter().map(|&(id, _)| id);
-                        if !alive_prefix(net, ranking, c, window, candidate_buf) {
-                            break;
-                        }
-                    }
+                        alive_prefix(net, ranking, c, candidate_buf)
+                    });
                     *knn_ready = true;
                 }
                 if candidate_buf.is_empty() {

@@ -10,7 +10,7 @@ use qlec_core::deec_improved::{
 use qlec_core::kopt::coverage_radius;
 use qlec_core::params::QlecParams;
 use qlec_core::qrouting::QRouter;
-use qlec_geom::{UniformGrid, Vec3};
+use qlec_geom::UniformGrid;
 use qlec_net::{Network, NetworkBuilder, NodeId, Target};
 use qlec_obs::ObserverSet;
 use rand::rngs::StdRng;
@@ -426,68 +426,6 @@ proptest! {
                 prop_assert_eq!((step, s, d, got.to_bits()), (step, s, d, p.to_bits()));
             }
         }
-    }
-}
-
-/// The top-up ranks only a prefix of its candidates up front and sorts
-/// the rest when a pass walks past it. Here the richest nodes crowd one
-/// corner of the cube, more of them than a few times the shortfall and
-/// all within `d_c` of each other, so pass 1 takes at most one of them
-/// and must walk on into the poorer rest, where the order it meets the
-/// candidates picks the heads. The election must match the reference's
-/// full sort.
-#[test]
-fn top_up_walks_past_its_ranked_prefix() {
-    let (n, k) = (10_000, 5);
-    let dc = coverage_radius(200.0, k);
-    // Points of the first octant at most `d_c / √2` from the origin are
-    // all within `d_c` of each other.
-    let corner = |p: Vec3| p.norm() < dc * std::f64::consts::FRAC_1_SQRT_2;
-    let (params, features) = (QlecParams::paper(), SelectionFeatures::default());
-    for seed in 0..6u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut net = NetworkBuilder::new().uniform_cube(&mut rng, n, 200.0, 5.0);
-        let grid = UniformGrid::build(net.positions());
-        for i in 0..n as u32 {
-            let drain = if corner(net.node(NodeId(i)).pos) {
-                rng.gen_range(0.0..0.1)
-            } else {
-                rng.gen_range(1.0..2.0)
-            };
-            net.node_mut(NodeId(i)).battery.consume(drain);
-        }
-        let alive: Vec<NodeId> = net.alive_ids().collect();
-        let crowd = alive.iter().filter(|&&id| corner(net.node(id).pos)).count();
-        let mut reference = net.clone();
-        let want = reference_select(
-            &mut reference,
-            &grid,
-            &alive,
-            0,
-            k,
-            &params,
-            features,
-            &mut StdRng::seed_from_u64(seed),
-        );
-        let got = select_heads_from_roster(
-            &mut net,
-            &grid,
-            &alive,
-            0,
-            k,
-            &params,
-            features,
-            &mut StdRng::seed_from_u64(seed),
-            &ObserverSet::new(),
-        );
-        assert_eq!((seed, &got.heads), (seed, &want.heads));
-        assert_eq!(got.topped_up, want.topped_up);
-        assert!(crowd > 10 * k, "premise: the crowd outnumbers the prefix");
-        let topped = &got.heads[got.heads.len() - got.topped_up..];
-        assert!(
-            topped.iter().any(|&h| !corner(net.node(h).pos)),
-            "premise: pass 1 took a head past the crowd"
-        );
     }
 }
 
